@@ -23,6 +23,7 @@ from .expressions import parse_expression
 
 TWO_PI = 2.0 * np.pi
 _EDGE_EPS = 1e-12  # queries within this of a junction resolve to the right piece
+_BLOCK_TERMS = 1 << 16  # phase-matrix entries per _interp_remainder block: 1 MiB
 
 
 def _check_grid_size(N: int) -> None:
@@ -112,20 +113,46 @@ class BoundaryFunction:
         return self.samples - w * sawtooth(self.theta, cut)
 
     def _interp_remainder(self, theta: np.ndarray) -> np.ndarray:
-        """Band-limited trigonometric interpolant of the periodic part."""
-        rem = self._remainder_samples()
+        """Band-limited trigonometric interpolant of the periodic part.
+
+        The phase matrix is built in row blocks of at most _BLOCK_TERMS
+        entries, so memory stays bounded whatever len(theta) is.
+        """
+        coeff = self._spectrum()
+        freqs = np.arange(-(self.N // 2), self.N // 2 + 1)
+        rows = max(1, _BLOCK_TERMS // len(freqs))
+        vals = np.empty(len(theta), dtype=complex)
+        for lo in range(0, len(theta), rows):
+            t = theta[lo:lo + rows]
+            vals[lo:lo + rows] = np.exp(1j * np.multiply.outer(t, freqs)) @ coeff
+        return vals.real if self.kind == "real" else vals
+
+    def _spectrum(self) -> np.ndarray:
+        """Interpolant coefficients at frequencies -N/2..N/2 (Nyquist halved)."""
         N = self.N
-        F = np.fft.fft(rem) / N
-        freqs = np.fft.fftfreq(N, d=1.0 / N)  # 0, 1, ..., N/2-1, -N/2, ...
-        # split the Nyquist bin evenly for a real-valued interpolant
-        coeff = F.copy()
-        phases = np.exp(1j * np.multiply.outer(np.asarray(theta, float), freqs))
-        vals = phases @ coeff
-        ny = F[N // 2] * np.cos((N // 2) * np.asarray(theta, float))
-        vals = vals - F[N // 2] * np.exp(1j * (-(N // 2)) * np.asarray(theta, float)) + ny
-        if self.kind == "real" and not np.iscomplexobj(rem):
-            return vals.real
-        return vals
+        F = np.fft.fft(self._remainder_samples()) / N
+        coeff = np.concatenate([F[N // 2:], F[:N // 2 + 1]])
+        coeff[0] *= 0.5
+        coeff[-1] *= 0.5
+        return coeff
+
+    def _eval_pieces(self, t: np.ndarray) -> np.ndarray:
+        """Exact piece values at angles in [0, 2pi), right-piece convention."""
+        los = np.array([p.lo for p in self.pieces])
+        idx = np.searchsorted(los, t + _EDGE_EPS, side="right") - 1
+        idx = np.clip(idx, 0, len(self.pieces) - 1)
+        out = np.empty(len(t), dtype=complex if self.kind == "complex" else float)
+        for k, p in enumerate(self.pieces):
+            m = idx == k
+            if np.any(m):
+                out[m] = p.fn(t[m])
+        return out
+
+    def _add_winding(self, vals: np.ndarray, t: np.ndarray) -> np.ndarray:
+        if self.winding is None:
+            return vals
+        w, cut = self.winding
+        return vals + w * sawtooth(t, cut)
 
     # -- public API --------------------------------------------------------
 
@@ -136,20 +163,28 @@ class BoundaryFunction:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         if self.pieces is not None:
-            los = np.array([p.lo for p in self.pieces])
-            idx = np.searchsorted(los, t + _EDGE_EPS, side="right") - 1
-            idx = np.clip(idx, 0, len(self.pieces) - 1)
-            out = np.empty(len(t), dtype=complex if self.kind == "complex" else float)
-            for k, p in enumerate(self.pieces):
-                m = idx == k
-                if np.any(m):
-                    out[m] = p.fn(t[m])
-            return out[0] if scalar else out
-        vals = self._interp_remainder(t)
-        if self.winding is not None:
-            w, cut = self.winding
-            vals = vals + w * sawtooth(t, cut)
-        return vals[0] if scalar else vals
+            out = self._eval_pieces(t)
+        else:
+            out = self._add_winding(self._interp_remainder(t), t)
+        return out[0] if scalar else out
+
+    def on_uniform_grid(self, V: int) -> np.ndarray:
+        """Values at theta_v = 2*pi*v/V, v = 0..V-1 (any V >= 1).
+
+        Equal to evaluate(grid_nodes(V)) at O(N + V log V) cost: on the
+        V-grid exp(i*k*theta_v) depends only on k mod V, so the
+        interpolant's spectrum folds into V bins and one inverse FFT
+        gives every value.  Piecewise data is evaluated exactly.
+        """
+        t = grid_nodes(V)
+        if self.pieces is not None:
+            return self._eval_pieces(t)
+        coeff = self._spectrum()
+        bins = np.arange(-(self.N // 2), self.N // 2 + 1) % V
+        folded = (np.bincount(bins, coeff.real, minlength=V)
+                  + 1j * np.bincount(bins, coeff.imag, minlength=V))
+        vals = np.fft.ifft(folded) * V
+        return self._add_winding(vals.real if self.kind == "real" else vals, t)
 
     def resample(self, L: int) -> "BoundaryFunction":
         """Same function on an L-node grid (L a power of two >= N).

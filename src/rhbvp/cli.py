@@ -248,7 +248,7 @@ class _OutputGuard:
 def _out_paths(cfg: dict, out_dir: str | None, command: str):
     outs = cfg.get("outputs", {}) or {}
     field = outs.get("field_csv")
-    report = outs.get("report")
+    report = outs.get("report") if command != "solve" else None
     if command in ("solve", "map", "family") and field is None:
         raise ConfigurationError("outputs.field_csv is required")
     if command in ("verify", "family") and report is None:
@@ -304,9 +304,7 @@ def main(argv=None) -> int:
             if field_path is not None:
                 nx, ny, hw = _grid_spec(cfg)
                 grid_stats = _write_field_csv(field_path, hs, nx, ny, hw, trace)
-            if args.command == "verify" or report_path is not None:
-                if report_path is None:
-                    raise ConfigurationError("outputs.report is required")
+            if args.command == "verify":
                 vc = _verify_cfg(cfg, args.tol)
                 target = None
                 if vc["target"] is not None:

@@ -101,20 +101,3 @@ def solve_neumann(phi: BoundaryFunction, params: SolverParams | None = None,
             f"nontangentially)")
     return hs
 
-
-def check_radial_limits(hsol: HarmonicSolution, V: int = 500,
-                        tol: float = 1e-3, delta: float = 1e-2):
-    """Radial convergence certificate for u; see verify.radial_u_table."""
-    from .verify import radial_u_table
-    return radial_u_table(hsol, V=V, tol=tol, delta=delta)
-
-
-def check_normal_derivative(hsol: HarmonicSolution, V: int = 500,
-                            tol: float = 1e-2, delta: float = 1e-2):
-    """Difference-quotient certificate that -du/dr attains the Neumann data.
-
-    Returns the radial table; quotient fields compare (u(r) - u(1-)) / (1-r)
-    against the boundary data at each vertex.
-    """
-    from .verify import radial_u_table
-    return radial_u_table(hsol, V=V, tol=tol, delta=delta, with_quotients=True)

@@ -192,8 +192,8 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
         nu = disk_inner_normal(max(target.N, 16)).field
 
     angles = TWO_PI * np.arange(V) / V
-    targets = np.asarray(target.evaluate(angles), dtype=float)
-    nu_vals = np.asarray(nu.base.evaluate(angles), dtype=complex)
+    targets = np.asarray(target.on_uniform_grid(V), dtype=float)
+    nu_vals = np.asarray(nu.base.on_uniform_grid(V), dtype=complex)
 
     N = src.N if isinstance(src, AnalyticSolution) else 1024
     j_max = default_j_max(N)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,3 +197,67 @@ def test_winding_boundary_function_evaluate():
 def test_complex_kind_required_for_direction():
     with pytest.raises(DataError):
         DirectionField(base=BoundaryFunction(samples=np.ones(32), kind="real"))
+
+
+# ----------------------------------------------------------------------
+# values on a uniform grid, chunked interpolation
+# ----------------------------------------------------------------------
+
+def _grid_case(name, N):
+    t = grid_nodes(N)
+    if name == "real_sampled":
+        return build_boundary_function(
+            np.random.default_rng(7).normal(size=N), N)
+    if name == "complex_nu":
+        return DirectionField.from_angle(
+            "0.3*sin(theta) + 0.2*cos(3*theta)", N).base
+    if name == "winding_alpha":
+        nu = DirectionField.from_samples(
+            -np.exp(1j * (t + 0.3 * np.sin(2 * t))), cut=1.0)
+        alpha = measurable_arg(nu)
+        assert alpha.winding[0] == 1
+        return alpha
+    return build_boundary_function(
+        [(0.0, 2.0, "0.7"), (2.0, 4.0, "cos(theta)"), (4.0, TWO_PI, "-0.4")], N)
+
+
+@pytest.mark.parametrize("name", ["real_sampled", "complex_nu",
+                                  "winding_alpha", "piecewise"])
+def test_on_uniform_grid_matches_evaluate(name):
+    N = 256
+    bf = _grid_case(name, N)
+    scale = 1.0 + np.max(np.abs(bf.samples))
+    for V in (8, 500, N, 4 * N, 5000):
+        vals = bf.on_uniform_grid(V)
+        ref = bf.evaluate(grid_nodes(V))
+        assert vals.dtype == ref.dtype and vals.shape == (V,)
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * scale
+
+
+def test_on_uniform_grid_reproduces_samples():
+    bf = _grid_case("real_sampled", 64)
+    np.testing.assert_allclose(bf.on_uniform_grid(64), bf.samples, atol=1e-13)
+    np.testing.assert_allclose(bf.on_uniform_grid(16), bf.samples[::4],
+                               atol=1e-13)
+
+
+def test_evaluate_chunked_matches_dense_reference():
+    N = 1024
+    bf = _grid_case("complex_nu", N)
+    q = np.random.default_rng(11).uniform(0.0, TWO_PI, 2000)
+    # dense reference: the full len(q) x N phase matrix, Nyquist bin as cosine
+    F = np.fft.fft(bf.samples) / N
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k[N // 2] = 0.0
+    F_ny, F = F[N // 2], F.copy()
+    F[N // 2] = 0.0
+    ref = np.exp(1j * np.multiply.outer(q, k)) @ F + F_ny * np.cos(N // 2 * q)
+    tracemalloc.start()
+    try:
+        vals = bf.evaluate(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(vals - ref)) <= 1e-12
+    # the dense phase matrix alone would take len(q) * N * 16 B = 31 MiB
+    assert peak < 8 * 2 ** 20

@@ -49,6 +49,16 @@ def test_solve_writes_field_csv(tmp_path, capsys):
     assert "in-domain points" in out and "grid laplacian stats" in out
 
 
+def test_solve_ignores_report_output(tmp_path):
+    # only verify runs the verifier; solve neither locks nor writes the report
+    cfg = _base_cfg(tmp_path)
+    rc = main(["solve", "--config", _write_cfg(tmp_path, cfg), "--quiet"])
+    assert rc == 0
+    assert os.path.exists(tmp_path / "field.csv")
+    assert not os.path.exists(tmp_path / "report.txt")
+    assert not os.path.exists(str(tmp_path / "report.txt") + ".lock")
+
+
 def test_solve_d0_shifts_field(tmp_path):
     cfg = _base_cfg(tmp_path)
     cfg["params"]["d0"] = 0.25

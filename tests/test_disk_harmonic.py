@@ -215,6 +215,33 @@ def test_series_eval_on_rays_matches_horner():
         np.testing.assert_allclose(vals[i], s(sc * ang), atol=1e-10)
 
 
+def _stolz_scales():
+    # dyadic depths down to r = 1 - 2^-34 at two complex apertures
+    r = 1.0 - 2.0 ** -np.arange(1, 35, dtype=float)
+    return np.concatenate([r * np.exp(0.5j * (1.0 - r)),
+                           r * np.exp(-1j * (1.0 - r))])
+
+
+@pytest.mark.parametrize("L, V, scales", [
+    (4000, 500, "stolz"),    # V divides L
+    (4096, 500, "stolz"),    # V does not divide L
+    (300, 2000, "stolz"),    # L < V: a single block
+    (4096, 8, "stolz"),      # smallest verifier V
+    (4096, 4096, "circle"),  # antiderivative at N = 1024: one scale, V = 4N
+], ids=["V_divides_L", "V_not_dividing_L", "L_below_V", "V8", "V4N"])
+def test_series_eval_on_rays_block_horner(L, V, scales):
+    rng = np.random.default_rng(L + V)
+    n = np.arange(L)
+    c = (rng.normal(size=L) + 1j * rng.normal(size=L)) / (1.0 + n)
+    s = SeriesEvaluator(c)
+    sc = _stolz_scales() if scales == "stolz" else np.array([0.5 + 0j])
+    vals = s.eval_on_rays(sc, V)
+    assert vals.shape == (len(sc), V)
+    ang = np.exp(2j * np.pi * np.arange(V) / V)
+    ref = s._horner(sc[:, None] * ang[None, :])
+    assert np.max(np.abs(vals - ref)) <= 2e-12 * np.max(np.abs(ref))
+
+
 def test_series_beyond_cap_flag():
     s = SeriesEvaluator(np.ones(16), radius_cap=0.5)
     flags = s.beyond_cap(np.array([0.4, 0.6]))

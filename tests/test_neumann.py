@@ -6,9 +6,9 @@ import pytest
 import rhbvp as R
 from rhbvp.boundary_data import grid_nodes
 from rhbvp.errors import OrientationError, ParametrizationError
-from rhbvp.neumann import (check_normal_derivative, check_radial_limits,
-                           compatibility_integral, disk_inner_normal,
+from rhbvp.neumann import (compatibility_integral, disk_inner_normal,
                            inner_normal)
+from rhbvp.verify import radial_u_table
 
 
 # ----------------------------------------------------------------------
@@ -91,23 +91,23 @@ def test_neumann_solution_carries_sources(neumann_cos):
 # radial certificates
 # ----------------------------------------------------------------------
 
-def test_check_radial_limits_cos(neumann_cos):
-    table = check_radial_limits(neumann_cos, V=200, tol=1e-3)
+def test_radial_u_table_flags_cos(neumann_cos):
+    table = radial_u_table(neumann_cos, V=200, tol=1e-3)
     frac = float(np.mean(table.flags))
     assert frac > 0.99
 
 
-def test_check_normal_derivative_cos(neumann_cos):
+def test_radial_u_table_quotients_cos(neumann_cos):
     # u = -Re z: (u(r) - u(1-))/(1 - r) = cos(theta) exactly
-    table = check_normal_derivative(neumann_cos, V=200, tol=1e-2)
+    table = radial_u_table(neumann_cos, V=200, tol=1e-2)
     err = np.abs(table.quotient_est[table.valid]
                  - np.cos(table.angles[table.valid]))
     assert float(np.mean(err < 1e-2)) > 0.99
 
 
-def test_check_normal_derivative_step(neumann_step):
+def test_radial_u_table_quotients_step(neumann_step):
     # jump data: quotients still attain the data away from the jumps
-    table = check_normal_derivative(neumann_step, V=200, tol=1e-2)
+    table = radial_u_table(neumann_step, V=200, tol=1e-2)
     target = neumann_step.phi.evaluate(table.angles)
     ok = table.valid
     err = np.abs(table.quotient_est[ok] - target[ok])

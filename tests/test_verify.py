@@ -1,5 +1,7 @@
 """Verifier, reports, interior certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,19 @@ def test_verify_smooth_solution_passes(neumann_cos):
     assert rep.settings["converged_fraction"] > 0.99
     assert rep.settings["radial_flag_fraction"] > 0.95
     assert rep.residual_stats[0] < 1e-6
+
+
+def test_verify_memory_is_independent_of_V_times_N():
+    # a dense V x N interpolation matrix alone would take 125 MiB here
+    hs = R.solve_neumann(_step(16384))
+    tracemalloc.start()
+    try:
+        rep = verify_solution(hs, V=500, tol=1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.pass_fraction > 0.9
+    assert peak < 32 * 2 ** 20
 
 
 def test_verify_wrong_target_fails(neumann_cos):
