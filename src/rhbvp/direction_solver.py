@@ -103,9 +103,7 @@ class HarmonicSolution:
         """The derivative generating u; on mapped domains this is dF/dw
         at the query point (chain rule cancels the map derivative)."""
         z = self._preimage(w)
-        if self.f_source is not None and self.conformal_map is None:
-            return self.f_source.f(z)
-        if self.conformal_map is not None and self.f_source is not None:
+        if self.f_source is not None:
             return self.f_source.f(z)
         return self.F.derivative()._horner(z)
 

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .boundary_data import (BoundaryFunction, TWO_PI, grid_nodes, sawtooth)
-from .errors import (ConfigurationError, DataError, DomainError)
+from .errors import (ConfigurationError, DataError, DomainError,
+                     RepresentationError)
 
 _LOG_TINY = 1e-300  # floor for |2 sin| at the cut node; keeps samples finite
 
@@ -121,6 +122,10 @@ def _blocks(coeffs: np.ndarray, M: int) -> np.ndarray:
     return buf.reshape(q, M)
 
 
+_WINDING_CALCULUS = ("winding part is a log kernel; termwise calculus "
+                     "applies only to the series remainder")
+
+
 @dataclass
 class SchwarzEvaluator(SeriesEvaluator):
     """Schwarz integral: analytic completion with Im value 0 at the origin.
@@ -144,21 +149,13 @@ class SchwarzEvaluator(SeriesEvaluator):
 
     def derivative(self):
         if self.winding:
-            raise RepresentationHint()
+            raise RepresentationError(_WINDING_CALCULUS)
         return super().derivative()
 
     def integrate(self):
         if self.winding:
-            raise RepresentationHint()
+            raise RepresentationError(_WINDING_CALCULUS)
         return super().integrate()
-
-
-class RepresentationHint(TypeError):
-    """Winding Schwarz integrals are not polynomial; no termwise calculus."""
-
-    def __init__(self):
-        super().__init__("winding part is a log kernel; termwise calculus "
-                         "applies only to the series remainder")
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ admissible; the verifier is the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -76,13 +76,17 @@ def herglotz_term(hom_points: Sequence[float], hom_coeffs: Sequence[float], z):
     """p(z) = c_0 + sum_k c_k * i * (zeta_k + z)/(zeta_k - z).
 
     Each summand has vanishing real part after the i * p pairing, so these
-    span homogeneous solutions with boundary poles at the zeta_k.
+    span homogeneous solutions with boundary poles at the zeta_k.  Terms
+    with c_k = 0 are skipped: adding an exact zero does not change a float,
+    and a family member evaluates its one pole, not all k.
     """
     z = np.asarray(z, dtype=complex)
     if not hom_coeffs:
         return np.zeros(z.shape, dtype=complex)
     out = np.full(z.shape, complex(hom_coeffs[0]), dtype=complex)
     for a, c in zip(hom_points, hom_coeffs[1:]):
+        if c == 0.0:
+            continue
         zk = np.exp(1j * a)
         out = out + c * 1j * (zk + z) / (zk - z)
     return out
@@ -131,7 +135,7 @@ class AnalyticSolution:
         """
         scales = np.asarray(scales, dtype=complex)
         gv = self.g.eval_on_rays(scales, V)
-        av = SeriesEvaluator(self.A.coefficients, radius_cap=1.0).eval_on_rays(scales, V)
+        av = self.A.eval_on_rays(scales, V)
         z = scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)[None, :]
         if self.A.winding:
             av = av - 2j * self.A.winding * np.log1p(-z * np.exp(-1j * self.A.cut))
@@ -205,21 +209,25 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     """Homogeneous solutions (phi = 0) spanned by the Herglotz terms.
 
     Returns k + 1 members for k distinguished points: the constant member
-    (c_0 = 1) followed by one member per point.
+    (c_0 = 1) followed by one member per point.  f is linear in the
+    Herglotz coefficients, so one solve with phi = 0 serves every member;
+    the members are copies of it that differ only in hom_coeffs, params
+    and notes, and share its alpha, A, weight, psi and g.  hom_points and
+    hom_coeffs preset in params are ignored.
     """
     if isinstance(points, int):
         points = default_hom_points(points)
     points = tuple(float(a) % TWO_PI for a in points)
     base = params or SolverParams(N=nu.N)
     zero_phi = BoundaryFunction(samples=np.zeros(nu.N), kind="real")
+    sol = solve_rh(nu, zero_phi, replace(base, hom_points=points, hom_coeffs=()))
     members = []
     k = len(points)
     for j in range(k + 1):
         coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
-        p = SolverParams(N=base.N, cut=base.cut, refine=base.refine,
-                         rho_sample=base.rho_sample, drop_tol=base.drop_tol,
-                         d0=base.d0, hom_points=points, hom_coeffs=coeffs)
-        members.append(solve_rh(nu, zero_phi, p))
+        p = replace(base, hom_points=points, hom_coeffs=coeffs)
+        members.append(replace(sol, hom_coeffs=coeffs, params=p,
+                               notes=list(sol.notes)))
     return members
 
 

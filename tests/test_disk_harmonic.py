@@ -10,7 +10,9 @@ from rhbvp.disk_harmonic import (SeriesEvaluator, StolzPath,
                                  default_j_max, exp_series,
                                  nontangential_eval, poisson_extend,
                                  schwarz_integral)
-from rhbvp.errors import ConfigurationError, DataError, DomainError
+from rhbvp.errors import (ConfigurationError, DataError, DomainError,
+                          NumericalError, RepresentationError)
+from rhbvp.neumann import disk_inner_normal
 
 LOG2 = 0.6931471805599453
 # independent quadrature oracle (adaptive Poisson integral of the upper-arc
@@ -62,6 +64,19 @@ def test_schwarz_sawtooth_closed_form():
     S = schwarz_integral(alpha)
     val = S(np.array([0.5]))[0]
     assert abs(val - 2j * LOG2) < 1e-13
+
+
+@pytest.mark.parametrize("op", ["derivative", "integrate"])
+def test_winding_schwarz_termwise_calculus_raises_representation_error(op):
+    # the inner normal's argument winds once; its log kernel has no
+    # termwise derivative or antiderivative, and the refusal is a typed
+    # numerical error of the package hierarchy (CLI exit code 2)
+    A = schwarz_integral(measurable_arg(disk_inner_normal(256).field))
+    assert A.winding == 1
+    with pytest.raises(RepresentationError, match="log kernel") as info:
+        getattr(A, op)()
+    assert isinstance(info.value, NumericalError)
+    assert not isinstance(info.value, TypeError)
 
 
 def test_schwarz_sawtooth_plain_sampling_bias():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import rhbvp as R
-from rhbvp.boundary_data import grid_nodes
+from rhbvp.boundary_data import grid_nodes, measurable_arg
 from rhbvp.errors import ConfigurationError, DataError, DomainError
+import rhbvp.rh_solver as rh_solver
 from rhbvp.rh_solver import (SolverParams, cr_residual, default_hom_points,
                              herglotz_term, homogeneous_family, solve_rh)
 
@@ -171,6 +172,88 @@ def test_herglotz_term_boundary_real_part_vanishes():
     z = 0.9999 * np.exp(1j * np.linspace(0.2, 6.0, 11))
     p = herglotz_term((1.0, 3.5), (0.0, 2.0, -1.0), z)
     assert np.max(np.abs((1j * p).real)) < 1e-2
+
+
+def _family_one_solve_per_member(nu, points, params):
+    """Reference family: one full solve_rh per member with phi = 0."""
+    if isinstance(points, int):
+        points = default_hom_points(points)
+    points = tuple(float(a) % (2 * np.pi) for a in points)
+    base = params or SolverParams(N=nu.N)
+    zero_phi = R.BoundaryFunction(samples=np.zeros(nu.N), kind="real")
+    k = len(points)
+    members = []
+    for j in range(k + 1):
+        coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
+        p = SolverParams(N=base.N, cut=base.cut, refine=base.refine,
+                         rho_sample=base.rho_sample, drop_tol=base.drop_tol,
+                         d0=base.d0, hom_points=points, hom_coeffs=coeffs)
+        members.append(solve_rh(nu, zero_phi, p))
+    return members
+
+
+def _oblique_nu(N):
+    # winding one, rotated off the normal, cut at 1.0
+    return R.DirectionField.from_samples(np.exp(1j * (grid_nodes(N) + 0.7)),
+                                         cut=1.0)
+
+
+FAMILY_CASES = {
+    "inner_normal": (lambda: _normal_nu(256), 4, None),
+    "oblique_cut_refine4": (
+        lambda: _oblique_nu(256), (0.4, 2.5, 5.0),
+        # preset hom_points/hom_coeffs are ignored by homogeneous_family
+        SolverParams(N=256, cut=1.0, refine=4, hom_points=(1.5, 2.0, 3.0),
+                     hom_coeffs=(3.0, -2.0, 1.0, 0.5))),
+    "k0": (lambda: _normal_nu(128), 0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_homogeneous_family_equals_one_solve_per_member(case, monkeypatch):
+    make_nu, points, params = FAMILY_CASES[case]
+    nu = make_nu()
+    assert measurable_arg(nu).winding[0] == 1
+    want = _family_one_solve_per_member(nu, points, params)
+
+    calls = []
+    real_solve = rh_solver.solve_rh
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(rh_solver, "solve_rh", counting_solve)
+    got = homogeneous_family(nu, points, params)
+    assert len(calls) == 1
+    assert len(got) == len(want)
+
+    z = _interior(40)
+    scales = np.array([0.5, 0.9 * np.exp(0.1j), 0.99])
+    for m, r in zip(got, want):
+        assert m.params == r.params
+        assert m.hom_points == r.hom_points
+        assert m.hom_coeffs == r.hom_coeffs
+        assert m.notes == r.notes
+        assert np.max(np.abs(m.f(z) - r.f(z))) == 0.0
+        assert np.max(np.abs(m.f_on_scales(scales, 32)
+                             - r.f_on_scales(scales, 32))) == 0.0
+    # members share the phi = 0 data but not their notes lists
+    assert all(m.g is got[0].g for m in got)
+    assert len({id(m.notes) for m in got}) == len(got)
+
+
+@pytest.mark.parametrize("c0", [0.0, 1.5])
+def test_herglotz_term_zero_coefficients_match_dense_sum(c0):
+    points = (0.3, 1.7, 2.9, 4.4, 5.5)
+    coeffs = (c0, 0.0, 2.5, 0.0, -1.25, 0.0)
+    z = np.concatenate([_interior(30), 0.999 * np.exp(1j * np.array([1.0, 3.0]))])
+    want = np.full(z.shape, complex(c0))
+    for a, c in zip(points, coeffs[1:]):
+        zk = np.exp(1j * a)
+        want = want + c * 1j * (zk + z) / (zk - z)
+    got = herglotz_term(points, coeffs, z)
+    assert np.max(np.abs(got - want)) == 0.0
 
 
 # ----------------------------------------------------------------------
