@@ -30,8 +30,7 @@ from .jordan_domain import (ConformalMap, image_inner_normal, theodorsen_map,
                             transplant_neumann, transplant_solve)
 from .neumann import disk_inner_normal, solve_neumann
 from .rh_solver import SolverParams, homogeneous_family
-from .verify import (dimension_certificate, lattice_laplacian_stats,
-                     verify_solution)
+from .verify import dimension_certificate, verify_solution
 
 DEFAULTS = {"N": 1024, "V": 500, "tol": 1e-3, "delta": 1e-2,
             "grid": {"nx": 101, "ny": 101, "half_width": 0.95}}
@@ -180,17 +179,16 @@ def _write_field_csv(path: str, hs: HarmonicSolution, nx, ny, hw, trace):
     xs = np.linspace(-hw, hw, nx)
     ys = np.linspace(-hw, hw, ny)
     U, mask = hs.on_grid(xs, ys)
+    ycols = [f",{y:.17g}," for y in ys.tolist()]
     with open(path, "w") as fh:
         fh.write("x,y,u\n")
-        for i in range(nx):
-            for j in range(ny):
-                if mask[i, j]:
-                    fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{U[i, j]:.17g}\n")
-    dx = xs[1] - xs[0]
-    stats = lattice_laplacian_stats(U, dx)
+        # one join per x-row: a whole-file string would raise peak memory
+        for x, row, keep in zip(xs.tolist(), U, mask):
+            js = np.flatnonzero(keep)
+            x = f"{x:.17g}"
+            fh.write("".join([f"{x}{ycols[j]}{u:.17g}\n"
+                              for j, u in zip(js.tolist(), row[js].tolist())]))
     trace(f"field: {int(mask.sum())} in-domain points -> {path}")
-    trace(f"grid laplacian stats: max={stats[0]:.6g} mean={stats[1]:.6g}")
-    return stats
 
 
 def _verify_cfg(cfg: dict, flag_tol: float | None):
@@ -300,10 +298,9 @@ def main(argv=None) -> int:
             _run_family(cfg, N, field_path, report_path, trace, guard)
         else:
             hs, params, cmap = _solve(cfg, N, trace)
-            grid_stats = None
             if field_path is not None:
                 nx, ny, hw = _grid_spec(cfg)
-                grid_stats = _write_field_csv(field_path, hs, nx, ny, hw, trace)
+                _write_field_csv(field_path, hs, nx, ny, hw, trace)
             if args.command == "verify":
                 vc = _verify_cfg(cfg, args.tol)
                 target = None
@@ -314,9 +311,6 @@ def main(argv=None) -> int:
                     delta=vc["delta"], apertures=vc["apertures"])
                 report.settings["config_echo"] = json.dumps(cfg, sort_keys=True)
                 report.settings["seed"] = args.seed
-                if grid_stats is not None:
-                    report.settings["grid_laplacian_max"] = grid_stats[0]
-                    report.settings["grid_laplacian_mean"] = grid_stats[1]
                 with open(report_path, "w") as fh:
                     fh.write(report.serialize())
                 trace(f"verify: pass_fraction={report.pass_fraction:.4f} "
@@ -345,17 +339,17 @@ def _run_map(cfg: dict, N: int, field_path, report_path, trace):
     cmap = _build_domain(cfg, N)
     if cmap is None:
         raise ConfigurationError("map command requires a starlike domain")
+    degree = len(cmap.omega.coefficients)
     trace(f"map: iterations={cmap.iterations} residual={cmap.residual:.3e} "
-          f"slope={cmap.slope:.3f}")
-    t = cmap.correspondence.theta
-    sig = cmap.correspondence.samples
+          f"slope={cmap.slope:.3f} degree={degree}")
     wb = cmap.boundary_nodes()
     node_res = np.abs(np.abs(wb) - np.asarray(cmap.rho(np.angle(wb)), float))
+    cols = (cmap.correspondence.theta, cmap.correspondence.samples, wb.real,
+            wb.imag, node_res)
     with open(field_path, "w") as fh:
         fh.write("t,sigma,re_w,im_w,residual\n")
-        for k in range(cmap.N):
-            fh.write(f"{t[k]:.17g},{sig[k]:.17g},{wb[k].real:.17g},"
-                     f"{wb[k].imag:.17g},{node_res[k]:.17g}\n")
+        fh.writelines(f"{t:.17g},{s:.17g},{x:.17g},{y:.17g},{r:.17g}\n"
+                      for t, s, x, y, r in zip(*(c.tolist() for c in cols)))
     if report_path is not None:
         with open(report_path, "w") as fh:
             fh.write(json.dumps({
@@ -364,6 +358,7 @@ def _run_map(cfg: dict, N: int, field_path, report_path, trace):
                 "slope": cmap.slope,
                 "rho": cmap.rho_source,
                 "N": cmap.N,
+                "degree": degree,
             }, sort_keys=True) + "\n")
 
 
@@ -393,12 +388,14 @@ def _run_family(cfg: dict, N: int, field_path, report_path, trace, guard):
         _write_field_csv(p, hs, nx, ny, hw, trace)
     rows.append(lambda z: np.ones(np.shape(z)))  # the d0 direction
     cert = dimension_certificate(rows)
-    trace(f"family: {len(members)} members, sigma_min={cert.sigma_min:.6g}")
+    trace(f"family: {len(members)} members, sigma_min={cert.sigma_min:.6g} "
+          f"rank={cert.rank}")
     if report_path is not None:
         with open(report_path, "w") as fh:
             fh.write(json.dumps({
                 "members": len(members),
                 "sigma_min": cert.sigma_min,
+                "rank": cert.rank,
                 "singular_values": list(map(float, cert.singular_values)),
                 "hom_points": list(params.hom_points),
                 "files": member_paths,

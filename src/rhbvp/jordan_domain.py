@@ -34,6 +34,11 @@ from .errors import (ConfigurationError, ConvergenceDomainError,
 from .expressions import parse_expression
 from .rh_solver import SolverParams, solve_rh
 
+# omega keeps its significant degree: exp_series leaves a tail of terms
+# near the rounding floor (~1e-18), and Newton inversion pays for every
+# term it keeps.
+OMEGA_TAIL_TOL = 16.0 * np.finfo(float).eps
+
 
 def _as_radius_fn(rho) -> tuple[Callable, str]:
     if callable(rho):
@@ -102,6 +107,15 @@ class ConformalMap:
         return z.reshape(np.shape(w)) if np.ndim(w) else complex(z[0])
 
 
+def _trim_tail(c: np.ndarray) -> np.ndarray:
+    """c without the trailing terms whose summed magnitude is at most
+    OMEGA_TAIL_TOL * sum |c|; this moves the series by no more than that
+    anywhere on the closed disk."""
+    tail = np.cumsum(np.abs(c[::-1]))[::-1]  # tail[k] = sum_{n >= k} |c_n|
+    drop = tail <= OMEGA_TAIL_TOL * tail[0]
+    return c[:len(c) - int(np.sum(drop))]
+
+
 def theodorsen_map(rho, N: int = 1024, tol: float = 1e-13,
                    max_iter: int = 200) -> ConformalMap:
     """Conformal map onto the star-like domain with radius function rho."""
@@ -140,7 +154,7 @@ def theodorsen_map(rho, N: int = 1024, tol: float = 1e-13,
 
     ls = np.log(np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float))
     b = analytic_coefficients(ls)
-    om = np.concatenate([[0.0], exp_series(b, N // 2)])
+    om = _trim_tail(np.concatenate([[0.0], exp_series(b, N // 2)]))
     omega = SeriesEvaluator(om, radius_cap=1.0)
     omega_prime = omega.derivative()
 

@@ -131,12 +131,11 @@ class VerificationReport:
         for note in self.notes:
             lines.append("# note: " + note)
         lines.append(",".join(REPORT_COLUMNS))
-        for i in range(len(self.angles)):
-            lines.append(
-                f"{self.angles[i]:.17g},{self.target[i]:.17g},"
-                f"{self.estimate[i]:.17g},{self.error[i]:.17g},"
-                f"{int(self.converged[i])},{int(self.excluded[i])},"
-                f"{self.reasons[i]}")
+        cols = (self.angles, self.target, self.estimate, self.error,
+                self.converged, self.excluded, self.reasons)
+        lines.extend(f"{a:.17g},{t:.17g},{e:.17g},{r:.17g},{c:d},{x:d},{why}"
+                     for a, t, e, r, c, x, why
+                     in zip(*(col.tolist() for col in cols)))
         lines.append(f"# pass_fraction = {self.pass_fraction:.17g}")
         lines.append(f"# residual_max = {self.residual_stats[0]:.17g}")
         lines.append(f"# residual_mean = {self.residual_stats[1]:.17g}")
@@ -423,6 +422,7 @@ class DimensionCertificate:
     singular_values: np.ndarray
     n_rows: int
     n_points: int
+    rank: int
     notes: list[str] = field(default_factory=list)
 
 
@@ -440,12 +440,23 @@ def dimension_certificate(rows: Sequence[Callable],
 
     Each row is one candidate solution evaluated at the sample points;
     sigma_min bounded away from 0 certifies linear independence of the
-    family at the sampled resolution.
+    family at the sampled resolution.  The default samples
+    max(64, 2 * rows) points; explicit points must be at least as many
+    as the rows, since fewer points cannot separate them.  rank counts
+    the singular values above eps * rows * sigma_max.  A numerically
+    zero row stops the certificate with sigma_min, singular values and
+    rank all 0.
     """
     if len(rows) < 2:
         raise ConfigurationError("dimension certificate needs at least 2 rows")
-    pts = certificate_points() if points is None else np.asarray(points,
-                                                                 dtype=complex)
+    if points is None:
+        pts = certificate_points(max(64, 2 * len(rows)))
+    else:
+        pts = np.asarray(points, dtype=complex)
+        if len(pts) < len(rows):
+            raise ConfigurationError(
+                f"dimension certificate of {len(rows)} rows needs at least "
+                f"{len(rows)} sample points, got {len(pts)}")
     A = np.empty((len(rows), len(pts)))
     notes = []
     for i, fn in enumerate(rows):
@@ -454,11 +465,12 @@ def dimension_certificate(rows: Sequence[Callable],
         if nrm < 1e-300:
             notes.append(f"row {i} is numerically zero")
             return DimensionCertificate(0.0, np.zeros(len(rows)), len(rows),
-                                        len(pts), notes)
+                                        len(pts), 0, notes)
         A[i] /= nrm
     svals = np.linalg.svd(A, compute_uv=False)
+    rank = int(np.sum(svals > np.finfo(float).eps * len(rows) * svals[0]))
     return DimensionCertificate(float(svals[-1]), svals, len(rows), len(pts),
-                                notes)
+                                rank, notes)
 
 
 def chord_recovery(hsol, z0: complex, z1: complex,

@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from rhbvp.cli import main
+import rhbvp as R
+from rhbvp.cli import _write_field_csv, main
 from rhbvp.verify import lattice_laplacian_stats, parse_report
+
+ELLIPSE_RHO = "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"
 
 
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -46,7 +49,7 @@ def test_solve_writes_field_csv(tmp_path, capsys):
     assert abs(rows[k, 2] + rows[k, 0]) < 1e-9
     assert not os.path.exists(str(tmp_path / "field.csv") + ".lock")
     out = capsys.readouterr().out
-    assert "in-domain points" in out and "grid laplacian stats" in out
+    assert "in-domain points" in out and "grid laplacian stats" not in out
 
 
 def test_solve_ignores_report_output(tmp_path):
@@ -84,6 +87,38 @@ def test_field_csv_roundtrip_is_harmonic(tmp_path):
     assert mx < 1e-9
 
 
+def _reference_field_csv(path, hs, nx, ny, hw):
+    """The field CSV written one row per write, element by element."""
+    xs = np.linspace(-hw, hw, nx)
+    ys = np.linspace(-hw, hw, ny)
+    U, mask = hs.on_grid(xs, ys)
+    with open(path, "w") as fh:
+        fh.write("x,y,u\n")
+        for i in range(nx):
+            for j in range(ny):
+                if mask[i, j]:
+                    fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{U[i, j]:.17g}\n")
+
+
+@pytest.mark.parametrize("domain", ["disk", "ellipse"])
+def test_field_csv_matches_per_row_writer(tmp_path, domain):
+    # nx != ny, and the grid reaches past the domain so points are masked
+    phi = R.build_boundary_function("cos(theta) + 0.3*sin(2*theta)", 256)
+    if domain == "disk":
+        hs = R.solve_neumann(phi)
+    else:
+        hs = R.transplant_neumann(R.theodorsen_map(ELLIPSE_RHO, N=256), phi)
+    nx, ny, hw = 23, 17, 1.05
+    lines = []
+    _write_field_csv(str(tmp_path / "cols.csv"), hs, nx, ny, hw, lines.append)
+    _reference_field_csv(str(tmp_path / "rows.csv"), hs, nx, ny, hw)
+    got = (tmp_path / "cols.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    n_rows = got.count(b"\n") - 1
+    assert 0 < n_rows < nx * ny
+    assert lines == [f"field: {n_rows} in-domain points -> {tmp_path / 'cols.csv'}"]
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
@@ -98,7 +133,8 @@ def test_verify_report_end_to_end(tmp_path, capsys):
     assert rep["pass_fraction"] > 0.99
     assert rep["settings"]["seed"] == 7
     assert json.loads(rep["settings"]["config_echo"]) == cfg
-    assert rep["settings"]["grid_laplacian_max"] < 1e-6
+    assert rep["residual_max"] < 1e-6
+    assert "grid_laplacian_max" not in rep["settings"]
     assert len(rep["rows"]) == 120
     assert "pass_fraction=" in capsys.readouterr().out
 
@@ -206,7 +242,7 @@ def test_map_outside_contraction_exits_2(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 def test_map_command(tmp_path, capsys):
-    cfg = {"domain": {"starlike": {"rho": "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"}},
+    cfg = {"domain": {"starlike": {"rho": ELLIPSE_RHO}},
            "params": {"N": 256},
            "outputs": {"field_csv": str(tmp_path / "map.csv"),
                        "report": str(tmp_path / "map.json")}}
@@ -220,7 +256,27 @@ def test_map_command(tmp_path, capsys):
     meta = json.loads((tmp_path / "map.json").read_text())
     assert meta["N"] == 256 and meta["residual"] < 1e-12
     assert 0.2 < meta["slope"] < 0.25
-    assert "iterations=" in capsys.readouterr().out
+    cmap = R.theodorsen_map(ELLIPSE_RHO, N=256)
+    assert meta["degree"] == len(cmap.omega.coefficients) < 129
+    out = capsys.readouterr().out
+    assert "iterations=" in out and f"degree={meta['degree']}" in out
+
+
+def test_map_csv_matches_per_row_writer(tmp_path):
+    cfg = {"domain": {"starlike": {"rho": "1 + 0.2*cos(3*a)"}},
+           "params": {"N": 256},
+           "outputs": {"field_csv": str(tmp_path / "map.csv")}}
+    assert main(["map", "--config", _write_cfg(tmp_path, cfg), "--quiet"]) == 0
+    cmap = R.theodorsen_map("1 + 0.2*cos(3*a)", N=256)
+    t = cmap.correspondence.theta
+    sig = cmap.correspondence.samples
+    wb = cmap.boundary_nodes()
+    res = np.abs(np.abs(wb) - np.asarray(cmap.rho(np.angle(wb)), float))
+    ref = ["t,sigma,re_w,im_w,residual\n"] + [
+        f"{t[k]:.17g},{sig[k]:.17g},{wb[k].real:.17g},"
+        f"{wb[k].imag:.17g},{res[k]:.17g}\n" for k in range(cmap.N)]
+    with open(tmp_path / "map.csv", newline="") as fh:
+        assert fh.readlines() == ref
 
 
 def test_family_command(tmp_path, capsys):
@@ -235,11 +291,13 @@ def test_family_command(tmp_path, capsys):
     assert meta["members"] == 4
     assert meta["sigma_min"] > 1e-3
     assert len(meta["singular_values"]) == 5  # members + constant row
+    assert meta["rank"] == 5
     for j in range(4):
         p = tmp_path / f"fam_member{j:02d}.csv"
         assert p.exists()
         assert not os.path.exists(str(p) + ".lock")
-    assert "sigma_min=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sigma_min=" in out and "rank=5" in out
 
 
 def test_family_requires_points(tmp_path, capsys):

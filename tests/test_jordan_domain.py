@@ -9,8 +9,14 @@ import rhbvp as R
 from rhbvp.boundary_data import grid_nodes
 from rhbvp.errors import (ConfigurationError, ConvergenceDomainError,
                           ConvergenceError, DataError, PointQueryError)
-from rhbvp.jordan_domain import (image_inner_normal, pullback,
+from rhbvp.disk_harmonic import (SeriesEvaluator, analytic_coefficients,
+                                 exp_series)
+from rhbvp.jordan_domain import (OMEGA_TAIL_TOL, image_inner_normal, pullback,
                                  theodorsen_map, transplant_neumann)
+
+
+ELLIPSE_RHO = "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"
+STAR3_RHO = "1 + 0.2*cos(3*a)"
 
 
 # ----------------------------------------------------------------------
@@ -53,6 +59,28 @@ def test_map_invariants(ellipse_map):
     assert np.min(np.abs(ellipse_map.omega_prime(probe))) > 1e-3
 
 
+@pytest.mark.parametrize("rho", [ELLIPSE_RHO, STAR3_RHO])
+@pytest.mark.parametrize("N", [256, 1024, 4096])
+def test_omega_trim_stays_within_tail_bound(rho, N):
+    cmap = theodorsen_map(rho, N=N)
+    # the untrimmed map, recomputed from the final correspondence
+    ls = np.log(cmap.rho(np.mod(cmap.correspondence.samples, 2 * np.pi)))
+    full = np.concatenate(
+        [[0.0], exp_series(analytic_coefficients(ls), N // 2)])
+    kept = cmap.omega.coefficients
+    assert np.array_equal(kept, full[:len(kept)])
+    if rho == STAR3_RHO and N == 256:
+        assert len(kept) == len(full)  # nothing reaches the rounding floor
+    else:
+        assert len(kept) < len(full)
+    tail = full.copy()
+    tail[:len(kept)] = 0.0
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    diff = np.abs(SeriesEvaluator(tail, radius_cap=1.0)._horner(z))
+    assert np.max(diff) <= OMEGA_TAIL_TOL * np.sum(np.abs(full))
+    assert OMEGA_TAIL_TOL == 16 * np.finfo(float).eps
+
+
 def test_rejects_nonpositive_radius():
     with pytest.raises(DataError, match="positive"):
         theodorsen_map("cos(a)", N=128)
@@ -86,6 +114,15 @@ def test_invert_roundtrip(ellipse_map):
         np.exp(2j * np.pi * rng.uniform(0, 1, 40))
     w = ellipse_map.omega(z)
     back = ellipse_map.invert(w)
+    assert np.max(np.abs(back - z)) < 1e-12
+
+
+def test_invert_roundtrip_star3():
+    cmap = theodorsen_map(STAR3_RHO, N=1024)
+    rng = np.random.default_rng(29)
+    z = 0.97 * np.sqrt(rng.uniform(0, 1, 200)) * \
+        np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+    back = cmap.invert(cmap.omega(z))
     assert np.max(np.abs(back - z)) < 1e-12
 
 

@@ -1,5 +1,6 @@
 """Verifier, reports, interior certificates."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,32 @@ def test_report_roundtrip(neumann_step):
     assert any("compatibility" in n for n in back["notes"])
 
 
+def _reference_serialize(rep):
+    """The report text built one row at a time with per-element indexing."""
+    lines = ["# rhbvp verification report"]
+    lines.append("# settings: " + json.dumps(rep.settings, sort_keys=True))
+    for note in rep.notes:
+        lines.append("# note: " + note)
+    lines.append(",".join(REPORT_COLUMNS))
+    for i in range(len(rep.angles)):
+        lines.append(
+            f"{rep.angles[i]:.17g},{rep.target[i]:.17g},"
+            f"{rep.estimate[i]:.17g},{rep.error[i]:.17g},"
+            f"{int(rep.converged[i])},{int(rep.excluded[i])},"
+            f"{rep.reasons[i]}")
+    lines.append(f"# pass_fraction = {rep.pass_fraction:.17g}")
+    lines.append(f"# residual_max = {rep.residual_stats[0]:.17g}")
+    lines.append(f"# residual_mean = {rep.residual_stats[1]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_matches_per_row_reference(neumann_step):
+    rep = verify_solution(neumann_step, V=500, tol=1e-2)
+    assert rep.excluded.any() and not rep.excluded.all()
+    assert rep.converged.any() and not rep.converged.all()
+    assert rep.serialize() == _reference_serialize(rep)
+
+
 # ----------------------------------------------------------------------
 # radial tables
 # ----------------------------------------------------------------------
@@ -221,6 +248,24 @@ def test_dimension_zero_row_notes():
 def test_dimension_needs_two_rows():
     with pytest.raises(ConfigurationError, match="at least 2"):
         dimension_certificate([lambda z: np.asarray(z).real])
+
+
+def test_dimension_certificate_points_cover_rows():
+    rows = [(lambda k: (lambda z: (np.asarray(z) ** k).real))(k)
+            for k in range(40)]
+    assert dimension_certificate(rows).n_points == 80
+    assert dimension_certificate(rows[:6]).n_points == 64
+    with pytest.raises(ConfigurationError, match="at least 80 sample points"):
+        dimension_certificate(rows + rows, points=certificate_points(64))
+
+
+def test_dimension_rank_drops_for_repeated_row():
+    rows = [(lambda k: (lambda z: (np.asarray(z) ** k).real))(k)
+            for k in range(6)]
+    cert = dimension_certificate(rows)
+    assert cert.rank == cert.n_rows == 6
+    cert = dimension_certificate(rows + [rows[3]])
+    assert cert.n_rows == 7 and cert.rank == 6
 
 
 def test_homogeneous_family_dimension(hom_family_cos):
