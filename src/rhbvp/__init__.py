@@ -12,7 +12,6 @@ from .boundary_data import (BoundaryFunction, DirectionField,
 from .direction_solver import (HarmonicSolution, antiderivative,
                                solve_directional)
 from .disk_harmonic import (SeriesEvaluator, StolzPath, conjugate_boundary,
-                            nontangential_eval, poisson_extend,
                             schwarz_integral)
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, DomainError,
@@ -41,8 +40,7 @@ __all__ = [
     "VerificationReport", "antiderivative", "build_boundary_function",
     "conjugate_boundary", "dimension_certificate", "disk_inner_normal",
     "homogeneous_family", "inner_normal", "laplacian_residual",
-    "measurable_arg", "nontangential_eval", "poisson_extend",
-    "radial_u_table", "chord_recovery", "schwarz_integral",
+    "measurable_arg", "radial_u_table", "chord_recovery", "schwarz_integral",
     "solve_directional", "solve_neumann", "solve_rh", "theodorsen_map",
     "transplant_neumann", "transplant_solve", "verify_solution",
 ]

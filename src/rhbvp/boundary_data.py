@@ -13,7 +13,7 @@ so downstream conjugation can treat the winding part in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np

@@ -21,14 +21,14 @@ import sys
 
 import numpy as np
 
-from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
+from .boundary_data import (BoundaryFunction, DirectionField,
                             build_boundary_function)
-from .direction_solver import HarmonicSolution, solve_directional
+from .direction_solver import (HarmonicSolution, antiderivative,
+                               solve_directional)
 from .errors import (ConfigurationError, NumericalError, RHBVPError,
                      UsageError)
-from .jordan_domain import (ConformalMap, image_inner_normal, theodorsen_map,
-                            transplant_neumann, transplant_solve)
-from .neumann import disk_inner_normal, solve_neumann
+from .jordan_domain import image_inner_normal, theodorsen_map, transplant_solve
+from .neumann import compatibility_note, disk_inner_normal
 from .rh_solver import SolverParams, homogeneous_family
 from .verify import dimension_certificate, verify_solution
 
@@ -145,21 +145,18 @@ def _solve(cfg: dict, N: int, trace):
     if problem not in ("neumann", "directional"):
         raise ConfigurationError(
             f"problem must be 'neumann' or 'directional', got {problem!r}")
-    nu_spec = cfg.get("nu", "normal")
-    if problem == "neumann" and nu_spec == "normal":
-        if cmap is None:
-            hs = solve_neumann(phi, params)
-        else:
-            hs = transplant_neumann(cmap, phi, params)
+    nu = _build_nu(cfg, N, cmap, params)
+    if cmap is None:
+        hs = solve_directional(nu, phi, params)
     else:
-        nu = _build_nu(cfg, N, cmap, params)
-        if cmap is None:
-            hs = solve_directional(nu, phi, params)
-        else:
-            hs = transplant_solve(cmap, phi, params, nu=nu)
-    src = hs.f_source
+        hs = transplant_solve(cmap, phi, params, nu=nu)
+    # Neumann is the directional problem for the inner normal plus a note
+    if problem == "neumann" and cfg.get("nu", "normal") == "normal":
+        note = compatibility_note(phi, cmap)
+        if note:
+            hs.notes.append(note)
     trace(f"solve: N={N} refine={params.refine} "
-          f"winding={src.A.winding if src else 0} "
+          f"winding={hs.f_source.A.winding} "
           f"series_terms={len(hs.F.coefficients)} d0={params.d0:g}")
     for note in hs.notes:
         trace("note: " + note)
@@ -314,6 +311,7 @@ def main(argv=None) -> int:
                 with open(report_path, "w") as fh:
                     fh.write(report.serialize())
                 trace(f"verify: pass_fraction={report.pass_fraction:.4f} "
+                      f"certified_fraction={report.certified_fraction:.4f} "
                       f"excluded={report.settings['excluded_count']} "
                       f"-> {report_path}")
         guard.release()
@@ -371,7 +369,6 @@ def _run_family(cfg: dict, N: int, field_path, report_path, trace, guard):
         raise ConfigurationError("family command is disk-native")
     nu = _build_nu(cfg, N, None, params)
     members = homogeneous_family(nu, params.hom_points, params)
-    from .direction_solver import antiderivative
 
     base, ext = os.path.splitext(field_path)
     nx, ny, hw = _grid_spec(cfg)

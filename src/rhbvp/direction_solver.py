@@ -16,7 +16,6 @@ by a power series at this radius and raise RepresentationError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -26,20 +25,16 @@ from .errors import DataError, DomainError, RepresentationError
 from .rh_solver import AnalyticSolution, SolverParams, solve_rh
 
 
-def antiderivative(f, M: int = 4096, rho_sample: float = 0.5,
+def antiderivative(sol: AnalyticSolution, M: int = 4096,
+                   rho_sample: float = 0.5,
                    drop_tol: float = 1e-14) -> SeriesEvaluator:
-    """Antiderivative F of analytic f with F(0) = 0, as a power series.
+    """Antiderivative F of the solution's f with F(0) = 0, as a power series.
 
-    f may be an AnalyticSolution (fast FFT sampling) or any callable on
-    complex points.  M is the number of sample points on the circle of
-    radius rho_sample; coefficients n >= M/2 are not recovered.
+    f is sampled at max(M, 4N) points of the circle of radius rho_sample;
+    coefficients n >= M/2 are not recovered.
     """
-    if isinstance(f, AnalyticSolution):
-        M = max(M, 4 * f.N)
-        vals = f.f_on_scales(np.array([rho_sample]), M)[0]
-    else:
-        z = rho_sample * np.exp(2j * np.pi * np.arange(M) / M)
-        vals = np.asarray(f(z), dtype=complex)
+    M = max(M, 4 * sol.N)
+    vals = sol.f_on_scales(np.array([rho_sample]), M)[0]
     return antiderivative_from_circle(vals, rho_sample, drop_tol)
 
 
@@ -54,7 +49,7 @@ def antiderivative_from_circle(vals: np.ndarray, rho_sample: float = 0.5,
     mag = np.abs(d[:M // 2])
     top = float(np.max(mag))
     if top == 0.0:
-        return SeriesEvaluator(np.zeros(1), radius_cap=1.0 - 8.0 / M)
+        return SeriesEvaluator(np.zeros(1))
     # non-decaying |d_n| = |c_n| * rho^n means no convergent series here
     mid = float(np.max(mag[M // 8:M // 4]))
     last = float(np.max(mag[7 * M // 16:M // 2]))
@@ -68,8 +63,7 @@ def antiderivative_from_circle(vals: np.ndarray, rho_sample: float = 0.5,
     nz = np.flatnonzero(np.abs(c))
     c = c[:nz[-1] + 1] if len(nz) else c[:1]
     c *= rho_sample ** -np.arange(len(c), dtype=float)
-    series = SeriesEvaluator(c, radius_cap=1.0 - 8.0 / M)
-    return series.integrate()
+    return SeriesEvaluator(c).integrate()
 
 
 @dataclass
@@ -77,8 +71,8 @@ class HarmonicSolution:
     """u = Re F + d0 with grad u read off f = F'."""
 
     F: SeriesEvaluator
+    f_source: AnalyticSolution
     d0: float = 0.0
-    f_source: AnalyticSolution | None = None
     nu: DirectionField | None = None
     phi: BoundaryFunction | None = None
     conformal_map: object | None = None  # ConformalMap when transplanted
@@ -102,10 +96,7 @@ class HarmonicSolution:
     def f(self, w):
         """The derivative generating u; on mapped domains this is dF/dw
         at the query point (chain rule cancels the map derivative)."""
-        z = self._preimage(w)
-        if self.f_source is not None:
-            return self.f_source.f(z)
-        return self.F.derivative()._horner(z)
+        return self.f_source.f(self._preimage(w))
 
     def grad(self, w):
         """(u_x, u_y) = (Re f, -Im f)."""

@@ -1,7 +1,7 @@
 """Harmonic analysis on the unit disk.
 
-Schwarz integral, boundary conjugation, Poisson extension, truncated
-power series evaluation, and nontangential (Stolz) boundary limits.
+Schwarz integral, boundary conjugation, truncated power series
+evaluation, and nontangential (Stolz) approach paths.
 
 Argument functions produced by measurable_arg carry a winding split
 alpha = w*saw + remainder; here the sawtooth part is handled in closed
@@ -12,8 +12,7 @@ so winding data costs no bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,22 +29,15 @@ _LOG_TINY = 1e-300  # floor for |2 sin| at the cut node; keeps samples finite
 
 @dataclass
 class SeriesEvaluator:
-    """Truncated power series sum c_n z^n on the open unit disk.
-
-    Evaluation is permitted for |z| < 1; beyond radius_cap the truncation
-    error is no longer certified and beyond_cap() flags such points.
-    """
+    """Truncated power series sum c_n z^n, evaluated on the open unit disk."""
 
     coefficients: np.ndarray
-    radius_cap: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
         if c.ndim != 1 or len(c) == 0:
             raise DataError("series coefficients must be a nonempty 1-d array")
         self.coefficients = c
-        if not self.radius_cap:
-            self.radius_cap = max(0.5, 1.0 - 8.0 / (2 * len(c)))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -61,27 +53,23 @@ class SeriesEvaluator:
             out += c[k]
         return out
 
-    def beyond_cap(self, z) -> np.ndarray:
-        return np.abs(np.asarray(z, dtype=complex)) > self.radius_cap
-
     def derivative(self) -> "SeriesEvaluator":
         c = self.coefficients
         if len(c) == 1:
-            return SeriesEvaluator(np.zeros(1, dtype=complex), self.radius_cap)
+            return SeriesEvaluator(np.zeros(1, dtype=complex))
         n = np.arange(1, len(c))
-        return SeriesEvaluator(c[1:] * n, self.radius_cap)
+        return SeriesEvaluator(c[1:] * n)
 
     def integrate(self) -> "SeriesEvaluator":
         """Termwise antiderivative with F(0) = 0."""
         c = self.coefficients
         n = np.arange(1, len(c) + 1)
-        return SeriesEvaluator(np.concatenate([[0.0], c / n]), self.radius_cap)
+        return SeriesEvaluator(np.concatenate([[0.0], c / n]))
 
-    def eval_on_circle(self, rho: float, M: int, rot: float = 0.0) -> np.ndarray:
-        """Values at z = rho*exp(i*(rot + 2*pi*k/M)), k = 0..M-1, via FFT."""
+    def eval_on_circle(self, rho: float, M: int) -> np.ndarray:
+        """Values at z = rho*exp(2*pi*i*k/M), k = 0..M-1, via FFT."""
         c = self.coefficients
-        n = np.arange(len(c))
-        scaled = c * (rho * np.exp(1j * rot)) ** n if rot else c * rho ** n
+        scaled = c * rho ** np.arange(len(c))
         return np.fft.ifft(_blocks(scaled, M).sum(axis=0)) * M
 
     def eval_on_rays(self, scales: np.ndarray, V: int) -> np.ndarray:
@@ -142,10 +130,14 @@ class SchwarzEvaluator(SeriesEvaluator):
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("Schwarz integral evaluation requires |z| < 1")
-        out = self._horner(z)
+        return self.with_winding(z, self._horner(z))
+
+    def with_winding(self, z, series_values):
+        """Add the closed-form winding part at z to the remainder's values."""
         if self.winding:
-            out = out - 2j * self.winding * np.log1p(-z * np.exp(-1j * self.cut))
-        return out
+            series_values = series_values - 2j * self.winding * np.log1p(
+                -z * np.exp(-1j * self.cut))
+        return series_values
 
     def derivative(self):
         if self.winding:
@@ -185,13 +177,7 @@ def schwarz_integral(bf: BoundaryFunction) -> SchwarzEvaluator:
     w, cut = bf.winding if bf.winding is not None else (0, 0.0)
     rem = bf._remainder_samples()
     c = analytic_coefficients(np.asarray(rem, dtype=float))
-    cap = 1.0 - 8.0 / bf.N
-    return SchwarzEvaluator(coefficients=c, radius_cap=cap, winding=w, cut=cut)
-
-
-def poisson_extend(bf: BoundaryFunction, z) -> np.ndarray:
-    """Harmonic extension of real boundary data: Re of the Schwarz integral."""
-    return schwarz_integral(bf)(z).real
+    return SchwarzEvaluator(coefficients=c, winding=w, cut=cut)
 
 
 def _boundary_values_of_series(c: np.ndarray, L: int) -> np.ndarray:
@@ -249,11 +235,6 @@ def exp_series(b: np.ndarray, M: int | None = None) -> np.ndarray:
 # nontangential limits
 # ----------------------------------------------------------------------
 
-def aperture_constant(kappa: float) -> float:
-    """Stolz-region opening constant: |zeta - z| <= C*(1 - |z|) on the path."""
-    return 1.05 * np.sqrt(1.0 + kappa * kappa)
-
-
 @dataclass(frozen=True)
 class StolzPath:
     """Dyadic approach path to exp(i*angle) inside a Stolz region.
@@ -282,9 +263,6 @@ class StolzPath:
         r = self.radii
         return r * np.exp(1j * self.aperture * (1.0 - r))
 
-    def points(self) -> np.ndarray:
-        return np.exp(1j * self.angle) * self.scales
-
 
 def default_j_max(N: int) -> int:
     """Deepest dyadic level resolvable by an N-node construction.
@@ -312,21 +290,3 @@ def converged_sequence(values: np.ndarray, tol: float) -> np.ndarray:
     small = np.max(d[..., -3:], axis=-1) < tol * 1e-3
     return (d[..., -1] < tol) & (mono | small)
 
-
-def nontangential_eval(h: Callable, path: StolzPath, tol: float):
-    """Estimate the nontangential limit of h along a Stolz path.
-
-    Returns (estimate, converged, diagnostics); the estimate is the value
-    at the deepest path point regardless of the flag.
-    """
-    pts = path.points()
-    vals = np.asarray(h(pts))
-    conv = bool(converged_sequence(vals, tol))
-    diag = {
-        "points": pts,
-        "values": vals,
-        "diffs": np.abs(np.diff(vals)),
-        "beyond_cap": (np.asarray(h.beyond_cap(pts))
-                       if hasattr(h, "beyond_cap") else None),
-    }
-    return complex(vals[-1]), conv, diag

@@ -18,7 +18,7 @@ the disk solution directly (the chain rule cancels omega').
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, InvariantViolation,
                      PointQueryError)
 from .expressions import parse_expression
+from .neumann import compatibility_note
 from .rh_solver import SolverParams, solve_rh
 
 # omega keeps its significant degree: exp_series leaves a tail of terms
@@ -155,7 +156,7 @@ def theodorsen_map(rho, N: int = 1024, tol: float = 1e-13,
     ls = np.log(np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float))
     b = analytic_coefficients(ls)
     om = _trim_tail(np.concatenate([[0.0], exp_series(b, N // 2)]))
-    omega = SeriesEvaluator(om, radius_cap=1.0)
+    omega = SeriesEvaluator(om)
     omega_prime = omega.derivative()
 
     wb = _boundary_values_of_series(om, N)
@@ -233,15 +234,8 @@ def transplant_solve(cmap: ConformalMap, phi: BoundaryFunction,
 def transplant_neumann(cmap: ConformalMap, phi: BoundaryFunction,
                        params: SolverParams | None = None) -> HarmonicSolution:
     """Neumann problem on the image domain (data in the parameter t)."""
-    hs = transplant_solve(cmap, phi, params, nu=None)
-    wb = cmap.boundary_nodes()
-    opb = np.abs(_boundary_values_of_series(cmap.omega_prime.coefficients,
-                                            cmap.N))
-    flux = float(np.mean(np.asarray(phi.samples, float) * opb) * TWO_PI)
-    scale = 1.0 + float(np.max(np.abs(phi.samples)))
-    if abs(flux) > 1e-8 * scale:
-        hs.notes.append(
-            f"compatibility integral of the data is {flux:.6g}, not 0: the "
-            f"classical Neumann problem is insolvable; returning the "
-            f"nonclassical solution")
+    hs = transplant_solve(cmap, phi, params)
+    note = compatibility_note(phi, cmap)
+    if note:
+        hs.notes.append(note)
     return hs

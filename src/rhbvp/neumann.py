@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_data import BoundaryFunction, DirectionField, grid_nodes
+from .boundary_data import TWO_PI, BoundaryFunction, DirectionField, grid_nodes
 from .direction_solver import HarmonicSolution, solve_directional
+from .disk_harmonic import _boundary_values_of_series
 from .errors import OrientationError, ParametrizationError
 from .rh_solver import SolverParams
 
@@ -78,26 +79,31 @@ def compatibility_integral(phi: BoundaryFunction) -> float:
     return float(2.0 * np.pi * np.mean(np.asarray(phi.samples, dtype=float)))
 
 
-def solve_neumann(phi: BoundaryFunction, params: SolverParams | None = None,
-                  domain=None, cut: float | None = None) -> HarmonicSolution:
-    """Neumann problem grad u . n -> phi on the disk or a mapped domain.
-
-    domain None or "disk" solves on the unit disk; a ConformalMap solves
-    on its image by transplantation.
-    """
-    params = params or SolverParams(N=phi.N)
-    if domain is not None and domain != "disk":
-        from .jordan_domain import transplant_neumann
-        return transplant_neumann(domain, phi, params)
-    normal = disk_inner_normal(phi.N, cut=params.cut if cut is None else cut)
-    hs = solve_directional(normal.field, phi, params)
-    flux = compatibility_integral(phi)
+def compatibility_note(phi: BoundaryFunction, cmap=None) -> str | None:
+    """The nonclassical-solution note, or None when |integral phi ds| is at
+    most 1e-10 * (1 + max |phi|); on a ConformalMap ds = |omega'| dt."""
+    if cmap is None:
+        flux = compatibility_integral(phi)
+    else:
+        speed = np.abs(_boundary_values_of_series(
+            cmap.omega_prime.coefficients, cmap.N))
+        flux = float(np.mean(np.asarray(phi.samples, float) * speed) * TWO_PI)
     scale = 1.0 + float(np.max(np.abs(phi.samples)))
-    if abs(flux) > 1e-10 * scale:
-        hs.notes.append(
-            f"compatibility integral of the data is {flux:.6g}, not 0: the "
+    if abs(flux) <= 1e-10 * scale:
+        return None
+    return (f"compatibility integral of the data is {flux:.6g}, not 0: the "
             f"classical Neumann problem is insolvable; returning the "
             f"nonclassical solution (boundary derivative holds a.e. "
             f"nontangentially)")
-    return hs
 
+
+def solve_neumann(phi: BoundaryFunction,
+                  params: SolverParams | None = None) -> HarmonicSolution:
+    """Neumann problem grad u . n -> phi on the unit disk."""
+    params = params or SolverParams(N=phi.N)
+    normal = disk_inner_normal(phi.N, cut=params.cut)
+    hs = solve_directional(normal.field, phi, params)
+    note = compatibility_note(phi)
+    if note:
+        hs.notes.append(note)
+    return hs

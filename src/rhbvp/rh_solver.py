@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
-                            grid_nodes, measurable_arg)
+                            measurable_arg)
 from .disk_harmonic import (SchwarzEvaluator, SeriesEvaluator,
                             analytic_coefficients, conjugate_boundary,
                             schwarz_integral)
@@ -112,18 +112,11 @@ class AnalyticSolution:
     def N(self) -> int:
         return self.nu.N
 
-    def weight(self, z):
-        """exp(-i A(z)); the winding factor is evaluated in closed form."""
-        return np.exp(-1j * self.A(z))
-
-    def hom_part(self, z):
-        return herglotz_term(self.hom_points, self.hom_coeffs, z)
-
     def f(self, z):
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("solution evaluation requires |z| < 1")
-        return self.weight(z) * (self.g._horner(z) + 1j * self.hom_part(z))
+        return self._assemble(self.A._horner(z), z, self.g._horner)
 
     __call__ = f
 
@@ -135,11 +128,18 @@ class AnalyticSolution:
         """
         scales = np.asarray(scales, dtype=complex)
         gv = self.g.eval_on_rays(scales, V)
-        av = self.A.eval_on_rays(scales, V)
-        z = scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)[None, :]
-        if self.A.winding:
-            av = av - 2j * self.A.winding * np.log1p(-z * np.exp(-1j * self.A.cut))
-        return np.exp(-1j * av) * (gv + 1j * self.hom_part(z))
+        return self._assemble(
+            self.A.eval_on_rays(scales, V),
+            scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)[None, :],
+            lambda _: gv)
+
+    def _assemble(self, a, z, g):
+        """exp(-i A) * (g + i p) at z, from the series part a of A at z and
+        the map g from z to g's values.  Pass a as a temporary and keep exp
+        before g(z): at most one array of A's values is then alive."""
+        a = self.A.with_winding(z, a)
+        a = np.exp(-1j * a)
+        return a * (g(z) + 1j * herglotz_term(self.hom_points, self.hom_coeffs, z))
 
     def boundary_pairing_residual(self) -> float:
         """max_j |nu_j * w_j - exp(H_j)| over nodes, w = weight_boundary.
@@ -183,7 +183,7 @@ def solve_rh(nu: DirectionField, phi: BoundaryFunction,
         raise NumericalRangeError(
             f"psi non-finite at refined node {bad} despite clamping")
 
-    g = SeriesEvaluator(analytic_coefficients(psi_L), radius_cap=1.0 - 8.0 / L)
+    g = SeriesEvaluator(analytic_coefficients(psi_L))
 
     step = params.refine
     psi = BoundaryFunction(samples=psi_L[::step], kind="real",

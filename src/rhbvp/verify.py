@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary_data import BoundaryFunction, TWO_PI, wrap_angle
-from .disk_harmonic import (SeriesEvaluator, StolzPath, converged_sequence,
-                            default_j_max)
+from .disk_harmonic import StolzPath, converged_sequence, default_j_max
 from .errors import ConfigurationError, DataError, DomainError
 from .rh_solver import AnalyticSolution
 
@@ -78,29 +77,14 @@ def _exclusions(angles: np.ndarray, delta: float,
     return excluded, reasons, budget
 
 
-def _solution_specials(hsol, target: BoundaryFunction):
-    """(jump, cut, pole) angle lists relevant to a solution/target pair."""
-    jumps = set(target.jumps)
+def _solution_specials(src: AnalyticSolution, target_jumps: Sequence[float]):
+    """(jump, cut, pole) angle lists of a solution and its target's jumps."""
+    jumps = set(target_jumps) | set(src.phi.jumps)
     cuts: set[float] = set()
-    poles: set[float] = set()
-    src = getattr(hsol, "f_source", None)
-    if isinstance(src, AnalyticSolution):
-        if src.phi is not None:
-            jumps |= set(src.phi.jumps)
-        if src.A.winding:
-            cuts.add(src.A.cut % TWO_PI)
-        jumps |= set(src.alpha.jumps) - cuts
-        poles |= set(src.hom_points)
-    return sorted(jumps), sorted(cuts), sorted(poles)
-
-
-def _pairing_series_values(hsol, scales: np.ndarray, V: int) -> np.ndarray:
-    """f at z = s * exp(2 pi i v / V), shape (len(scales), V)."""
-    src = getattr(hsol, "f_source", None)
-    if isinstance(src, AnalyticSolution):
-        return src.f_on_scales(scales, V)
-    fser = hsol.F.derivative()
-    return fser.eval_on_rays(np.asarray(scales, dtype=complex), V)
+    if src.A.winding:
+        cuts.add(src.A.cut % TWO_PI)
+    jumps |= set(src.alpha.jumps) - cuts
+    return sorted(jumps), sorted(cuts), sorted(src.hom_points)
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +105,7 @@ class VerificationReport:
     excluded: np.ndarray
     reasons: np.ndarray
     pass_fraction: float
+    certified_fraction: float
     residual_stats: tuple[float, float]
     settings: dict
     notes: list[str] = field(default_factory=list)
@@ -137,6 +122,7 @@ class VerificationReport:
                      for a, t, e, r, c, x, why
                      in zip(*(col.tolist() for col in cols)))
         lines.append(f"# pass_fraction = {self.pass_fraction:.17g}")
+        lines.append(f"# certified_fraction = {self.certified_fraction:.17g}")
         lines.append(f"# residual_max = {self.residual_stats[0]:.17g}")
         lines.append(f"# residual_mean = {self.residual_stats[1]:.17g}")
         return "\n".join(lines) + "\n"
@@ -173,34 +159,31 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
                     apertures: Sequence[float] = DEFAULT_APERTURES,
                     with_radial: bool = True,
                     laplacian_points: np.ndarray | None = None) -> VerificationReport:
-    """Certify that Re(nu f) attains the target nontangentially.
+    """Certify that f_source's Re(nu f) attains the target nontangentially.
 
-    pass_fraction is taken over non-excluded vertices whose approach
-    sequences converged at every aperture; a vertex passes when all
-    aperture estimates are within tol of the target.
+    A vertex passes when it converged at every aperture and all aperture
+    estimates are within tol of the target.  certified_fraction divides
+    the passed vertices by the non-excluded ones, pass_fraction by the
+    non-excluded ones that converged.
     """
     target = target if target is not None else hsol.phi
     if target is None:
         raise ConfigurationError("verification requires a boundary target")
     if V < 8:
         raise ConfigurationError(f"V must be at least 8, got {V}")
-    src = getattr(hsol, "f_source", None)
-    nu = hsol.nu or (src.nu if isinstance(src, AnalyticSolution) else None)
-    if nu is None:
-        from .neumann import disk_inner_normal
-        nu = disk_inner_normal(max(target.N, 16)).field
+    src = hsol.f_source
 
     angles = TWO_PI * np.arange(V) / V
     targets = np.asarray(target.on_uniform_grid(V), dtype=float)
-    nu_vals = np.asarray(nu.base.on_uniform_grid(V), dtype=complex)
+    nu_vals = np.asarray(src.nu.base.on_uniform_grid(V), dtype=complex)
 
-    N = src.N if isinstance(src, AnalyticSolution) else 1024
+    N = src.N
     j_max = default_j_max(N)
     paths = [StolzPath(angle=0.0, aperture=k, j_min=3, j_max=j_max)
              for k in apertures]
     scale_list = [p.scales for p in paths]
     all_scales = np.concatenate(scale_list)
-    fvals = _pairing_series_values(hsol, all_scales, V)
+    fvals = src.f_on_scales(all_scales, V)
 
     est_per_ap = []
     conv_per_ap = []
@@ -217,19 +200,21 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
     conv = np.logical_and.reduce(conv_per_ap)
     err = np.max(err_per_ap, axis=0)
 
-    jumps, cuts, poles = _solution_specials(hsol, target)
+    jumps, cuts, poles = _solution_specials(src, target.jumps)
     excluded, reasons, budget = _exclusions(angles, delta, jumps, cuts, poles)
 
     denom = (~excluded) & conv
     ok_per_ap = [e <= tol for e in err_per_ap]
     passed = denom & np.logical_and.reduce(ok_per_ap)
     pass_fraction = float(passed.sum() / denom.sum()) if denom.any() else 0.0
+    certified_fraction = (float(passed.sum() / (~excluded).sum())
+                          if (~excluded).any() else 0.0)
 
     agree = np.logical_and.reduce(
         [ok == ok_per_ap[0] for ok in ok_per_ap])
     agreement = float(np.mean(agree[denom])) if denom.any() else 1.0
 
-    notes = list(getattr(hsol, "notes", []))
+    notes = list(hsol.notes)
     if not denom.any():
         notes.append("no vertex both converged and non-excluded; "
                      "pass_fraction reported as 0")
@@ -245,8 +230,7 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
         if (~excluded).any() else 0.0,
     }
 
-    if with_radial and getattr(hsol, "conformal_map", None) is None \
-            and isinstance(src, AnalyticSolution):
+    if with_radial and hsol.conformal_map is None:
         table = radial_u_table(hsol, V=V, tol=tol, delta=delta)
         settings["radial_flag_fraction"] = table.flag_fraction
         settings["radial_quotient_fraction_1e-2"] = float(np.mean(
@@ -256,7 +240,7 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
 
     if laplacian_points is None:
         laplacian_points = disk_grid(21, 0.9)
-    if getattr(hsol, "conformal_map", None) is None and len(laplacian_points):
+    if hsol.conformal_map is None and len(laplacian_points):
         stats = laplacian_residual(hsol.u, laplacian_points)
         residual_stats = (stats.max_residual, stats.mean_residual)
     else:
@@ -265,7 +249,8 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
     return VerificationReport(
         angles=angles, target=targets, estimate=est, error=err,
         converged=conv, excluded=excluded, reasons=reasons,
-        pass_fraction=pass_fraction, residual_stats=residual_stats,
+        pass_fraction=pass_fraction, certified_fraction=certified_fraction,
+        residual_stats=residual_stats,
         settings=settings, notes=notes)
 
 
@@ -309,7 +294,7 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3, delta: float = 1e-2,
     values converge even when f is unbounded at the rim (integrable
     singularities).  edges[j] = 1 - 2^-j for j >= 3.
     """
-    if getattr(hsol, "conformal_map", None) is not None:
+    if hsol.conformal_map is not None:
         raise ConfigurationError("radial tables are disk-native; verify "
                                  "transplanted solutions via the pairing")
     angles = TWO_PI * np.arange(V) / V
@@ -319,23 +304,20 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3, delta: float = 1e-2,
     halfs = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]).ravel()
 
-    fvals = _pairing_series_values(hsol, nodes, V)  # (P*12, V)
+    fvals = hsol.f_source.f_on_scales(nodes, V)  # (P*12, V)
     phase = np.exp(1j * angles)[None, :]
     integrand = (phase * fvals).real
     P = len(mids)
     panel_int = (integrand.reshape(P, 12, V) * _GAUSS_W[None, :, None]).sum(axis=1)
     panel_int *= halfs[:, None]
     u_edges = np.concatenate([np.zeros((1, V)), np.cumsum(panel_int, axis=0)])
-    u_edges += getattr(hsol, "d0", 0.0)
+    u_edges += hsol.d0
 
     u_boundary = u_edges[-1]
     lo, hi = j_flag
     flags = converged_sequence(u_edges[lo:hi + 1].T, tol)
 
-    target = hsol.phi
-    jumps, cuts, poles = _solution_specials(hsol, target if target is not None
-                                            else BoundaryFunction(
-                                                samples=np.zeros(16)))
+    jumps, cuts, poles = _solution_specials(hsol.f_source, ())
     excluded, _, _ = _exclusions(angles, delta, jumps, cuts, poles)
 
     ql, qh = j_quot
@@ -402,18 +384,6 @@ def laplacian_residual(u: Callable, points: np.ndarray, h: float = 1e-3,
     res = 4.0 * np.abs(acc) / (h * h)
     return LaplacianStats(float(np.max(res)), float(np.mean(res)),
                           int(len(zin)), int(len(z) - len(zin)))
-
-
-def lattice_laplacian_stats(U: np.ndarray, dx: float) -> tuple[float, float]:
-    """Five-point residual on a stored grid, NaN-aware (for CSV round trips)."""
-    core = U[1:-1, 1:-1]
-    lap = (U[2:, 1:-1] + U[:-2, 1:-1] + U[1:-1, 2:] + U[1:-1, :-2]
-           - 4.0 * core) / (dx * dx)
-    good = np.isfinite(lap)
-    if not np.any(good):
-        return float("nan"), float("nan")
-    vals = np.abs(lap[good])
-    return float(np.max(vals)), float(np.mean(vals))
 
 
 @dataclass
@@ -495,10 +465,8 @@ def chord_recovery(hsol, z0: complex, z1: complex,
     halfs = 0.5 * (edges[1:] - edges[:-1])
     t = (mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]).ravel()
     pts = z0 + t * span
-    f_at = hsol.f(pts) if hasattr(hsol, "f") else hsol.F.derivative()(pts)
-    vals = (e * np.asarray(f_at)).real.reshape(panels, 12)
+    vals = (e * hsol.f(pts)).real.reshape(panels, 12)
     integral = float(np.sum(vals * _GAUSS_W[None, :] * halfs[:, None]))
-    recovered = float(hsol.u(np.array([z0]))[0].real if np.ndim(hsol.u(z0)) else
-                      hsol.u(z0)) + abs(span) * integral
+    recovered = float(hsol.u(z0)) + abs(span) * integral
     direct = float(hsol.u(z1))
     return recovered, direct

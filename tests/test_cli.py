@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import rhbvp as R
 from rhbvp.cli import _write_field_csv, main
-from rhbvp.verify import lattice_laplacian_stats, parse_report
+from rhbvp.verify import parse_report
 
 ELLIPSE_RHO = "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"
 
@@ -31,6 +32,13 @@ def _base_cfg(tmp_path, **extra):
 def _read_field(path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     return rows  # columns x, y, u
+
+
+def _five_point_max(U, dx):
+    """Largest five-point Laplacian over the finite grid cells."""
+    lap = (U[2:, 1:-1] + U[:-2, 1:-1] + U[1:-1, 2:] + U[1:-1, :-2]
+           - 4.0 * U[1:-1, 1:-1]) / (dx * dx)
+    return float(np.max(np.abs(lap[np.isfinite(lap)])))
 
 
 # ----------------------------------------------------------------------
@@ -83,8 +91,7 @@ def test_field_csv_roundtrip_is_harmonic(tmp_path):
     ix = np.rint((rows[:, 0] + 0.9) / (xs[1] - xs[0])).astype(int)
     iy = np.rint((rows[:, 1] + 0.9) / (xs[1] - xs[0])).astype(int)
     U[ix, iy] = rows[:, 2]
-    mx, _ = lattice_laplacian_stats(U, xs[1] - xs[0])
-    assert mx < 1e-9
+    assert _five_point_max(U, xs[1] - xs[0]) < 1e-9
 
 
 def _reference_field_csv(path, hs, nx, ny, hw):
@@ -137,6 +144,46 @@ def test_verify_report_end_to_end(tmp_path, capsys):
     assert "grid_laplacian_max" not in rep["settings"]
     assert len(rep["rows"]) == 120
     assert "pass_fraction=" in capsys.readouterr().out
+
+
+def _verify_run(tmp_path, name, **extra):
+    """Run verify on phi = 1 (flux 2 pi); return (csv bytes, report lines)."""
+    cfg = _base_cfg(tmp_path, phi="1", **extra)
+    cfg["verify"] = {"V": 64, "tol": 1e-2}
+    cfg["outputs"] = {"field_csv": str(tmp_path / f"{name}.csv"),
+                      "report": str(tmp_path / f"{name}.txt"),
+                      "grid": {"nx": 21, "ny": 21, "half_width": 0.9}}
+    rc = main(["verify", "--config", _write_cfg(tmp_path, cfg, f"{name}.json"),
+               "--quiet"])
+    assert rc == 0
+    return ((tmp_path / f"{name}.csv").read_bytes(),
+            (tmp_path / f"{name}.txt").read_text().splitlines())
+
+
+def _note_template(note):
+    return re.sub(r"data is \S+, not 0", "data is X, not 0", note)
+
+
+def test_neumann_is_directional_with_the_normal_plus_a_note(tmp_path):
+    csv_n, rep_n = _verify_run(tmp_path, "neumann", problem="neumann")
+    csv_d, rep_d = _verify_run(tmp_path, "directional", problem="directional",
+                               nu="normal")
+    assert csv_n == csv_d
+    (set_n,), (set_d,) = ([line for line in rep if line.startswith("# settings: ")]
+                          for rep in (rep_n, rep_d))
+    s_n, s_d = (json.loads(line[len("# settings: "):]) for line in (set_n, set_d))
+    # the settings differ only in the config echo
+    assert s_n.pop("config_echo") != s_d.pop("config_echo") and s_n == s_d
+    note, = [line for line in rep_n if "compatibility" in line]
+    assert note.startswith("# note: compatibility integral of the data is 6.28319")
+    assert ([line for line in rep_n if line not in (set_n, note)]
+            == [line for line in rep_d if line != set_d])
+
+    # a mapped domain gives the same note, with its own flux (the perimeter)
+    _, rep_m = _verify_run(tmp_path, "ellipse", problem="neumann",
+                           domain={"starlike": {"rho": ELLIPSE_RHO}})
+    note_m, = [line for line in rep_m if "compatibility" in line]
+    assert note_m != note and _note_template(note_m) == _note_template(note)
 
 
 def test_verify_tol_flag_overrides_config(tmp_path):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhbvp as R
-from rhbvp.direction_solver import (antiderivative, antiderivative_from_circle,
-                                    solve_directional)
+from rhbvp.direction_solver import antiderivative_from_circle, solve_directional
 from rhbvp.errors import DataError, DomainError, RepresentationError
 from rhbvp.rh_solver import SolverParams
 
@@ -18,24 +17,29 @@ def _const_nu(N):
     return R.DirectionField.from_samples(np.ones(N, dtype=complex))
 
 
+def _on_circle(f, M=4096, rho=0.5):
+    """Samples of f at M uniform points of the circle of radius rho."""
+    return f(rho * np.exp(2j * np.pi * np.arange(M) / M))
+
+
 # ----------------------------------------------------------------------
 # antiderivative
 # ----------------------------------------------------------------------
 
 def test_antiderivative_of_one_is_z():
-    F = antiderivative(lambda z: np.ones_like(z))
+    F = antiderivative_from_circle(_on_circle(np.ones_like))
     assert F(np.array([0.0]))[0] == 0.0
     assert abs(F(np.array([0.5 + 0j]))[0] - 0.5) < 1e-14
 
 
 def test_antiderivative_geometric_series_log():
-    F = antiderivative(lambda z: 1.0 / (1.0 - z))
+    F = antiderivative_from_circle(_on_circle(lambda z: 1.0 / (1.0 - z)))
     assert abs(F(np.array([0.5 + 0j]))[0] - LOG2) < 1e-12
 
 
 def test_antiderivative_rejects_interior_pole():
     with pytest.raises(RepresentationError, match="decay"):
-        antiderivative(lambda z: 1.0 / (0.3 - z))
+        antiderivative_from_circle(_on_circle(lambda z: 1.0 / (0.3 - z)))
 
 
 def test_antiderivative_rejects_nonfinite_samples():
@@ -50,17 +54,12 @@ def test_antiderivative_of_zero():
     assert F(np.array([0.4 + 0.1j]))[0] == 0.0
 
 
-def test_antiderivative_radius_cap():
-    F = antiderivative(lambda z: np.ones_like(z), M=256)
-    assert F.radius_cap == 1.0 - 8.0 / 256
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-2, 2), min_size=1, max_size=6))
 def test_antiderivative_matches_termwise_integral(coeffs):
     c = np.asarray(coeffs)
-    F = antiderivative(lambda z: np.polynomial.polynomial.polyval(z, c),
-                       M=512)
+    F = antiderivative_from_circle(
+        _on_circle(lambda z: np.polynomial.polynomial.polyval(z, c), M=512))
     z = np.array([0.35 - 0.2j, -0.6 + 0.1j, 0.05j])
     want = np.polynomial.polynomial.polyval(
         z, np.concatenate([[0.0], c / (1 + np.arange(len(c)))]))

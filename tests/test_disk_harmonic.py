@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 from rhbvp.boundary_data import (BoundaryFunction, DirectionField, grid_nodes,
                                  measurable_arg)
 from rhbvp.disk_harmonic import (SeriesEvaluator, StolzPath,
-                                 analytic_coefficients, aperture_constant,
-                                 conjugate_boundary, converged_sequence,
-                                 default_j_max, exp_series,
-                                 nontangential_eval, poisson_extend,
+                                 analytic_coefficients, conjugate_boundary,
+                                 converged_sequence, default_j_max, exp_series,
                                  schwarz_integral)
 from rhbvp.errors import (ConfigurationError, DataError, DomainError,
                           NumericalError, RepresentationError)
@@ -26,6 +24,11 @@ def _step(N=1024):
     return build_boundary_function(
         [{"from": 0.0, "to": np.pi, "expr": 1.0},
          {"from": np.pi, "to": 2 * np.pi, "expr": 0.0}], N)
+
+
+def _path_values(h, path):
+    """h at the points of a Stolz path, shallowest first."""
+    return np.asarray(h(np.exp(1j * path.angle) * path.scales))
 
 
 # ----------------------------------------------------------------------
@@ -172,10 +175,10 @@ def test_conjugate_refined_grid():
 # ----------------------------------------------------------------------
 
 def test_poisson_constant_and_cos():
-    assert abs(poisson_extend(BoundaryFunction(samples=np.full(32, 4.0)),
-                              np.array([0.2 + 0.1j]))[0] - 4.0) < 1e-13
+    S = schwarz_integral(BoundaryFunction(samples=np.full(32, 4.0)))
+    assert abs(S(np.array([0.2 + 0.1j])).real[0] - 4.0) < 1e-13
     bf = BoundaryFunction(samples=np.cos(grid_nodes(64)))
-    assert abs(poisson_extend(bf, np.array([0.5]))[0] - 0.5) < 1e-13
+    assert abs(schwarz_integral(bf)(np.array([0.5])).real[0] - 0.5) < 1e-13
 
 
 def test_poisson_step_against_quadrature_oracle():
@@ -183,8 +186,8 @@ def test_poisson_step_against_quadrature_oracle():
     # the extension matches the continuum oracle only to that scale
     pts = np.array([0.5j, 0.3 + 0.2j, 0.0])
     oracle = np.array([U_STEP_AT_HALF_I, U_STEP_AT_3_2, 0.5])
-    err_1k = np.abs(poisson_extend(_step(1024), pts) - oracle)
-    err_8k = np.abs(poisson_extend(_step(8192), pts) - oracle)
+    err_1k = np.abs(schwarz_integral(_step(1024))(pts).real - oracle)
+    err_8k = np.abs(schwarz_integral(_step(8192))(pts).real - oracle)
     assert err_1k.max() < 2e-3
     assert err_8k.max() < 2.5e-4
     # first-order-in-1/N alias: 8x more nodes buys at least 4x accuracy
@@ -193,7 +196,7 @@ def test_poisson_step_against_quadrature_oracle():
 
 def test_poisson_mean_at_origin_exact():
     bf = _step(64)
-    assert abs(poisson_extend(bf, np.array([0.0]))[0] - 0.5) < 1e-15
+    assert abs(schwarz_integral(bf)(np.array([0.0])).real[0] - 0.5) < 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +211,8 @@ def test_series_eval_and_calculus():
     F = s.integrate()
     np.testing.assert_allclose(F(z), z + z ** 2 + z ** 3, atol=1e-15)
     assert F(np.array([0.0]))[0] == 0.0
+    with pytest.raises(DomainError):
+        s(np.array([1.01]))
 
 
 def test_series_eval_on_circle_matches_horner():
@@ -257,15 +262,6 @@ def test_series_eval_on_rays_block_horner(L, V, scales):
     assert np.max(np.abs(vals - ref)) <= 2e-12 * np.max(np.abs(ref))
 
 
-def test_series_beyond_cap_flag():
-    s = SeriesEvaluator(np.ones(16), radius_cap=0.5)
-    flags = s.beyond_cap(np.array([0.4, 0.6]))
-    assert list(flags) == [False, True]
-    s(np.array([0.6 + 0j]))  # beyond cap is permitted, only flagged
-    with pytest.raises(DomainError):
-        s(np.array([1.01]))
-
-
 def test_exp_series_against_exp():
     b = np.array([0.3, 0.5, -0.2, 0.1])
     w = exp_series(b, 48)
@@ -288,19 +284,19 @@ def test_analytic_coefficients_roundtrip():
 
 def test_stolz_path_geometry():
     p = StolzPath(angle=1.0, aperture=0.8, j_min=3, j_max=10)
-    pts = p.points()
     zeta = np.exp(1j)
+    pts = zeta * p.scales
     ratio = np.abs(zeta - pts) / (1 - np.abs(pts))
-    assert np.all(ratio <= aperture_constant(0.8))
+    assert np.all(ratio <= 1.05 * np.sqrt(1.0 + 0.8 ** 2))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-2, 2), st.integers(5, 20))
 def test_stolz_aperture_bound_property(kappa, j_max):
     p = StolzPath(angle=0.3, aperture=kappa, j_min=3, j_max=max(j_max, 7))
-    pts = p.points()
+    pts = np.exp(0.3j) * p.scales
     ratio = np.abs(np.exp(0.3j) - pts) / (1 - np.abs(pts))
-    assert np.all(ratio <= aperture_constant(kappa))
+    assert np.all(ratio <= 1.05 * np.sqrt(1.0 + kappa ** 2))
 
 
 def test_stolz_needs_four_points():
@@ -332,12 +328,11 @@ def test_converged_sequence_flags():
 def test_nontangential_eval_identity():
     # f = z along the radial path has successive differences ~ 2**-j,
     # so the deepest difference is 2**-10; the tolerance must sit above it
-    series = SeriesEvaluator(np.array([0.0, 1.0]), radius_cap=1.0)
+    series = SeriesEvaluator(np.array([0.0, 1.0]))
     path = StolzPath(angle=0.0, aperture=0.0, j_min=3, j_max=10)
-    est, conv, diag = nontangential_eval(series, path, 2e-3)
-    assert conv
-    assert abs(est - 1.0) < 2 ** -10 * 1.01
-    assert diag["beyond_cap"] is not None
+    vals = _path_values(series, path)
+    assert converged_sequence(vals, 2e-3)
+    assert abs(vals[-1] - 1.0) < 2 ** -10 * 1.01
 
 
 def test_nontangential_eval_poisson_step_fatou():
@@ -345,9 +340,9 @@ def test_nontangential_eval_poisson_step_fatou():
     # at theta = pi/2 (interior of the upper arc) the limit is 1
     S = schwarz_integral(_step(1024))
     path = StolzPath(angle=np.pi / 2, aperture=0.5, j_min=3, j_max=7)
-    est, conv, _ = nontangential_eval(lambda z: S(z).real, path, 1e-2)
-    assert conv
-    assert abs(est - 1.0) < 1e-2
+    vals = _path_values(lambda z: S(z).real, path)
+    assert converged_sequence(vals, 1e-2)
+    assert abs(vals[-1] - 1.0) < 1e-2
 
 
 def test_nontangential_eval_step_jump_mean():
@@ -357,8 +352,8 @@ def test_nontangential_eval_step_jump_mean():
     # probe only depths well above that window
     S = schwarz_integral(_step(4096))
     path = StolzPath(angle=0.0, aperture=0.0, j_min=3, j_max=6)
-    est, _, _ = nontangential_eval(lambda z: S(z).real, path, 5e-2)
-    assert abs(est - 0.5) < 3e-2
+    vals = _path_values(lambda z: S(z).real, path)
+    assert abs(vals[-1] - 0.5) < 3e-2
     # the drift below the window doubles per octave of depth
     r = 1 - 2.0 ** -np.arange(5, 10)
     dev = S(r.astype(complex)).real - 0.5

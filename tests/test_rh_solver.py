@@ -295,11 +295,31 @@ def test_rejects_evaluation_outside_disk():
         sol.f(np.array([1.2 + 0j]))
 
 
-def test_f_on_scales_matches_pointwise(neumann_step):
-    sol = neumann_step.f_source
+def _fan_cases(step):
+    """A solution for each branch of the f assembly: winding 0, 1 (at a
+    nonzero cut) and 2, and a homogeneous solution with three poles."""
+    N = step.N
+    zero = R.build_boundary_function(0.0, N)
+    three_poles = SolverParams(N=N, hom_points=default_hom_points(3),
+                               hom_coeffs=(0.5, 1.0, -0.7, 0.3))
+    return {
+        "winding 0": solve_rh(
+            R.DirectionField.from_angle("0.3 + 0.2*cos(t)", N), step),
+        "winding 1, cut 1": solve_rh(
+            R.DirectionField.from_angle("t + 0.4*sin(t)", N, cut=1.0), step),
+        "winding 2": solve_rh(R.DirectionField.from_angle("2*t", N), step),
+        "homogeneous, 3 poles": solve_rh(_normal_nu(N), zero, three_poles),
+    }
+
+
+def test_f_on_scales_matches_pointwise(neumann_step, step_1024):
+    cases = {"neumann step": neumann_step.f_source, **_fan_cases(step_1024)}
+    assert [sol.A.winding for sol in cases.values()] == [1, 0, 1, 2, 1]
+    assert cases["winding 1, cut 1"].A.cut == 1.0
     scales = np.array([0.4, 0.85 * np.exp(0.1j)])
     V = 64
-    got = sol.f_on_scales(scales, V)
     z = scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)[None, :]
-    want = sol.f(z.ravel()).reshape(2, V)
-    assert np.max(np.abs(got - want)) < 1e-10
+    for name, sol in cases.items():
+        got = sol.f_on_scales(scales, V)
+        want = sol.f(z.ravel()).reshape(2, V)
+        assert np.max(np.abs(got - want)) < 1e-10, name

@@ -1,5 +1,6 @@
 """Verifier, reports, interior certificates."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -10,14 +11,22 @@ import rhbvp as R
 from rhbvp.errors import ConfigurationError, DataError, DomainError
 from rhbvp.verify import (REPORT_COLUMNS, certificate_points, chord_recovery,
                           dimension_certificate, disk_grid,
-                          laplacian_residual, lattice_laplacian_stats,
-                          parse_report, radial_u_table, verify_solution)
+                          laplacian_residual, parse_report, radial_u_table,
+                          verify_solution)
 
 
 def _step(N):
     return R.build_boundary_function(
         [{"from": 0.0, "to": np.pi, "expr": 1.0},
          {"from": np.pi, "to": 2 * np.pi, "expr": 0.0}], N)
+
+
+def _five_point_stats(U, dx):
+    """(max, mean) of the five-point Laplacian over the finite grid cells."""
+    lap = (U[2:, 1:-1] + U[:-2, 1:-1] + U[1:-1, 2:] + U[1:-1, :-2]
+           - 4.0 * U[1:-1, 1:-1]) / (dx * dx)
+    vals = np.abs(lap[np.isfinite(lap)])
+    return float(np.max(vals)), float(np.mean(vals))
 
 
 # ----------------------------------------------------------------------
@@ -90,12 +99,28 @@ def test_verify_rejects_tiny_vertex_count(neumann_cos):
 
 
 def test_verify_requires_target():
-    from rhbvp.direction_solver import antiderivative
-    from rhbvp.direction_solver import HarmonicSolution
-    F = antiderivative(lambda z: np.ones_like(z), M=256)
-    bare = HarmonicSolution(F=F)
+    bare = dataclasses.replace(
+        R.solve_neumann(R.build_boundary_function("cos(theta)", 64)), phi=None)
     with pytest.raises(ConfigurationError, match="target"):
         verify_solution(bare, V=50)
+
+
+@pytest.mark.parametrize("angle, passed, certified, non_excluded", [
+    ("2*t", 1.0, 61, 499),   # converges at 61 of 499 vertices
+    ("0.3", 56 / 57, 224, 500),
+], ids=["winding_2", "constant_0.3"])
+def test_certified_fraction_counts_unconverged_vertices(
+        phi_cos_1024, angle, passed, certified, non_excluded):
+    # pass_fraction divides only by the converged vertices and so reads
+    # near 1 when most vertices never converge; certified_fraction does not
+    hs = R.solve_directional(R.DirectionField.from_angle(angle, 1024),
+                             phi_cos_1024)
+    rep = verify_solution(hs, V=500, tol=1e-2)
+    assert int((~rep.excluded).sum()) == non_excluded
+    assert rep.pass_fraction == pytest.approx(passed, abs=1e-12)
+    assert rep.certified_fraction == pytest.approx(certified / non_excluded,
+                                                   abs=1e-12)
+    assert rep.certified_fraction < 0.5 < rep.pass_fraction
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +135,7 @@ def test_report_roundtrip(neumann_step):
     back = parse_report(text)
     assert back["settings"] == rep.settings
     assert back["pass_fraction"] == rep.pass_fraction
+    assert back["certified_fraction"] == rep.certified_fraction
     assert back["residual_max"] == rep.residual_stats[0]
     assert len(back["rows"]) == 64
     i = 17
@@ -135,6 +161,7 @@ def _reference_serialize(rep):
             f"{int(rep.converged[i])},{int(rep.excluded[i])},"
             f"{rep.reasons[i]}")
     lines.append(f"# pass_fraction = {rep.pass_fraction:.17g}")
+    lines.append(f"# certified_fraction = {rep.certified_fraction:.17g}")
     lines.append(f"# residual_max = {rep.residual_stats[0]:.17g}")
     lines.append(f"# residual_mean = {rep.residual_stats[1]:.17g}")
     return "\n".join(lines) + "\n"
@@ -203,13 +230,8 @@ def test_laplacian_skips_boundary_stencils():
 def test_lattice_laplacian_stats(neumann_cos):
     xs = np.linspace(-0.9, 0.9, 41)
     U, _ = neumann_cos.on_grid(xs, xs)
-    mx, mean = lattice_laplacian_stats(U, xs[1] - xs[0])
+    mx, mean = _five_point_stats(U, xs[1] - xs[0])
     assert mx < 1e-9 and mean < 1e-10
-
-
-def test_lattice_laplacian_all_nan():
-    mx, mean = lattice_laplacian_stats(np.full((5, 5), np.nan), 0.1)
-    assert np.isnan(mx) and np.isnan(mean)
 
 
 # ----------------------------------------------------------------------
