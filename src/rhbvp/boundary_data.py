@@ -5,10 +5,11 @@ expressions) or through uniform samples.  Sample grids have N a power of
 two, N >= 16, nodes theta_j = 2*pi*j/N.  At a junction between pieces
 the stored value follows the right piece (right-continuous convention).
 
-A DirectionField is a unit-modulus complex boundary function together
-with a cut angle; measurable_arg splits its argument into an integer
-multiple of the sawtooth anchored at the cut plus a bounded remainder,
-so downstream conjugation can treat the winding part in closed form.
+A DirectionField is a unit-modulus complex boundary function;
+measurable_arg reduces its index, nu = zeta^w * nu0 with integer winding
+w and nu0 of winding 0, and returns w with an argument of nu0.  That
+argument is a periodic function with no branch cut, so downstream
+conjugation treats it like any other boundary data.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .expressions import parse_expression
 
 TWO_PI = 2.0 * np.pi
 _EDGE_EPS = 1e-12  # queries within this of a junction resolve to the right piece
-_BLOCK_TERMS = 1 << 16  # phase-matrix entries per _interp_remainder block: 1 MiB
+_BLOCK_TERMS = 1 << 16  # phase-matrix entries per _interp block: 1 MiB
 
 
 def _check_grid_size(N: int) -> None:
@@ -34,11 +35,6 @@ def _check_grid_size(N: int) -> None:
 
 def grid_nodes(N: int) -> np.ndarray:
     return TWO_PI * np.arange(N) / N
-
-
-def sawtooth(theta, cut: float = 0.0):
-    """Principal sawtooth: ((theta - cut) mod 2pi) - pi, values in [-pi, pi)."""
-    return np.mod(np.asarray(theta, dtype=float) - cut, TWO_PI) - np.pi
 
 
 def wrap_angle(x):
@@ -67,18 +63,12 @@ def _as_piece_fn(obj) -> tuple[Callable, str]:
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """Periodic boundary data: samples plus optional exact piece structure.
-
-    winding, when set to (w, cut), marks the function as an argument
-    function alpha = w*sawtooth(theta - cut) + remainder; samples hold
-    the full alpha values and the remainder is band-limited.
-    """
+    """Periodic boundary data: samples plus optional exact piece structure."""
 
     samples: np.ndarray
     kind: str = "real"
     jumps: tuple[float, ...] = ()
     pieces: tuple[Piece, ...] | None = None
-    winding: tuple[int, float] | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples)
@@ -106,14 +96,8 @@ class BoundaryFunction:
 
     # -- internal helpers -------------------------------------------------
 
-    def _remainder_samples(self) -> np.ndarray:
-        if self.winding is None:
-            return self.samples
-        w, cut = self.winding
-        return self.samples - w * sawtooth(self.theta, cut)
-
-    def _interp_remainder(self, theta: np.ndarray) -> np.ndarray:
-        """Band-limited trigonometric interpolant of the periodic part.
+    def _interp(self, theta: np.ndarray) -> np.ndarray:
+        """Band-limited trigonometric interpolant of the samples.
 
         The phase matrix is built in row blocks of at most _BLOCK_TERMS
         entries, so memory stays bounded whatever len(theta) is.
@@ -130,7 +114,7 @@ class BoundaryFunction:
     def _spectrum(self) -> np.ndarray:
         """Interpolant coefficients at frequencies -N/2..N/2 (Nyquist halved)."""
         N = self.N
-        F = np.fft.fft(self._remainder_samples()) / N
+        F = np.fft.fft(self.samples) / N
         coeff = np.concatenate([F[N // 2:], F[:N // 2 + 1]])
         coeff[0] *= 0.5
         coeff[-1] *= 0.5
@@ -148,12 +132,6 @@ class BoundaryFunction:
                 out[m] = p.fn(t[m])
         return out
 
-    def _add_winding(self, vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-        if self.winding is None:
-            return vals
-        w, cut = self.winding
-        return vals + w * sawtooth(t, cut)
-
     # -- public API --------------------------------------------------------
 
     def evaluate(self, theta) -> np.ndarray:
@@ -162,10 +140,7 @@ class BoundaryFunction:
         t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        if self.pieces is not None:
-            out = self._eval_pieces(t)
-        else:
-            out = self._add_winding(self._interp_remainder(t), t)
+        out = self._eval_pieces(t) if self.pieces is not None else self._interp(t)
         return out[0] if scalar else out
 
     def on_uniform_grid(self, V: int) -> np.ndarray:
@@ -176,15 +151,14 @@ class BoundaryFunction:
         interpolant's spectrum folds into V bins and one inverse FFT
         gives every value.  Piecewise data is evaluated exactly.
         """
-        t = grid_nodes(V)
         if self.pieces is not None:
-            return self._eval_pieces(t)
+            return self._eval_pieces(grid_nodes(V))
         coeff = self._spectrum()
         bins = np.arange(-(self.N // 2), self.N // 2 + 1) % V
         folded = (np.bincount(bins, coeff.real, minlength=V)
                   + 1j * np.bincount(bins, coeff.imag, minlength=V))
         vals = np.fft.ifft(folded) * V
-        return self._add_winding(vals.real if self.kind == "real" else vals, t)
+        return vals.real if self.kind == "real" else vals
 
     def resample(self, L: int) -> "BoundaryFunction":
         """Same function on an L-node grid (L a power of two >= N).
@@ -201,8 +175,7 @@ class BoundaryFunction:
         if self.pieces is not None:
             return build_boundary_function(
                 [(p.lo, p.hi, p.fn) for p in self.pieces], L, kind=self.kind)
-        rem = self._remainder_samples()
-        F = np.fft.fft(rem)
+        F = np.fft.fft(self.samples)
         G = np.zeros(L, dtype=complex)
         half = self.N // 2
         G[:half] = F[:half]
@@ -210,16 +183,7 @@ class BoundaryFunction:
         G[half] = 0.5 * F[half]
         G[L - half] = 0.5 * F[half]
         up = np.fft.ifft(G) * (L / self.N)
-        if self.kind == "real" and not np.iscomplexobj(rem):
-            up = up.real
-        if self.winding is not None:
-            w, cut = self.winding
-            up = up + w * sawtooth(grid_nodes(L), cut)
-        return replace(self, samples=up)
-
-    def mean(self) -> float | complex:
-        m = np.mean(self.samples)
-        return float(m.real) if self.kind == "real" else complex(m)
+        return replace(self, samples=up.real if self.kind == "real" else up)
 
 
 def build_boundary_function(spec, N: int, kind: str = "real",
@@ -288,10 +252,9 @@ def build_boundary_function(spec, N: int, kind: str = "real",
 
 @dataclass(frozen=True)
 class DirectionField:
-    """Unit-modulus boundary direction field with a branch-cut anchor."""
+    """Unit-modulus boundary direction field."""
 
     base: BoundaryFunction
-    cut: float = 0.0
 
     def __post_init__(self):
         if self.base.kind != "complex":
@@ -300,8 +263,6 @@ class DirectionField:
         if dev > 1e-12:
             raise InvariantViolation(
                 f"direction field is not unit-modulus (max deviation {dev:.3e})")
-        c = float(self.cut) % TWO_PI
-        object.__setattr__(self, "cut", c)
 
     @property
     def N(self) -> int:
@@ -316,53 +277,40 @@ class DirectionField:
         return self.base.samples
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, cut: float = 0.0,
+    def from_samples(cls, samples: np.ndarray,
                      jumps: Sequence[float] = ()) -> "DirectionField":
         s = np.asarray(samples, dtype=complex)
-        mod = np.abs(s)
-        if np.max(np.abs(mod - 1.0)) <= 1e-12:
-            pass
-        elif np.max(np.abs(mod - 1.0)) <= 1e-8:
-            s = s / mod  # renormalize tiny drift from upstream arithmetic
-        base = BoundaryFunction(samples=s, kind="complex", jumps=tuple(jumps))
-        return cls(base=base, cut=cut)
+        if 1e-12 < np.max(np.abs(np.abs(s) - 1.0)) <= 1e-8:
+            s = s / np.abs(s)  # renormalize tiny drift from upstream arithmetic
+        return cls(BoundaryFunction(samples=s, kind="complex", jumps=tuple(jumps)))
 
     @classmethod
-    def from_angle(cls, beta, N: int, cut: float = 0.0) -> "DirectionField":
+    def from_angle(cls, beta, N: int) -> "DirectionField":
         """Direction field nu = exp(i*beta(theta)) from an angle function."""
         fn, _ = _as_piece_fn(beta)
         vals = np.exp(1j * np.asarray(fn(grid_nodes(N)), dtype=float))
-        base = BoundaryFunction(samples=vals, kind="complex")
-        return cls(base=base, cut=cut)
+        return cls(BoundaryFunction(samples=vals, kind="complex"))
 
 
-def measurable_arg(nu: DirectionField) -> BoundaryFunction:
-    """Argument function of a direction field.
+def measurable_arg(nu: DirectionField) -> tuple[int, BoundaryFunction]:
+    """Index reduction nu = zeta^w * nu0 of a direction field.
 
-    Returns alpha with exp(i*alpha(theta_j)) = nu(theta_j) at every node,
-    split as alpha = w*sawtooth(theta - cut) + remainder with integer
-    winding w and a remainder free of branch jumps.  The split is stored
-    in the result's ``winding`` field so conjugation can evaluate the
-    sawtooth part in closed form.
+    Returns the integer winding w of nu and alpha0, an argument of
+    nu0 = nu * zeta^-w: exp(i*(alpha0 + w*theta_j)) = nu(theta_j) at every
+    node.  nu0 has winding 0, so alpha0 is periodic and needs no cut; its
+    jumps are those of nu plus the nodes where the unwrapped argument
+    still moves by more than pi.
     """
     raw = np.angle(nu.samples)
     inc = wrap_angle(np.diff(np.concatenate([raw, raw[:1]])))
     w = int(np.round(np.sum(inc) / TWO_PI))
-    saw = sawtooth(nu.theta, nu.cut)
-    rem = np.unwrap(wrap_angle(raw - w * saw))
-    # keep the remainder anchored near zero winding offset
-    rem -= TWO_PI * np.round(np.median(rem) / TWO_PI)
-    alpha = w * saw + rem
-    err = np.max(np.abs(np.exp(1j * alpha) - nu.samples))
+    alpha0 = np.unwrap(wrap_angle(raw - w * nu.theta))
+    # anchor alpha0 within a half turn of 0 at its median
+    alpha0 -= TWO_PI * np.round(np.median(alpha0) / TWO_PI)
+    err = np.max(np.abs(np.exp(1j * (alpha0 + w * nu.theta)) - nu.samples))
     if err > 1e-9:
         raise InvariantViolation(
             f"argument reconstruction failed: max |exp(i*alpha) - nu| = {err:.3e}")
-    jumps = set(nu.base.jumps)
-    if w != 0:
-        jumps.add(nu.cut % TWO_PI)
-    # residual wrap failures mark genuine jumps of the remainder
-    big = np.flatnonzero(np.abs(np.diff(rem)) > np.pi)
-    for k in big:
-        jumps.add(float(nu.theta[k + 1]))
-    return BoundaryFunction(samples=alpha, kind="real", jumps=tuple(sorted(jumps)),
-                            winding=(w, nu.cut))
+    wraps = nu.theta[np.flatnonzero(np.abs(np.diff(alpha0)) > np.pi) + 1]
+    return w, BoundaryFunction(samples=alpha0, kind="real",
+                               jumps=tuple(set(nu.base.jumps) | set(wraps.tolist())))

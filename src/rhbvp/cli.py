@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .boundary_data import (BoundaryFunction, DirectionField,
-                            build_boundary_function)
+                            build_boundary_function, grid_nodes)
 from .direction_solver import (HarmonicSolution, antiderivative,
                                solve_directional)
 from .errors import (ConfigurationError, NumericalError, RHBVPError,
@@ -123,16 +123,16 @@ def _build_phi(cfg: dict, N: int) -> BoundaryFunction:
     return build_boundary_function(cfg["phi"], N)
 
 
-def _build_nu(cfg: dict, N: int, cmap, params: SolverParams):
+def _build_nu(cfg: dict, N: int, cmap):
     spec = cfg.get("nu", "normal")
     if spec == "normal":
         if cmap is None:
-            return disk_inner_normal(N, cut=params.cut).field
+            return disk_inner_normal(N).field
         return image_inner_normal(cmap)
     if isinstance(spec, dict) and set(spec) == {"angle"}:
         spec = spec["angle"]
     if isinstance(spec, str):
-        return DirectionField.from_angle(spec, N, cut=params.cut)
+        return DirectionField.from_angle(spec, N)
     raise ConfigurationError(
         f"nu must be 'normal' or a direction-angle expression, got {spec!r}")
 
@@ -145,7 +145,7 @@ def _solve(cfg: dict, N: int, trace):
     if problem not in ("neumann", "directional"):
         raise ConfigurationError(
             f"problem must be 'neumann' or 'directional', got {problem!r}")
-    nu = _build_nu(cfg, N, cmap, params)
+    nu = _build_nu(cfg, N, cmap)
     if cmap is None:
         hs = solve_directional(nu, phi, params)
     else:
@@ -156,7 +156,7 @@ def _solve(cfg: dict, N: int, trace):
         if note:
             hs.notes.append(note)
     trace(f"solve: N={N} refine={params.refine} "
-          f"winding={hs.f_source.A.winding} "
+          f"winding={hs.f_source.index} "
           f"series_terms={len(hs.F.coefficients)} d0={params.d0:g}")
     for note in hs.notes:
         trace("note: " + note)
@@ -342,8 +342,7 @@ def _run_map(cfg: dict, N: int, field_path, report_path, trace):
           f"slope={cmap.slope:.3f} degree={degree}")
     wb = cmap.boundary_nodes()
     node_res = np.abs(np.abs(wb) - np.asarray(cmap.rho(np.angle(wb)), float))
-    cols = (cmap.correspondence.theta, cmap.correspondence.samples, wb.real,
-            wb.imag, node_res)
+    cols = (grid_nodes(N), cmap.correspondence, wb.real, wb.imag, node_res)
     with open(field_path, "w") as fh:
         fh.write("t,sigma,re_w,im_w,residual\n")
         fh.writelines(f"{t:.17g},{s:.17g},{x:.17g},{y:.17g},{r:.17g}\n"
@@ -367,7 +366,7 @@ def _run_family(cfg: dict, N: int, field_path, report_path, trace, guard):
     cmap = _build_domain(cfg, N)
     if cmap is not None:
         raise ConfigurationError("family command is disk-native")
-    nu = _build_nu(cfg, N, None, params)
+    nu = _build_nu(cfg, N, None)
     members = homogeneous_family(nu, params.hom_points, params)
 
     base, ext = os.path.splitext(field_path)
@@ -376,8 +375,7 @@ def _run_family(cfg: dict, N: int, field_path, report_path, trace, guard):
     member_paths = []
     for j, sol in enumerate(members):
         F = antiderivative(sol, M=4 * sol.N, rho_sample=params.rho_sample)
-        hs = HarmonicSolution(F=F, d0=params.d0, f_source=sol, nu=nu,
-                              phi=sol.phi)
+        hs = HarmonicSolution(F=F, d0=params.d0, f_source=sol)
         rows.append(hs.u)
         p = f"{base}_member{j:02d}{ext}"
         member_paths.append(p)

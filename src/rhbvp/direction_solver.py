@@ -21,7 +21,8 @@ import numpy as np
 
 from .boundary_data import BoundaryFunction, DirectionField
 from .disk_harmonic import SeriesEvaluator
-from .errors import DataError, DomainError, RepresentationError
+from .errors import (ConfigurationError, DataError, DomainError,
+                     RepresentationError)
 from .rh_solver import AnalyticSolution, SolverParams, solve_rh
 
 
@@ -68,7 +69,11 @@ def antiderivative_from_circle(vals: np.ndarray, rho_sample: float = 0.5,
 
 @dataclass
 class HarmonicSolution:
-    """u = Re F + d0 with grad u read off f = F'."""
+    """u = Re F + d0 with grad u read off f = F'.
+
+    nu and phi default to f_source's; a nu whose samples differ from
+    f_source's is refused, since the verifier pairs f with f_source.nu.
+    """
 
     F: SeriesEvaluator
     f_source: AnalyticSolution
@@ -77,6 +82,15 @@ class HarmonicSolution:
     phi: BoundaryFunction | None = None
     conformal_map: object | None = None  # ConformalMap when transplanted
     notes: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        src = self.f_source
+        if self.nu is not None and not np.array_equal(self.nu.samples,
+                                                      src.nu.samples):
+            raise ConfigurationError(
+                "nu differs from the direction field f_source was solved for")
+        self.nu = src.nu if self.nu is None else self.nu
+        self.phi = src.phi if self.phi is None else self.phi
 
     def _preimage(self, w):
         if self.conformal_map is None:
@@ -87,9 +101,7 @@ class HarmonicSolution:
         return self.conformal_map.invert(w)
 
     def u(self, w):
-        z = self._preimage(w)
-        vals = self.F._horner(z).real + self.d0
-        return vals
+        return self.F._horner(self._preimage(w)).real + self.d0
 
     __call__ = u
 
@@ -131,5 +143,5 @@ def solve_directional(nu: DirectionField, phi: BoundaryFunction,
     sol = solve_rh(nu, phi, params)
     F = antiderivative(sol, M=4 * sol.N, rho_sample=params.rho_sample,
                        drop_tol=params.drop_tol)
-    return HarmonicSolution(F=F, d0=params.d0, f_source=sol, nu=nu, phi=phi,
+    return HarmonicSolution(F=F, d0=params.d0, f_source=sol,
                             notes=list(sol.notes))

@@ -1,13 +1,10 @@
 """Harmonic analysis on the unit disk.
 
 Schwarz integral, boundary conjugation, truncated power series
-evaluation, and nontangential (Stolz) approach paths.
-
-Argument functions produced by measurable_arg carry a winding split
-alpha = w*saw + remainder; here the sawtooth part is handled in closed
-form (log kernel for the Schwarz integral, -2w*log|2 sin((theta-c)/2)|
-for the conjugate) and only the bounded remainder goes through the FFT,
-so winding data costs no bandwidth.
+evaluation, and nontangential (Stolz) approach paths.  Every transform
+here acts on periodic data through the FFT; the winding of a direction
+field never reaches this module, because measurable_arg reduces it
+before conjugation.
 """
 
 from __future__ import annotations
@@ -16,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_data import (BoundaryFunction, TWO_PI, grid_nodes, sawtooth)
-from .errors import (ConfigurationError, DataError, DomainError,
-                     RepresentationError)
-
-_LOG_TINY = 1e-300  # floor for |2 sin| at the cut node; keeps samples finite
+from .boundary_data import BoundaryFunction
+from .errors import ConfigurationError, DataError, DomainError
 
 
 # ----------------------------------------------------------------------
@@ -110,46 +104,6 @@ def _blocks(coeffs: np.ndarray, M: int) -> np.ndarray:
     return buf.reshape(q, M)
 
 
-_WINDING_CALCULUS = ("winding part is a log kernel; termwise calculus "
-                     "applies only to the series remainder")
-
-
-@dataclass
-class SchwarzEvaluator(SeriesEvaluator):
-    """Schwarz integral: analytic completion with Im value 0 at the origin.
-
-    For argument data with winding w about the cut c the unbounded part
-    is exact: S[w*saw_c](z) = -2i*w*log(1 - z*exp(-i*c)); coefficients
-    hold only the bounded remainder's series.
-    """
-
-    winding: int = 0
-    cut: float = 0.0
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) >= 1.0):
-            raise DomainError("Schwarz integral evaluation requires |z| < 1")
-        return self.with_winding(z, self._horner(z))
-
-    def with_winding(self, z, series_values):
-        """Add the closed-form winding part at z to the remainder's values."""
-        if self.winding:
-            series_values = series_values - 2j * self.winding * np.log1p(
-                -z * np.exp(-1j * self.cut))
-        return series_values
-
-    def derivative(self):
-        if self.winding:
-            raise RepresentationError(_WINDING_CALCULUS)
-        return super().derivative()
-
-    def integrate(self):
-        if self.winding:
-            raise RepresentationError(_WINDING_CALCULUS)
-        return super().integrate()
-
-
 # ----------------------------------------------------------------------
 # boundary transforms
 # ----------------------------------------------------------------------
@@ -170,14 +124,11 @@ def analytic_coefficients(samples: np.ndarray) -> np.ndarray:
     return c
 
 
-def schwarz_integral(bf: BoundaryFunction) -> SchwarzEvaluator:
+def schwarz_integral(bf: BoundaryFunction) -> SeriesEvaluator:
     """Analytic function with boundary real part bf and Im = 0 at z = 0."""
     if bf.kind != "real":
         raise DataError("schwarz_integral requires real-valued boundary data")
-    w, cut = bf.winding if bf.winding is not None else (0, 0.0)
-    rem = bf._remainder_samples()
-    c = analytic_coefficients(np.asarray(rem, dtype=float))
-    return SchwarzEvaluator(coefficients=c, winding=w, cut=cut)
+    return SeriesEvaluator(analytic_coefficients(bf.samples))
 
 
 def _boundary_values_of_series(c: np.ndarray, L: int) -> np.ndarray:
@@ -191,26 +142,13 @@ def _boundary_values_of_series(c: np.ndarray, L: int) -> np.ndarray:
 
 
 def conjugate_boundary(bf: BoundaryFunction, L: int | None = None) -> BoundaryFunction:
-    """Boundary values of the harmonic conjugate (conjugate vanishing at 0).
-
-    For winding data the sawtooth part conjugates in closed form to
-    -2*w*log|2 sin((theta - cut)/2)|, evaluated exactly on the target
-    grid; the node at the cut is floored to keep samples finite.
-    """
+    """Boundary values of the harmonic conjugate (conjugate vanishing at 0)
+    on L uniform nodes, by band-limited interpolation of bf."""
     if bf.kind != "real":
         raise DataError("conjugate_boundary requires real-valued boundary data")
-    L = L or bf.N
-    w, cut = bf.winding if bf.winding is not None else (0, 0.0)
-    rem = np.asarray(bf._remainder_samples(), dtype=float)
-    c = analytic_coefficients(rem)
-    H = _boundary_values_of_series(c, L).imag
-    jumps = set(bf.jumps)
-    if w:
-        tL = grid_nodes(L)
-        mag = np.maximum(np.abs(2.0 * np.sin(0.5 * (tL - cut))), _LOG_TINY)
-        H = H - 2.0 * w * np.log(mag)
-        jumps.add(cut % TWO_PI)
-    return BoundaryFunction(samples=H, kind="real", jumps=tuple(sorted(jumps)))
+    H = _boundary_values_of_series(analytic_coefficients(bf.samples), L or bf.N)
+    # a copy, not a view: the view would keep the complex values alive
+    return BoundaryFunction(samples=H.imag.copy(), kind="real", jumps=bf.jumps)
 
 
 def exp_series(b: np.ndarray, M: int | None = None) -> np.ndarray:

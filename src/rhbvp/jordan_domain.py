@@ -58,7 +58,7 @@ class ConformalMap:
 
     rho: Callable
     rho_source: str
-    correspondence: BoundaryFunction
+    correspondence: np.ndarray  # sigma at the nodes t_j = 2*pi*j/N
     omega: SeriesEvaluator
     omega_prime: SeriesEvaluator
     residual: float
@@ -67,11 +67,7 @@ class ConformalMap:
 
     @property
     def N(self) -> int:
-        return self.correspondence.N
-
-    def boundary(self, t) -> np.ndarray:
-        """omega(exp(i t)); the polynomial converges on the closed disk."""
-        return self.omega._horner(np.exp(1j * np.asarray(t, dtype=float)))
+        return len(self.correspondence)
 
     def boundary_nodes(self) -> np.ndarray:
         return _boundary_values_of_series(self.omega.coefficients, self.N)
@@ -174,8 +170,7 @@ def theodorsen_map(rho, N: int = 1024, tol: float = 1e-13,
     if float(np.min(opv)) < 1e-10 * float(np.max(opv)):
         raise InvariantViolation("omega' vanishes inside |z| <= 0.95")
 
-    corr = BoundaryFunction(samples=sigma, kind="real", winding=(1, 0.0))
-    return ConformalMap(rho=fn, rho_source=src, correspondence=corr,
+    return ConformalMap(rho=fn, rho_source=src, correspondence=sigma,
                         omega=omega, omega_prime=omega_prime,
                         residual=residual, iterations=iterations, slope=slope)
 
@@ -227,7 +222,7 @@ def transplant_solve(cmap: ConformalMap, phi: BoundaryFunction,
     notes.append(f"transplanted through a degree-{len(cmap.omega.coefficients)} "
                  f"map (residual {cmap.residual:.3e}, "
                  f"{cmap.iterations} iterations)")
-    return HarmonicSolution(F=F, d0=params.d0, f_source=sol, nu=nu, phi=phi,
+    return HarmonicSolution(F=F, d0=params.d0, f_source=sol,
                             conformal_map=cmap, notes=notes)
 
 

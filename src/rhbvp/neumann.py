@@ -1,11 +1,11 @@
 """Neumann problems as directional problems with the inner normal field.
 
 On the unit disk the inner normal at exp(i*theta) is -exp(i*theta)
-exactly, a winding-one direction field; grad u . n -> phi is then the
-(possibly nonclassical) Neumann problem.  No compatibility integral is
-required: when the classical condition integral phi ds = 0 fails, the
-solver still produces a solution with nontangential boundary derivative
-phi a.e., and an informational note records the incompatibility.
+exactly, a winding-one field with nu0 = -1, and grad u . n -> phi is the
+(possibly nonclassical) Neumann problem.  The index reduction gives
+f = (m * H_cut - S[phi]) / z, m the mean of phi: m = 0 is the classical
+solution, and otherwise the pole at the cut carries the flux while the
+boundary derivative still attains phi a.e.; a note records it.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ class NormalField:
         return self.field.N
 
 
-def disk_inner_normal(N: int, cut: float = 0.0) -> NormalField:
+def disk_inner_normal(N: int) -> NormalField:
     """Inner normal of the unit disk: exactly -exp(i*theta_j) at the nodes."""
-    samples = -np.exp(1j * grid_nodes(N))
-    return NormalField(DirectionField.from_samples(samples, cut=cut),
+    return NormalField(DirectionField.from_samples(-np.exp(1j * grid_nodes(N))),
                        provenance="disk")
 
 
@@ -101,7 +100,7 @@ def solve_neumann(phi: BoundaryFunction,
                   params: SolverParams | None = None) -> HarmonicSolution:
     """Neumann problem grad u . n -> phi on the unit disk."""
     params = params or SolverParams(N=phi.N)
-    normal = disk_inner_normal(phi.N, cut=params.cut)
+    normal = disk_inner_normal(phi.N)
     hs = solve_directional(normal.field, phi, params)
     note = compatibility_note(phi)
     if note:

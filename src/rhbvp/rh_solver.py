@@ -2,16 +2,22 @@
 
 Given a unit-modulus direction field nu and real boundary data phi,
 constructs analytic f with Re(nu(zeta) * f(z)) -> phi(zeta)
-nontangentially at almost every boundary point:
+nontangentially at almost every boundary point, by Gakhov's index
+reduction (Boundary Value Problems, 1966, sections 40-41):
 
-    alpha = measurable argument of nu (winding split)
-    A     = Schwarz integral of alpha,  H = boundary conjugate of alpha
-    psi   = phi * exp(-H)
-    f     = exp(-i A) * (S[psi] + i * p)
+    nu    = zeta^w * nu0, nu0 of winding 0, alpha0 = arg nu0
+    A     = Schwarz integral of alpha0,  H = boundary conjugate of alpha0
+    psi   = phi * exp(-H),  T = S[psi]
+    f     = z^k * exp(-i A) * (T + i p)                        (w = -k <= 0)
+    f     = exp(-i A) * (T + i p + sum_j b_j H_j) / z^k        (w = k > 0)
 
-where p is the Herglotz-type homogeneous term attached to hom_points.
-The pairing telescopes on the boundary: nu * exp(-i A) = exp(H), so
-Re(nu f) = exp(H) * Re(S[psi] + i p) -> exp(H) * psi = phi.
+where p is the Herglotz-type homogeneous term attached to hom_points and
+H_j(z) = (zeta_j + z)/(zeta_j - z) sits at the 2k - 1 index poles
+zeta_j = exp(i*(cut + 2*pi*j/(2k - 1))).  The real b_j cancel the Taylor
+coefficients 0..k-1 of the bracket, so f is analytic at 0; they vanish
+exactly when a classical solution exists.  The pairing telescopes on
+the boundary: nu * exp(-i A) * zeta^-w = exp(H), and Re(i p) = Re(b_j H_j)
+= 0 away from the poles, so Re(nu f) -> exp(H) * psi = phi.
 
 psi is formed on an internally refined grid (refine * N nodes, exact
 piece evaluation) and the solution series keeps refine*N/2 coefficients;
@@ -23,15 +29,15 @@ admissible; the verifier is the contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
                             measurable_arg)
-from .disk_harmonic import (SchwarzEvaluator, SeriesEvaluator,
-                            analytic_coefficients, conjugate_boundary,
-                            schwarz_integral)
+from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
+                            conjugate_boundary, schwarz_integral)
 from .errors import (ConfigurationError, DataError, DomainError,
                      NumericalRangeError)
 
@@ -69,7 +75,7 @@ class SolverParams:
                 len(self.hom_coeffs) != len(self.hom_points) + 1:
             raise ConfigurationError(
                 "hom_coeffs must have length len(hom_points) + 1 "
-                "(constant coefficient first)")
+                "(constant or cut-dipole coefficient first)")
 
 
 def herglotz_term(hom_points: Sequence[float], hom_coeffs: Sequence[float], z):
@@ -92,17 +98,30 @@ def herglotz_term(hom_points: Sequence[float], hom_coeffs: Sequence[float], z):
     return out
 
 
+def index_poles(w: int, cut: float) -> tuple[float, ...]:
+    """Angles cut + 2*pi*j/(2w - 1) of the index poles; none for w <= 0."""
+    m = 2 * w - 1
+    return tuple((cut + TWO_PI * j / m) % TWO_PI for j in range(max(m, 0)))
+
+
 @dataclass
 class AnalyticSolution:
-    """Solution f of the directional boundary value problem on the disk."""
+    """Solution f of the directional boundary value problem on the disk.
+
+    index is the winding w of nu, alpha the argument of nu0 and A its
+    Schwarz integral.  g is z^k * T for w = -k <= 0, and T shifted down
+    by k for w = k > 0, whose first k terms head keeps.
+    """
 
     nu: DirectionField
     phi: BoundaryFunction
     alpha: BoundaryFunction
-    A: SchwarzEvaluator
+    A: SeriesEvaluator
     weight_boundary: BoundaryFunction
     psi: BoundaryFunction
     g: SeriesEvaluator
+    index: int
+    head: np.ndarray
     hom_points: tuple[float, ...]
     hom_coeffs: tuple[float, ...]
     params: SolverParams
@@ -111,6 +130,26 @@ class AnalyticSolution:
     @property
     def N(self) -> int:
         return self.nu.N
+
+    @property
+    def index_poles(self) -> tuple[float, ...]:
+        return index_poles(self.index, self.params.cut)
+
+    @cached_property
+    def index_coeffs(self) -> np.ndarray:
+        """The real b_j with which sum_j b_j H_j, H = 1 + 2 sum zeta^-n z^n,
+        cancels the Taylor terms r_n, n < w, of T + i p.  On the 2w - 1
+        equally spaced poles this is the inverse DFT
+        b_j = -Re(sum_n r_n zeta_j^n) / (2w - 1)."""
+        w = self.index
+        c = np.asarray(self.hom_coeffs or (0.0,) * (len(self.hom_points) + 1))
+        n = np.arange(w)
+        h = 2.0 * np.exp(-1j * np.multiply.outer(n, self.hom_points))
+        h[0] = 1.0
+        r = (self.head - (h * c[1:]).sum(axis=1)
+             - 1j * c[0] * n * np.exp(-1j * n * self.params.cut))
+        zn = np.exp(1j * np.multiply.outer(self.index_poles, n))
+        return -(zn * r).sum(axis=1).real / (2 * w - 1)
 
     def f(self, z):
         z = np.asarray(z, dtype=complex)
@@ -123,8 +162,8 @@ class AnalyticSolution:
     def f_on_scales(self, scales: np.ndarray, V: int) -> np.ndarray:
         """f at z = s * exp(2*pi*i*v/V) for each scale s, shape (len(s), V).
 
-        FFT-folded evaluation of both series; the winding log factor and
-        the Herglotz term are applied pointwise.
+        FFT-folded evaluation of both series; the pole terms are applied
+        pointwise.
         """
         scales = np.asarray(scales, dtype=complex)
         gv = self.g.eval_on_rays(scales, V)
@@ -134,12 +173,37 @@ class AnalyticSolution:
             lambda _: gv)
 
     def _assemble(self, a, z, g):
-        """exp(-i A) * (g + i p) at z, from the series part a of A at z and
-        the map g from z to g's values.  Pass a as a temporary and keep exp
-        before g(z): at most one array of A's values is then alive."""
-        a = self.A.with_winding(z, a)
+        """exp(-i A) * (g + pole terms) at z, from A's values a at z and
+        the map g from z to a fresh array of g's values, which takes the
+        pole terms and the product in place.  Pass a as a temporary and
+        keep exp before g(z): at most one array of A's values is alive."""
         a = np.exp(-1j * a)
-        return a * (g(z) + 1j * herglotz_term(self.hom_points, self.hom_coeffs, z))
+        acc = g(z)
+        self._add_pole_terms(z, acc)
+        return np.multiply(a, acc, out=acc)
+
+    def _add_pole_terms(self, z, acc):
+        """Add the bracket's closed-form part at z to acc: z^k * i p for
+        w = -k <= 0.  For w = k > 0 each term beta * H of i p + b_j H_j less
+        its Taylor terms below z^k is 2 beta zeta^-k / (1 - z/zeta) over z^k.
+        c_0 multiplies the cut dipole -z*zeta_c/(zeta_c - z)^2, not the
+        constant that no real b_j could cancel; over z^k that is
+        -i c_0 zeta_c^-k (k - (k-1) q)/(1 - q)^2 with q = z/zeta_c."""
+        w = self.index
+        if w <= 0:
+            ip = 1j * herglotz_term(self.hom_points, self.hom_coeffs, z)
+            acc += ip if w == 0 else z ** -w * ip
+            return
+        c = self.hom_coeffs or (0.0,) * (len(self.hom_points) + 1)
+        for a, beta in zip(self.hom_points + self.index_poles,
+                           [-x for x in c[1:]] + self.index_coeffs.tolist()):
+            if beta != 0.0:
+                q = z * np.exp(-1j * a)
+                acc += 2.0 * beta * np.exp(-1j * w * a) / np.subtract(1.0, q, out=q)
+        if c[0]:
+            q = z * np.exp(-1j * self.params.cut)
+            acc += (-1j * c[0] * np.exp(-1j * w * self.params.cut)
+                    * (w - (w - 1) * q) / (1.0 - q) ** 2)
 
     def boundary_pairing_residual(self) -> float:
         """max_j |nu_j * w_j - exp(H_j)| over nodes, w = weight_boundary.
@@ -164,12 +228,11 @@ def solve_rh(nu: DirectionField, phi: BoundaryFunction,
         raise ConfigurationError("hom_coeffs without hom_points must be (c0,)")
     notes: list[str] = []
 
-    alpha = measurable_arg(nu)
+    w, alpha = measurable_arg(nu)
     A = schwarz_integral(alpha)
 
     L = params.refine * nu.N
-    Hfull = conjugate_boundary(alpha, L)
-    H = Hfull.samples
+    H = conjugate_boundary(alpha, L).samples
     n_clamped = int(np.sum(np.abs(H) > CLAMP_LOG))
     if n_clamped:
         notes.append(f"conjugate clamped at {n_clamped} of {L} refined nodes "
@@ -183,17 +246,18 @@ def solve_rh(nu: DirectionField, phi: BoundaryFunction,
         raise NumericalRangeError(
             f"psi non-finite at refined node {bad} despite clamping")
 
-    g = SeriesEvaluator(analytic_coefficients(psi_L))
+    T = analytic_coefficients(psi_L)
+    g = SeriesEvaluator(np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
 
-    step = params.refine
-    psi = BoundaryFunction(samples=psi_L[::step], kind="real",
+    psi = BoundaryFunction(samples=psi_L[::params.refine], kind="real",
                            jumps=tuple(sorted(set(phi.jumps) | set(alpha.jumps))))
-    wb = np.exp(-1j * alpha.samples + Hc[::step])
+    wb = np.exp(-1j * (alpha.samples + w * nu.theta) + Hc[::params.refine])
     weight_boundary = BoundaryFunction(samples=wb, kind="complex",
                                        jumps=alpha.jumps)
 
     return AnalyticSolution(nu=nu, phi=phi, alpha=alpha, A=A,
                             weight_boundary=weight_boundary, psi=psi, g=g,
+                            index=w, head=T[:max(w, 0)],
                             hom_points=params.hom_points,
                             hom_coeffs=params.hom_coeffs,
                             params=params, notes=notes)
@@ -208,12 +272,13 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
                        params: SolverParams | None = None) -> list[AnalyticSolution]:
     """Homogeneous solutions (phi = 0) spanned by the Herglotz terms.
 
-    Returns k + 1 members for k distinguished points: the constant member
-    (c_0 = 1) followed by one member per point.  f is linear in the
-    Herglotz coefficients, so one solve with phi = 0 serves every member;
-    the members are copies of it that differ only in hom_coeffs, params
-    and notes, and share its alpha, A, weight, psi and g.  hom_points and
-    hom_coeffs preset in params are ignored.
+    Returns k + 1 members for k distinguished points: the first-coefficient
+    member (the constant for winding <= 0, the cut dipole for winding >= 1)
+    followed by one member per point.  f is linear in the Herglotz
+    coefficients, so one solve with phi = 0 serves every member; the
+    members are copies of it that differ only in hom_coeffs, params and
+    notes, and share its alpha, A, weight, psi and g (each member solves
+    its own b_j).  hom_points and hom_coeffs preset in params are ignored.
     """
     if isinstance(points, int):
         points = default_hom_points(points)

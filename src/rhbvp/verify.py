@@ -6,9 +6,9 @@ fraction of probe vertices.  Probes run along Stolz paths at several
 apertures; a vertex passes when every aperture's estimate lands within
 tolerance and its approach sequence is flagged converged.
 
-Vertices within delta of a jump of the data, of the argument cut, or of
-a homogeneous pole are excluded and annotated; everything is recorded
-per vertex in a report with a fixed column order.
+Vertices within delta of a jump of the data, of an index pole (reason
+cut-neighborhood), or of a homogeneous pole are excluded and annotated;
+everything is recorded per vertex in a report with a fixed column order.
 
 Also here: radial attainment tables (boundary values of u and Neumann
 difference quotients), mean-value Laplacian residuals, the numerical
@@ -78,13 +78,10 @@ def _exclusions(angles: np.ndarray, delta: float,
 
 
 def _solution_specials(src: AnalyticSolution, target_jumps: Sequence[float]):
-    """(jump, cut, pole) angle lists of a solution and its target's jumps."""
-    jumps = set(target_jumps) | set(src.phi.jumps)
-    cuts: set[float] = set()
-    if src.A.winding:
-        cuts.add(src.A.cut % TWO_PI)
-    jumps |= set(src.alpha.jumps) - cuts
-    return sorted(jumps), sorted(cuts), sorted(src.hom_points)
+    """(jump, cut, pole) angle lists of a solution and its target's jumps;
+    the index poles take the cut-neighborhood reason."""
+    jumps = set(target_jumps) | set(src.phi.jumps) | set(src.alpha.jumps)
+    return sorted(jumps), sorted(src.index_poles), sorted(src.hom_points)
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +230,9 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
     if with_radial and hsol.conformal_map is None:
         table = radial_u_table(hsol, V=V, tol=tol, delta=delta)
         settings["radial_flag_fraction"] = table.flag_fraction
+        ok = table.valid
         settings["radial_quotient_fraction_1e-2"] = float(np.mean(
-            np.abs(table.quotient_est[table.valid] - targets[table.valid]) <= 1e-2))
+            np.abs(table.quotient_est[ok] - targets[ok]) <= 1e-2)) if ok.any() else 0.0
         settings["u_boundary_range"] = [float(np.min(table.u_boundary)),
                                         float(np.max(table.u_boundary))]
 

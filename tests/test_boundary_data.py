@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import rhbvp as R
 from rhbvp.boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
                                  build_boundary_function, grid_nodes,
-                                 measurable_arg, sawtooth)
+                                 measurable_arg)
 from rhbvp.errors import (ConfigurationError, DataError, InvariantViolation)
 
 SQ2 = np.sqrt(2) / 2
@@ -117,81 +117,92 @@ def test_direction_field_from_angle():
 
 def test_measurable_arg_constant_fields():
     nu = DirectionField.from_samples(np.ones(32, dtype=complex))
-    alpha = measurable_arg(nu)
+    w, alpha = measurable_arg(nu)
     np.testing.assert_allclose(alpha.samples, 0.0, atol=1e-15)
-    assert alpha.winding == (0, 0.0)
+    assert w == 0
 
     nu_i = DirectionField.from_samples(np.full(32, 1j))
-    alpha_i = measurable_arg(nu_i)
+    w_i, alpha_i = measurable_arg(nu_i)
     np.testing.assert_allclose(alpha_i.samples, np.pi / 2, atol=1e-15)
+    assert w_i == 0
 
 
 def test_measurable_arg_neumann_is_theta_minus_pi():
     t = grid_nodes(1024)
     nu = DirectionField.from_samples(-np.exp(1j * t))
-    alpha = measurable_arg(nu)
-    np.testing.assert_allclose(alpha.samples, t - np.pi, atol=1e-12)
-    assert alpha.winding == (1, 0.0)
-    assert 0.0 in alpha.jumps
+    w, alpha0 = measurable_arg(nu)
+    # nu = zeta * nu0 with nu0 = -1: the argument theta - pi, up to full
+    # turns, is theta plus a constant of modulus pi, and has no cut
+    assert w == 1
+    turns = (alpha0.samples + t - (t - np.pi)) / TWO_PI
+    np.testing.assert_allclose(turns, np.round(turns), atol=1e-12)
+    np.testing.assert_allclose(np.abs(alpha0.samples), np.pi, atol=1e-12)
+    assert alpha0.jumps == ()
 
 
 def test_measurable_arg_reconstructs_nu():
     t = grid_nodes(256)
     beta = 2 * t + 0.4 * np.sin(3 * t) - 1.0
     nu = DirectionField.from_samples(np.exp(1j * beta))
-    alpha = measurable_arg(nu)
-    np.testing.assert_allclose(np.exp(1j * alpha.samples), nu.samples,
-                               atol=1e-12)
-    assert alpha.winding[0] == 2
+    w, alpha0 = measurable_arg(nu)
+    np.testing.assert_allclose(np.exp(1j * (alpha0.samples + w * t)),
+                               nu.samples, atol=1e-12)
+    assert w == 2
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(-2, 2), st.floats(-1.5, 1.5), st.integers(1, 4),
        st.floats(0, 6.0))
-def test_measurable_arg_winding_property(w, amp, freq, cut):
+def test_measurable_arg_winding_property(w, amp, freq, shift):
     t = grid_nodes(256)
-    beta = w * t + amp * np.sin(freq * t)
-    nu = DirectionField.from_samples(np.exp(1j * beta), cut=cut)
-    alpha = measurable_arg(nu)
-    assert alpha.winding[0] == w
-    np.testing.assert_allclose(np.exp(1j * alpha.samples), nu.samples,
-                               atol=1e-9)
+    beta = w * t + amp * np.sin(freq * t - shift)
+    nu = DirectionField.from_samples(np.exp(1j * beta))
+    got_w, alpha0 = measurable_arg(nu)
+    assert got_w == w
+    np.testing.assert_allclose(np.exp(1j * (alpha0.samples + w * t)),
+                               nu.samples, atol=1e-9)
+    # nu0 has winding 0, so its argument is continuous around the circle
+    assert np.max(np.abs(np.diff(np.append(alpha0.samples,
+                                           alpha0.samples[0])))) < np.pi
 
 
 def test_measurable_arg_reanchoring_differs_by_full_turns():
+    # the argument of nu0 read off zeta^w * nu0 is nu0's own argument
+    # up to full turns, whatever w
     t = grid_nodes(512)
-    nu0 = DirectionField.from_samples(-np.exp(1j * t), cut=0.0)
-    nu1 = DirectionField.from_samples(-np.exp(1j * t), cut=2.5)
-    a0 = measurable_arg(nu0).samples
-    a1 = measurable_arg(nu1).samples
-    k = (a1 - a0) / TWO_PI
-    np.testing.assert_allclose(k, np.round(k), atol=1e-10)
+    nu0 = np.exp(1j * (2.5 + 0.8 * np.cos(t)))
+    _, a0 = measurable_arg(DirectionField.from_samples(nu0))
+    for w in (-3, 1, 2):
+        got_w, a1 = measurable_arg(
+            DirectionField.from_samples(nu0 * np.exp(1j * w * t)))
+        assert got_w == w
+        k = (a1.samples - a0.samples) / TWO_PI
+        np.testing.assert_allclose(k, np.round(k), atol=1e-10)
 
 
 def test_measurable_arg_idempotent_representation():
     t = grid_nodes(128)
     nu = DirectionField.from_samples(-np.exp(1j * t))
-    a1 = measurable_arg(nu)
-    a2 = measurable_arg(nu)
+    w1, a1 = measurable_arg(nu)
+    w2, a2 = measurable_arg(nu)
     np.testing.assert_array_equal(a1.samples, a2.samples)
-    assert a1.winding == a2.winding
-
-
-def test_sawtooth_window():
-    t = grid_nodes(64)
-    s = sawtooth(t, 0.0)
-    assert np.all(s >= -np.pi) and np.all(s < np.pi)
-    np.testing.assert_allclose(sawtooth(0.0, 0.0), -np.pi, atol=1e-15)
+    assert w1 == w2
 
 
 def test_winding_boundary_function_evaluate():
+    # the argument of a winding field's nu0 is smooth periodic data, so
+    # evaluation and resampling are plain band-limited interpolation
     t = grid_nodes(512)
-    nu = DirectionField.from_samples(-np.exp(1j * t))
-    alpha = measurable_arg(nu)
+    nu = DirectionField.from_samples(-np.exp(1j * (t + 0.3 * np.sin(2 * t))))
+    w, alpha0 = measurable_arg(nu)
+    assert w == 1
+    c = alpha0.samples[0]  # pi up to a full turn
     q = np.array([0.5, 2.0, 4.0, 6.0])
-    np.testing.assert_allclose(alpha.evaluate(q), q - np.pi, atol=1e-10)
-    up = alpha.resample(1024)
-    np.testing.assert_allclose(up.samples, grid_nodes(1024) - np.pi, atol=1e-10)
+    np.testing.assert_allclose(alpha0.evaluate(q), c + 0.3 * np.sin(2 * q),
+                               atol=1e-10)
+    up = alpha0.resample(1024)
+    np.testing.assert_allclose(up.samples,
+                               c + 0.3 * np.sin(2 * grid_nodes(1024)), atol=1e-10)
 
 
 def test_complex_kind_required_for_direction():
@@ -213,10 +224,10 @@ def _grid_case(name, N):
             "0.3*sin(theta) + 0.2*cos(3*theta)", N).base
     if name == "winding_alpha":
         nu = DirectionField.from_samples(
-            -np.exp(1j * (t + 0.3 * np.sin(2 * t))), cut=1.0)
-        alpha = measurable_arg(nu)
-        assert alpha.winding[0] == 1
-        return alpha
+            -np.exp(1j * (t + 0.3 * np.sin(2 * t))))
+        w, alpha0 = measurable_arg(nu)
+        assert w == 1
+        return alpha0
     return build_boundary_function(
         [(0.0, 2.0, "0.7"), (2.0, 4.0, "cos(theta)"), (4.0, TWO_PI, "-0.4")], N)
 

@@ -315,8 +315,8 @@ def test_map_csv_matches_per_row_writer(tmp_path):
            "outputs": {"field_csv": str(tmp_path / "map.csv")}}
     assert main(["map", "--config", _write_cfg(tmp_path, cfg), "--quiet"]) == 0
     cmap = R.theodorsen_map("1 + 0.2*cos(3*a)", N=256)
-    t = cmap.correspondence.theta
-    sig = cmap.correspondence.samples
+    t = 2 * np.pi * np.arange(cmap.N) / cmap.N
+    sig = cmap.correspondence
     wb = cmap.boundary_nodes()
     res = np.abs(np.abs(wb) - np.asarray(cmap.rho(np.angle(wb)), float))
     ref = ["t,sigma,re_w,im_w,residual\n"] + [
@@ -382,3 +382,24 @@ def test_starlike_transplant_solve(tmp_path):
     assert rc == 0
     rows = _read_field(tmp_path / "w.csv")
     np.testing.assert_allclose(rows[:, 2], -rows[:, 0], atol=1e-9)
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", ["smooth_neumann", "step_neumann",
+                                  "homogeneous_family"])
+def test_shipped_configs_clamp_no_conjugate(tmp_path, capsys, name):
+    # the argument of nu0 is bounded, so its conjugate needs no clamp
+    path = os.path.join(CONFIGS, f"{name}.json")
+    command = "family" if name == "homogeneous_family" else "solve"
+    assert main([command, "--config", path, "--out", str(tmp_path),
+                 "--n", "256"]) == 0
+    assert "clamped" not in capsys.readouterr().out
+    with open(path) as fh:
+        cfg = json.load(fh)
+    nu = R.disk_inner_normal(256).field
+    phi = R.build_boundary_function(cfg["phi"], 256)
+    params = R.SolverParams(N=256, hom_points=tuple(
+        cfg["params"].get("hom_points", ())))
+    assert not R.solve_rh(nu, phi, params).notes

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import rhbvp as R
 from rhbvp.direction_solver import antiderivative_from_circle, solve_directional
-from rhbvp.errors import DataError, DomainError, RepresentationError
+from rhbvp.errors import (ConfigurationError, DataError, DomainError,
+                          RepresentationError)
 from rhbvp.rh_solver import SolverParams
 
 LOG2 = 0.6931471805599453
@@ -134,3 +135,18 @@ def test_neumann_cos_matches_closed_form(neumann_cos):
     np.testing.assert_allclose(neumann_cos.u(z), -z.real, atol=1e-10)
     np.testing.assert_allclose(neumann_cos.f(z), -np.ones_like(z),
                                atol=1e-10)
+
+
+def test_harmonic_solution_defaults_nu_and_phi_to_its_source():
+    hs = R.solve_neumann(R.build_boundary_function("cos(theta)", 64))
+    bare = R.HarmonicSolution(F=hs.F, f_source=hs.f_source)
+    assert bare.nu is hs.f_source.nu and bare.phi is hs.f_source.phi
+    # an equal field built apart is the same pairing
+    same = R.disk_inner_normal(64).field
+    assert R.HarmonicSolution(F=hs.F, f_source=hs.f_source, nu=same).nu is same
+
+
+def test_harmonic_solution_refuses_a_different_nu():
+    hs = R.solve_neumann(R.build_boundary_function("cos(theta)", 64))
+    with pytest.raises(ConfigurationError, match="f_source"):
+        R.HarmonicSolution(F=hs.F, f_source=hs.f_source, nu=_const_nu(64))

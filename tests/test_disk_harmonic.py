@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhbvp.boundary_data import (BoundaryFunction, DirectionField, grid_nodes,
-                                 measurable_arg)
+from rhbvp.boundary_data import BoundaryFunction, grid_nodes
 from rhbvp.disk_harmonic import (SeriesEvaluator, StolzPath,
                                  analytic_coefficients, conjugate_boundary,
                                  converged_sequence, default_j_max, exp_series,
                                  schwarz_integral)
-from rhbvp.errors import (ConfigurationError, DataError, DomainError,
-                          NumericalError, RepresentationError)
-from rhbvp.neumann import disk_inner_normal
+from rhbvp.errors import ConfigurationError, DataError, DomainError
 
 LOG2 = 0.6931471805599453
 # independent quadrature oracle (adaptive Poisson integral of the upper-arc
@@ -57,34 +54,9 @@ def test_schwarz_imaginary_part_vanishes_at_origin():
     assert abs(S(np.array([0.0]))[0].imag) < 1e-15
 
 
-def test_schwarz_sawtooth_closed_form():
-    # S[theta - pi](0.5) = 2i log 2; the winding split evaluates the log
-    # kernel exactly, so this holds to rounding rather than to the
-    # sampled-sawtooth truncation bias
-    t = grid_nodes(1024)
-    nu = DirectionField.from_samples(-np.exp(1j * t))
-    alpha = measurable_arg(nu)
-    S = schwarz_integral(alpha)
-    val = S(np.array([0.5]))[0]
-    assert abs(val - 2j * LOG2) < 1e-13
-
-
-@pytest.mark.parametrize("op", ["derivative", "integrate"])
-def test_winding_schwarz_termwise_calculus_raises_representation_error(op):
-    # the inner normal's argument winds once; its log kernel has no
-    # termwise derivative or antiderivative, and the refusal is a typed
-    # numerical error of the package hierarchy (CLI exit code 2)
-    A = schwarz_integral(measurable_arg(disk_inner_normal(256).field))
-    assert A.winding == 1
-    with pytest.raises(RepresentationError, match="log kernel") as info:
-        getattr(A, op)()
-    assert isinstance(info.value, NumericalError)
-    assert not isinstance(info.value, TypeError)
-
-
 def test_schwarz_sawtooth_plain_sampling_bias():
-    # without winding metadata the sampled sawtooth has a known DFT bias
-    # of order 1/N near the jump; the value is still within a few 1e-3
+    # the sampled sawtooth has a known DFT bias of order 1/N near the
+    # jump; the value is still within a few 1e-3
     t = grid_nodes(1024)
     bf = BoundaryFunction(samples=t - np.pi)
     val = schwarz_integral(bf)(np.array([0.5]))[0]
@@ -137,20 +109,6 @@ def test_conjugate_cos_is_sin():
     t = grid_nodes(64)
     H = conjugate_boundary(BoundaryFunction(samples=np.cos(t)))
     np.testing.assert_allclose(H.samples, np.sin(t), atol=1e-13)
-
-
-def test_conjugate_sawtooth_closed_form():
-    # H[theta - pi] = -2 log |2 sin(theta/2)|, exact on the winding path
-    t = grid_nodes(1024)
-    nu = DirectionField.from_samples(-np.exp(1j * t))
-    alpha = measurable_arg(nu)
-    H = conjugate_boundary(alpha)
-    mask = np.abs(t - np.pi) < 2.0
-    np.testing.assert_allclose(H.samples[mask],
-                               -2 * np.log(2 * np.sin(t[mask] / 2)),
-                               atol=1e-10)
-    assert abs(H.samples[512] - (-2 * LOG2)) < 1e-12  # value at theta = pi
-    assert np.all(np.isfinite(H.samples))  # cut node floored, not inf
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rhbvp as R
 from rhbvp.boundary_data import grid_nodes, measurable_arg
-from rhbvp.errors import ConfigurationError, DataError, DomainError
+from rhbvp.errors import ConfigurationError, DataError, DomainError, RHBVPError
 import rhbvp.rh_solver as rh_solver
 from rhbvp.rh_solver import (SolverParams, cr_residual, default_hom_points,
-                             herglotz_term, homogeneous_family, solve_rh)
+                             herglotz_term, homogeneous_family, index_poles,
+                             solve_rh)
 
 RNG = np.random.default_rng(1105)
 
@@ -39,35 +41,35 @@ def sol():
 
 class TestNormalCosTrace:
     def test_argument_is_exact_sawtooth(self, sol):
-        assert sol.alpha.winding == (1, 0.0)
+        # theta - pi up to full turns, reduced to winding 1 plus the
+        # constant argument of nu0 = -1
+        assert sol.index == 1
         theta = grid_nodes(1024)
-        np.testing.assert_allclose(sol.alpha.samples, theta - np.pi,
-                                   atol=1e-12)
+        turns = (sol.alpha.samples + theta - (theta - np.pi)) / (2 * np.pi)
+        np.testing.assert_allclose(turns, np.round(turns), atol=1e-12)
 
     def test_schwarz_of_argument_closed_form(self, sol):
-        # A(z) = -2i*log(1 - z); at z = 1/2 that is 2i*log(2)
+        # A = S[alpha0] is the constant alpha0 = +-pi, so exp(-iA) = -1
         got = sol.A(np.array([0.5 + 0j]))[0]
-        assert abs(got - 2j * np.log(2.0)) < 1e-13
+        assert abs(abs(got) - np.pi) < 1e-13 and abs(got.imag) < 1e-13
 
     def test_conjugate_closed_form_in_weight(self, sol):
-        # |weight_boundary| = exp(H) with H = -2*log|2 sin(theta/2)|
-        theta = grid_nodes(1024)[1:]
-        H = np.log(np.abs(sol.weight_boundary.samples[1:]))
-        np.testing.assert_allclose(H, -2 * np.log(2 * np.sin(theta / 2)),
-                                   atol=1e-11)
-
-    def test_clamp_note_at_the_cut_node(self, sol):
-        assert any("clamped at 1 of 8192" in n for n in sol.notes)
+        # |weight_boundary| = exp(H) with H = H[alpha0] = 0
+        H = np.log(np.abs(sol.weight_boundary.samples))
+        np.testing.assert_allclose(H, 0.0, atol=1e-13)
+        assert not any("clamped" in n for n in sol.notes)
 
     def test_weighted_data_is_a_trig_polynomial(self, sol):
         theta = grid_nodes(1024)
-        want = -1 + 2 * np.cos(theta) - np.cos(2 * theta)
-        np.testing.assert_allclose(sol.psi.samples[1:], want[1:], atol=1e-10)
+        np.testing.assert_allclose(sol.psi.samples, np.cos(theta), atol=1e-13)
 
     def test_series_coefficients(self, sol):
+        # T = S[cos] = z has no Taylor term to cancel: b = 0 and g = T / z
         c = sol.g.coefficients
-        np.testing.assert_allclose(c[:3], [-1.0, 2.0, -1.0], atol=1e-9)
-        assert np.max(np.abs(c[3:])) < 1e-9
+        assert abs(c[0] - 1.0) < 1e-13
+        assert np.max(np.abs(c[1:])) < 1e-13
+        assert sol.index_poles == (0.0,)
+        assert np.max(np.abs(sol.index_coeffs)) < 1e-13
 
     def test_solution_is_minus_one(self, sol):
         z = _interior(100)
@@ -89,7 +91,7 @@ def test_constant_field_cos_gives_identity():
     sol = solve_rh(_const_nu(N), R.build_boundary_function("cos(theta)", N))
     z = _interior(50)
     assert np.max(np.abs(sol.f(z) - z)) < 1e-12
-    assert sol.alpha.winding == (0, 0.0)
+    assert sol.index == 0 and sol.index_poles == ()
 
 
 def test_zero_data_zero_solution():
@@ -147,7 +149,8 @@ def test_homogeneous_cayley_member():
 
 
 def test_homogeneous_constant_member_with_winding():
-    # nu = inner normal: f = i * exp(-iA) = i / (1 - z)^2
+    # nu = inner normal: the first member is the cut dipole,
+    # f = exp(-iA0) * (-i) / (1 - z)^2 = i / (1 - z)^2 with exp(-iA0) = -1
     N = 256
     members = homogeneous_family(_normal_nu(N), ())
     z = _interior(30)
@@ -193,9 +196,8 @@ def _family_one_solve_per_member(nu, points, params):
 
 
 def _oblique_nu(N):
-    # winding one, rotated off the normal, cut at 1.0
-    return R.DirectionField.from_samples(np.exp(1j * (grid_nodes(N) + 0.7)),
-                                         cut=1.0)
+    # winding one, rotated off the normal (its cases put the cut at 1.0)
+    return R.DirectionField.from_samples(np.exp(1j * (grid_nodes(N) + 0.7)))
 
 
 FAMILY_CASES = {
@@ -213,7 +215,7 @@ FAMILY_CASES = {
 def test_homogeneous_family_equals_one_solve_per_member(case, monkeypatch):
     make_nu, points, params = FAMILY_CASES[case]
     nu = make_nu()
-    assert measurable_arg(nu).winding[0] == 1
+    assert measurable_arg(nu)[0] == 1
     want = _family_one_solve_per_member(nu, points, params)
 
     calls = []
@@ -306,7 +308,8 @@ def _fan_cases(step):
         "winding 0": solve_rh(
             R.DirectionField.from_angle("0.3 + 0.2*cos(t)", N), step),
         "winding 1, cut 1": solve_rh(
-            R.DirectionField.from_angle("t + 0.4*sin(t)", N, cut=1.0), step),
+            R.DirectionField.from_angle("t + 0.4*sin(t)", N), step,
+            SolverParams(N=N, cut=1.0)),
         "winding 2": solve_rh(R.DirectionField.from_angle("2*t", N), step),
         "homogeneous, 3 poles": solve_rh(_normal_nu(N), zero, three_poles),
     }
@@ -314,8 +317,8 @@ def _fan_cases(step):
 
 def test_f_on_scales_matches_pointwise(neumann_step, step_1024):
     cases = {"neumann step": neumann_step.f_source, **_fan_cases(step_1024)}
-    assert [sol.A.winding for sol in cases.values()] == [1, 0, 1, 2, 1]
-    assert cases["winding 1, cut 1"].A.cut == 1.0
+    assert [sol.index for sol in cases.values()] == [1, 0, 1, 2, 1]
+    assert cases["winding 1, cut 1"].index_poles == (1.0,)
     scales = np.array([0.4, 0.85 * np.exp(0.1j)])
     V = 64
     z = scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)[None, :]
@@ -323,3 +326,119 @@ def test_f_on_scales_matches_pointwise(neumann_step, step_1024):
         got = sol.f_on_scales(scales, V)
         want = sol.f(z.ravel()).reshape(2, V)
         assert np.max(np.abs(got - want)) < 1e-10, name
+
+
+# ----------------------------------------------------------------------
+# index reduction: nu = zeta^w * nu0 for every winding
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("expr, want", [
+    ("sin(theta)", lambda z: 1j + 0 * z),   # classical: u = -y
+    ("1", lambda z: 2 / (1 - z)),           # u = -2 log|1 - z|, flux 2 pi
+    ("cos(theta)", lambda z: -1 + 0 * z),
+    ("sin(2*theta)", lambda z: 1j * z),
+], ids=["sin", "one", "cos", "sin2"])
+def test_disk_neumann_closed_forms(expr, want):
+    # compatible data get the classical f; phi = 1 gets the paper's
+    # nonclassical solution, one pole at the cut
+    N = 1024
+    sol = solve_rh(_normal_nu(N), R.build_boundary_function(expr, N))
+    z = _interior(200)
+    assert np.max(np.abs(sol.f(z) - want(z))) < 1e-12
+    assert (np.max(np.abs(sol.index_coeffs)) < 1e-15) == (expr != "1")
+
+
+def _limit_error(sol, nu_of, phi_of, avoid, V=256):
+    """max |lim Re(nu f) - phi| over the vertices at least 0.1 from avoid.
+
+    The limit is the two-step Richardson extrapolation of the pairing
+    along r_j = 1 - 2^-j, j = 8, 9, 10, which removes its O(1 - r) and
+    O((1 - r)^2) terms; the last value alone keeps an O(1 - r) bias.
+    """
+    theta = 2 * np.pi * np.arange(V) / V
+    gap = np.abs(np.angle(np.exp(1j * (theta[:, None]
+                                       - np.asarray(avoid)[None, :]))))
+    keep = np.all(gap >= 0.1, axis=1)
+    r = 1.0 - 2.0 ** -np.arange(8, 11)
+    v = (nu_of(theta)[None, :] * sol.f_on_scales(r, V)).real
+    r1 = 2 * v[1:] - v[:-1]
+    limit = (4 * r1[1] - r1[0]) / 3
+    return float(np.max(np.abs(limit - phi_of(theta))[keep]))
+
+
+def _tilted_nu(w, a=0.3, b=0.2, s=0.0):
+    expr = f"{w}*t + {a!r} + {b!r}*cos(t - {s!r})"
+    return expr, lambda t: np.exp(1j * (w * t + a + b * np.cos(t - s)))
+
+
+STEP = [(0.0, np.pi, "1"), (np.pi, 2 * np.pi, "0")]
+
+
+def test_index_poles_are_equally_spaced_from_the_cut():
+    assert index_poles(0, 1.0) == index_poles(-2, 1.0) == ()
+    assert index_poles(1, 7.0) == (7.0 - 2 * np.pi,)
+    np.testing.assert_allclose(index_poles(2, 1.0),
+                               1.0 + 2 * np.pi * np.arange(3) / 3, atol=1e-15)
+
+
+@pytest.mark.parametrize("data", ["cos", "step"])
+@pytest.mark.parametrize("w", range(-3, 4))
+def test_every_winding_attains_the_data(w, data):
+    N = 4096
+    expr, nu_of = _tilted_nu(w)
+    phi = R.build_boundary_function("cos(t)" if data == "cos" else STEP, N)
+    sol = solve_rh(R.DirectionField.from_angle(expr, N), phi)
+    assert sol.index == w and len(sol.index_poles) == max(2 * w - 1, 0)
+    assert not sol.notes
+    err = _limit_error(sol, nu_of, phi.evaluate,
+                       list(phi.jumps) + list(sol.index_poles))
+    assert err <= 1e-3
+
+
+@settings(max_examples=20, deadline=None)
+@given(w=st.integers(-3, 3), cut=st.floats(0.0, 2 * np.pi),
+       a=st.floats(-np.pi, np.pi), b=st.floats(0.0, 0.8),
+       s=st.floats(0.0, 2 * np.pi),
+       jumps=st.lists(st.floats(0.3, 2 * np.pi - 0.3), min_size=1,
+                      max_size=3, unique=True),
+       levels=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       amp=st.floats(-0.5, 0.5))
+def test_winding_property(w, cut, a, b, s, jumps, levels, amp):
+    # any winding, cut and piecewise data with jumps: either a typed error
+    # or a solution whose boundary limit is the data
+    N = 4096
+    edges = [0.0] + sorted(jumps) + [2 * np.pi]
+    spec = [(lo, hi, f"{lev!r} + {amp!r}*cos(t)")
+            for lo, hi, lev in zip(edges, edges[1:], levels)]
+    phi = R.build_boundary_function(spec, N)
+    expr, nu_of = _tilted_nu(w, a, b, s)
+    try:
+        sol = solve_rh(R.DirectionField.from_angle(expr, N), phi,
+                       SolverParams(N=N, cut=cut))
+    except RHBVPError:
+        return
+    assert sol.index_poles == index_poles(w, cut)
+    err = _limit_error(sol, nu_of, phi.evaluate,
+                       edges + list(sol.index_poles))
+    assert err <= 1e-3
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_homogeneous_family_for_positive_winding(w):
+    # the first member is the cut dipole; every member has a vanishing
+    # boundary pairing and the k + 1 members are independent
+    N = 1024
+    expr, nu_of = _tilted_nu(w)
+    points = (0.7, 2.0, 3.5, 5.0)
+    members = homogeneous_family(R.DirectionField.from_angle(expr, N), points,
+                                 SolverParams(N=N, cut=0.2))
+    assert len(members) == len(points) + 1
+    avoid = list(points) + list(index_poles(w, 0.2))
+    z = _interior(20)
+    for m in members:
+        scale = np.max(np.abs(m.f(z)))
+        err = _limit_error(m, nu_of, np.zeros_like, avoid)
+        assert err <= 1e-3 * scale
+    rows = [(lambda m: (lambda z: m.f(z).real))(m) for m in members]
+    cert = R.dimension_certificate(rows)
+    assert cert.rank == len(members) and cert.sigma_min > 1e-3

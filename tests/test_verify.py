@@ -99,14 +99,17 @@ def test_verify_rejects_tiny_vertex_count(neumann_cos):
 
 
 def test_verify_requires_target():
+    # phi defaults to f_source's, so the target is missing only when the
+    # solution was built without one
+    hs = R.solve_neumann(R.build_boundary_function("cos(theta)", 64))
     bare = dataclasses.replace(
-        R.solve_neumann(R.build_boundary_function("cos(theta)", 64)), phi=None)
+        hs, f_source=dataclasses.replace(hs.f_source, phi=None), phi=None)
     with pytest.raises(ConfigurationError, match="target"):
         verify_solution(bare, V=50)
 
 
 @pytest.mark.parametrize("angle, passed, certified, non_excluded", [
-    ("2*t", 1.0, 61, 499),   # converges at 61 of 499 vertices
+    ("2*t", 1.0, 141, 495),  # converges at 141 of 495 vertices
     ("0.3", 56 / 57, 224, 500),
 ], ids=["winding_2", "constant_0.3"])
 def test_certified_fraction_counts_unconverged_vertices(
@@ -121,6 +124,38 @@ def test_certified_fraction_counts_unconverged_vertices(
     assert rep.certified_fraction == pytest.approx(certified / non_excluded,
                                                    abs=1e-12)
     assert rep.certified_fraction < 0.5 < rep.pass_fraction
+
+
+def test_radial_quotient_fraction_of_empty_valid_set(neumann_cos):
+    # at tol 1e-15 no ray's u converges, so no vertex is valid: the
+    # fraction reads 0 like the other fractions, with no empty-mean warning
+    rep = verify_solution(neumann_cos, V=50, tol=1e-15)
+    assert rep.settings["radial_flag_fraction"] == 0.0
+    assert rep.settings["radial_quotient_fraction_1e-2"] == 0.0
+
+
+@pytest.fixture(scope="module")
+def ellipse_4096():
+    return R.theodorsen_map("0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)", N=4096)
+
+
+@pytest.mark.parametrize("case", ["disk w=0", "disk w=1", "ellipse"])
+def test_verifier_rejects_data_off_by_ten_tol(case, ellipse_4096):
+    # a solution for phi + 10 tol is certified nowhere against phi, while
+    # the solution for phi itself is certified almost everywhere
+    N, tol = 4096, 1e-2
+    solve = {
+        "disk w=0": lambda phi: R.solve_directional(
+            R.DirectionField.from_angle("0.3 + 0.2*cos(t)", N), phi),
+        "disk w=1": R.solve_neumann,
+        "ellipse": lambda phi: R.transplant_neumann(ellipse_4096, phi),
+    }[case]
+    phi = R.build_boundary_function("cos(t)", N)
+    off = R.build_boundary_function(f"cos(t) + {10 * tol!r}", N)
+    good = verify_solution(solve(phi), V=500, tol=tol)
+    bad = verify_solution(solve(off), target=phi, V=500, tol=tol)
+    assert good.certified_fraction >= 0.95
+    assert bad.certified_fraction == 0.0
 
 
 # ----------------------------------------------------------------------
