@@ -114,8 +114,12 @@ class BoundaryFunction:
     def _spectrum(self) -> np.ndarray:
         """Interpolant coefficients at frequencies -N/2..N/2 (Nyquist halved)."""
         N = self.N
-        F = np.fft.fft(self.samples) / N
-        coeff = np.concatenate([F[N // 2:], F[:N // 2 + 1]])
+        if self.kind == "real":  # frequency -n is the conjugate of n
+            F = np.fft.rfft(self.samples) / N
+            coeff = np.concatenate([F[:0:-1].conj(), F])
+        else:
+            F = np.fft.fft(self.samples) / N
+            coeff = np.concatenate([F[N // 2:], F[:N // 2 + 1]])
         coeff[0] *= 0.5
         coeff[-1] *= 0.5
         return coeff
@@ -175,15 +179,19 @@ class BoundaryFunction:
         if self.pieces is not None:
             return build_boundary_function(
                 [(p.lo, p.hi, p.fn) for p in self.pieces], L, kind=self.kind)
+        half = self.N // 2
+        if self.kind == "real":
+            G = np.zeros(L // 2 + 1, dtype=complex)
+            G[:half + 1] = np.fft.rfft(self.samples)
+            G[half] *= 0.5  # irfft supplies the other half of the Nyquist term
+            return replace(self, samples=np.fft.irfft(G, L) * (L / self.N))
         F = np.fft.fft(self.samples)
         G = np.zeros(L, dtype=complex)
-        half = self.N // 2
         G[:half] = F[:half]
         G[L - half + 1:] = F[half + 1:]
         G[half] = 0.5 * F[half]
         G[L - half] = 0.5 * F[half]
-        up = np.fft.ifft(G) * (L / self.N)
-        return replace(self, samples=up.real if self.kind == "real" else up)
+        return replace(self, samples=np.fft.ifft(G) * (L / self.N))
 
 
 def build_boundary_function(spec, N: int, kind: str = "real",

@@ -111,16 +111,14 @@ def _blocks(coeffs: np.ndarray, M: int) -> np.ndarray:
 def analytic_coefficients(samples: np.ndarray) -> np.ndarray:
     """Coefficients of the analytic completion of real boundary samples.
 
-    c_0 = mean, c_n = 2*fft(samples)[n]/N for 0 < n < N/2; the resulting
+    c_0 = mean, c_n = 2*rfft(samples)[n]/N for 0 < n < N/2; the resulting
     series has real part reproducing the band-limited interpolant and
     imaginary part 0 at the origin.
     """
     s = np.asarray(samples, dtype=float)
     N = len(s)
-    F = np.fft.fft(s) / N
-    c = np.zeros(N // 2, dtype=complex)
-    c[0] = F[0].real
-    c[1:] = 2.0 * F[1:N // 2]
+    c = np.fft.rfft(s)[:N // 2] / N
+    c[1:] *= 2.0
     return c
 
 
@@ -143,12 +141,20 @@ def _boundary_values_of_series(c: np.ndarray, L: int) -> np.ndarray:
 
 def conjugate_boundary(bf: BoundaryFunction, L: int | None = None) -> BoundaryFunction:
     """Boundary values of the harmonic conjugate (conjugate vanishing at 0)
-    on L uniform nodes, by band-limited interpolation of bf."""
+    on L uniform nodes, by band-limited interpolation of bf: one real
+    inverse FFT, since Im(c_n e^{in theta}) = Re(-i c_n e^{in theta})."""
     if bf.kind != "real":
         raise DataError("conjugate_boundary requires real-valued boundary data")
-    H = _boundary_values_of_series(analytic_coefficients(bf.samples), L or bf.N)
-    # a copy, not a view: the view would keep the complex values alive
-    return BoundaryFunction(samples=H.imag.copy(), kind="real", jumps=bf.jumps)
+    c = analytic_coefficients(bf.samples)
+    L = L or bf.N
+    if len(c) > L:
+        raise ConfigurationError(
+            f"target grid L={L} is below the series length {len(c)}")
+    M = max(L, bf.N)  # every term below M/2: no aliasing, then subsample
+    buf = np.zeros(M // 2 + 1, dtype=complex)
+    buf[:len(c)] = -0.5j * M * c
+    H = np.ascontiguousarray(np.fft.irfft(buf, M)[::M // L])
+    return BoundaryFunction(samples=H, kind="real", jumps=bf.jumps)
 
 
 def exp_series(b: np.ndarray, M: int | None = None) -> np.ndarray:

@@ -27,7 +27,8 @@ from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
                             grid_nodes)
 from .direction_solver import (HarmonicSolution, antiderivative_from_circle)
 from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
-                            exp_series, _boundary_values_of_series)
+                            conjugate_boundary, exp_series,
+                            _boundary_values_of_series)
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, InvariantViolation,
                      PointQueryError)
@@ -123,8 +124,7 @@ def theodorsen_map(rho, N: int = 1024, tol: float = 1e-13,
         raise DataError("radius function must be positive and finite")
     # contraction requires |d(log rho)/da| < 1
     lr = np.log(rvals)
-    freqs = np.fft.fftfreq(N, d=1.0 / N)
-    dlr = np.fft.ifft(1j * freqs * np.fft.fft(lr)).real
+    dlr = np.fft.irfft(1j * np.arange(N // 2 + 1) * np.fft.rfft(lr), N)
     slope = float(np.max(np.abs(dlr)))
     if slope >= 1.0:
         raise ConvergenceDomainError(
@@ -136,9 +136,7 @@ def theodorsen_map(rho, N: int = 1024, tol: float = 1e-13,
     history = []
     for iterations in range(1, max_iter + 1):
         ls = np.log(np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float))
-        c = analytic_coefficients(ls)
-        H = _boundary_values_of_series(c, N).imag
-        new = t + H
+        new = t + conjugate_boundary(BoundaryFunction(samples=ls)).samples
         delta = float(np.max(np.abs(new - sigma)))
         sigma = new
         history.append(delta)

@@ -66,11 +66,12 @@ class SolverParams:
                 f"params.rho_sample must lie in (0, 1), got {self.rho_sample}")
         self.hom_points = tuple(float(a) % TWO_PI for a in self.hom_points)
         self.hom_coeffs = tuple(float(c) for c in self.hom_coeffs)
-        for i, a in enumerate(self.hom_points):
-            for b in self.hom_points[:i]:
-                if abs(a - b) < 1e-12 or abs(abs(a - b) - TWO_PI) < 1e-12:
-                    raise ConfigurationError(
-                        f"hom_points contains a duplicate angle {a:.6g}")
+        a = np.sort(self.hom_points)
+        close = np.diff(a, append=a[:1] + TWO_PI) < 1e-12  # with the wrap gap
+        if np.any(close):
+            dup = a[(int(np.argmax(close)) + 1) % len(a)]
+            raise ConfigurationError(
+                f"hom_points contains a duplicate angle {dup:.6g}")
         if self.hom_coeffs and self.hom_points and \
                 len(self.hom_coeffs) != len(self.hom_points) + 1:
             raise ConfigurationError(
@@ -126,6 +127,10 @@ class AnalyticSolution:
     hom_coeffs: tuple[float, ...]
     params: SolverParams
     notes: list[str] = field(default_factory=list)
+    # fans of exp(-i A), g and z by (scales, V), shared by the members of
+    # one homogeneous family; None (no store) for every other solution
+    _fans: dict | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def N(self) -> int:
@@ -155,7 +160,8 @@ class AnalyticSolution:
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("solution evaluation requires |z| < 1")
-        return self._assemble(self.A._horner(z), z, self.g._horner)
+        return self._assemble(np.exp(-1j * self.A._horner(z)),
+                              self.g._horner(z), z)
 
     __call__ = f
 
@@ -163,24 +169,26 @@ class AnalyticSolution:
         """f at z = s * exp(2*pi*i*v/V) for each scale s, shape (len(s), V).
 
         FFT-folded evaluation of both series; the pole terms are applied
-        pointwise.
+        pointwise.  A family member evaluates exp(-i A), g and z once per
+        (scales, V) for the whole family and assembles from a copy of g.
         """
         scales = np.asarray(scales, dtype=complex)
-        gv = self.g.eval_on_rays(scales, V)
-        return self._assemble(
-            self.A.eval_on_rays(scales, V),
-            scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)[None, :],
-            lambda _: gv)
+        fans = {} if self._fans is None else self._fans
+        key = (scales.tobytes(), V)
+        if key not in fans:
+            fans[key] = (np.exp(-1j * self.A.eval_on_rays(scales, V)),
+                         self.g.eval_on_rays(scales, V),
+                         scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V))
+        ea, gv, z = fans[key]
+        return self._assemble(ea, gv if self._fans is None else gv.copy(), z)
 
-    def _assemble(self, a, z, g):
-        """exp(-i A) * (g + pole terms) at z, from A's values a at z and
-        the map g from z to a fresh array of g's values, which takes the
-        pole terms and the product in place.  Pass a as a temporary and
-        keep exp before g(z): at most one array of A's values is alive."""
-        a = np.exp(-1j * a)
-        acc = g(z)
+    def _assemble(self, ea, acc, z):
+        """exp(-i A) * (g + pole terms) at z from ea = exp(-i A) and acc,
+        a fresh array of g's values that takes the pole terms and the
+        product in place.  Callers form ea before g's values, so at most
+        one array of A's values is alive."""
         self._add_pole_terms(z, acc)
-        return np.multiply(a, acc, out=acc)
+        return np.multiply(ea, acc, out=acc)
 
     def _add_pole_terms(self, z, acc):
         """Add the bracket's closed-form part at z to acc: z^k * i p for
@@ -278,7 +286,9 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     coefficients, so one solve with phi = 0 serves every member; the
     members are copies of it that differ only in hom_coeffs, params and
     notes, and share its alpha, A, weight, psi and g (each member solves
-    its own b_j).  hom_points and hom_coeffs preset in params are ignored.
+    its own b_j) and one store of fans, so f_on_scales evaluates A and g
+    once per fan for the whole family.  hom_points and hom_coeffs preset
+    in params are ignored.
     """
     if isinstance(points, int):
         points = default_hom_points(points)
@@ -287,12 +297,14 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     zero_phi = BoundaryFunction(samples=np.zeros(nu.N), kind="real")
     sol = solve_rh(nu, zero_phi, replace(base, hom_points=points, hom_coeffs=()))
     members = []
+    fans: dict = {}
     k = len(points)
     for j in range(k + 1):
         coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
         p = replace(base, hom_points=points, hom_coeffs=coeffs)
         members.append(replace(sol, hom_coeffs=coeffs, params=p,
                                notes=list(sol.notes)))
+        members[-1]._fans = fans
     return members
 
 

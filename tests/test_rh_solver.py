@@ -1,11 +1,14 @@
 """Analytic solver: pipeline trace, linearity, homogeneous members."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rhbvp as R
 from rhbvp.boundary_data import grid_nodes, measurable_arg
+from rhbvp.disk_harmonic import SeriesEvaluator
 from rhbvp.errors import ConfigurationError, DataError, DomainError, RHBVPError
 import rhbvp.rh_solver as rh_solver
 from rhbvp.rh_solver import (SolverParams, cr_residual, default_hom_points,
@@ -245,6 +248,57 @@ def test_homogeneous_family_equals_one_solve_per_member(case, monkeypatch):
     assert len({id(m.notes) for m in got}) == len(got)
 
 
+def _member_by_own_solve(nu, points, j):
+    """Member j of homogeneous_family(nu, points) by its own solve_rh."""
+    coeffs = tuple(1.0 if i == j else 0.0 for i in range(len(points) + 1))
+    zero_phi = R.BoundaryFunction(samples=np.zeros(nu.N), kind="real")
+    return solve_rh(nu, zero_phi, SolverParams(N=nu.N, hom_points=points,
+                                               hom_coeffs=coeffs))
+
+
+def test_family_members_share_one_fan(monkeypatch):
+    N = 1024
+    nu = _normal_nu(N)
+    points = default_hom_points(32)
+    members = homogeneous_family(nu, points)
+    calls = []
+    real_eval = SeriesEvaluator.eval_on_rays
+
+    def counting_eval(self, scales, V):
+        calls.append(V)
+        return real_eval(self, scales, V)
+
+    monkeypatch.setattr(SeriesEvaluator, "eval_on_rays", counting_eval)
+    Fs = [R.antiderivative(m) for m in members]
+    assert len(calls) == 2  # exp(-i A) and g, once for all 33 members
+
+    # members in interleaved order on two fans of the same scales, and on
+    # other scales: a shared g modified in place or a key that ignored V
+    # or the scales would show as a nonzero difference
+    want = {j: _member_by_own_solve(nu, points, j) for j in (0, 5)}
+    scales = np.array([0.5, 0.9 * np.exp(0.1j), 0.99])
+    other = np.array([0.3, 0.7])
+    for j, V, s in [(0, 32, scales), (5, 32, scales), (0, 32, scales),
+                    (0, 64, scales), (5, 64, scales), (0, 64, scales),
+                    (5, 32, scales), (5, 32, other), (0, 32, other)]:
+        got = members[j].f_on_scales(s, V)
+        assert np.max(np.abs(got - want[j].f_on_scales(s, V))) == 0.0
+    for j in (0, 5):
+        F = R.antiderivative(want[j])
+        assert np.max(np.abs(Fs[j].coefficients - F.coefficients)) == 0.0
+
+
+def test_only_family_members_hold_a_fan_store(neumann_step):
+    sol = neumann_step.f_source
+    sol.f_on_scales(np.array([0.5, 0.9]), 64)
+    assert sol._fans is None
+    members = homogeneous_family(_normal_nu(64), 2)
+    assert all(m._fans is members[0]._fans for m in members)
+    assert members[0]._fans == {}
+    # a copy with other fields may change A or g: it starts without a store
+    assert replace(members[0], hom_coeffs=(0.0, 1.0, 1.0))._fans is None
+
+
 @pytest.mark.parametrize("c0", [0.0, 1.5])
 def test_herglotz_term_zero_coefficients_match_dense_sum(c0):
     points = (0.3, 1.7, 2.9, 4.4, 5.5)
@@ -278,6 +332,18 @@ def test_rejects_grid_mismatch():
 def test_rejects_duplicate_hom_points():
     with pytest.raises(ConfigurationError, match="duplicate"):
         SolverParams(hom_points=(0.5, 0.5 + 2 * np.pi))
+
+
+@pytest.mark.parametrize("points", [(0.0, 2 * np.pi - 1e-13),
+                                    (3.0, 1.0, 3.0 + 1e-13)])
+def test_rejects_duplicate_hom_points_across_the_wrap_and_unsorted(points):
+    with pytest.raises(ConfigurationError, match="duplicate angle"):
+        SolverParams(hom_points=points)
+
+
+def test_accepts_many_distinct_hom_points():
+    assert len(SolverParams(hom_points=default_hom_points(512)).hom_points) == 512
+    assert len(SolverParams(hom_points=(0.0, 1e-11, 2 * np.pi - 1e-11)).hom_points) == 3
 
 
 def test_rejects_coeff_length_mismatch():
