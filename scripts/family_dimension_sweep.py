@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, "src")
 
 import rhbvp as R
-from rhbvp.direction_solver import HarmonicSolution, antiderivative
+from rhbvp.direction_solver import HarmonicSolution
 from rhbvp.verify import dimension_certificate
 
 
@@ -28,9 +28,7 @@ def main():
         t0 = time.time()
         members = R.homogeneous_family(base.nu, k)
         rows = [base.u]
-        for m in members:
-            F = antiderivative(m, M=4 * m.N)
-            rows.append(HarmonicSolution(F=F, f_source=m, nu=base.nu).u)
+        rows += [HarmonicSolution(f_source=m, nu=base.nu).u for m in members]
         rows.append(lambda z: np.ones(np.shape(z)))
         cert = dimension_certificate(rows)
         print(f"{k:>3} {cert.n_rows:>5} {cert.sigma_min:>12.4e} "

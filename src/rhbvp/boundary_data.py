@@ -50,15 +50,18 @@ class Piece:
     source: str = ""
 
 
-def _as_piece_fn(obj) -> tuple[Callable, str]:
+def as_function(obj, var: str = "theta",
+                what: str = "a boundary expression") -> tuple[Callable, str]:
+    """A number, an expression string in var or a callable, as a
+    vectorized function of one variable plus its source text."""
     if callable(obj):
         return obj, getattr(obj, "source", getattr(obj, "__name__", "<callable>"))
     if isinstance(obj, (int, float)):
         val = float(obj)
         return (lambda t: np.full(np.shape(t), val, dtype=float)), repr(val)
     if isinstance(obj, str):
-        return parse_expression(obj), obj
-    raise ConfigurationError(f"cannot interpret {obj!r} as a boundary expression")
+        return parse_expression(obj, var=var), obj
+    raise ConfigurationError(f"cannot interpret {obj!r} as {what}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def build_boundary_function(spec, N: int, kind: str = "real",
             lo, hi, raw = item.get("from", 0.0), item.get("to", TWO_PI), item["expr"]
         else:
             lo, hi, raw = item
-        fn, src = _as_piece_fn(raw)
+        fn, src = as_function(raw)
         pieces.append(Piece(float(lo), float(hi), fn, src))
     pieces.sort(key=lambda p: p.lo)
     if abs(pieces[0].lo) > 1e-12 or abs(pieces[-1].hi - TWO_PI) > 1e-12:
@@ -295,7 +298,7 @@ class DirectionField:
     @classmethod
     def from_angle(cls, beta, N: int) -> "DirectionField":
         """Direction field nu = exp(i*beta(theta)) from an angle function."""
-        fn, _ = _as_piece_fn(beta)
+        fn, _ = as_function(beta)
         vals = np.exp(1j * np.asarray(fn(grid_nodes(N)), dtype=float))
         return cls(BoundaryFunction(samples=vals, kind="complex"))
 

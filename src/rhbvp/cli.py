@@ -7,14 +7,17 @@ Subcommands:
   map      Theodorsen map for a star-like domain, correspondence table
 
 One JSON config drives everything; unknown keys anywhere are errors
-naming the offending paths.  Exit codes: 0 success, 1 usage/configuration
-errors, 2 numerical failures.  Output files are guarded by .lock files
-and partial outputs are removed when a run fails.
+naming the offending paths.  A key the config leaves out takes the
+default of the library call it feeds (SolverParams, verify_solution).
+Exit codes: 0 success, 1 usage/configuration errors (bad arguments
+included), 2 numerical failures.  Output files are guarded by .lock files
+and partial outputs are removed when a run fails for any reason.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,25 +26,22 @@ import numpy as np
 
 from .boundary_data import (BoundaryFunction, DirectionField,
                             build_boundary_function, grid_nodes)
-from .direction_solver import (HarmonicSolution, antiderivative,
-                               solve_directional)
-from .errors import (ConfigurationError, NumericalError, RHBVPError,
-                     UsageError)
+from .direction_solver import HarmonicSolution, solve_directional
+from .errors import ConfigurationError, NumericalError, RHBVPError
 from .jordan_domain import image_inner_normal, theodorsen_map, transplant_solve
 from .neumann import compatibility_note, disk_inner_normal
 from .rh_solver import SolverParams, homogeneous_family
 from .verify import dimension_certificate, verify_solution
 
-DEFAULTS = {"N": 1024, "V": 500, "tol": 1e-3, "delta": 1e-2,
-            "grid": {"nx": 101, "ny": 101, "half_width": 0.95}}
+DEFAULT_GRID = {"nx": 101, "ny": 101, "half_width": 0.95}
 
 _SCHEMA = {
     "problem": None,
     "domain": {"starlike": {"rho": None}},
     "nu": None,
     "phi": None,
-    "params": {"N": None, "cut": None, "rho_sample": None, "refine": None,
-               "hom_points": None, "hom_coeffs": None, "d0": None},
+    "params": {"N": None, "cut": None, "refine": None, "hom_points": None,
+               "hom_coeffs": None, "d0": None},
     "verify": {"V": None, "tol": None, "delta": None, "apertures": None,
                "target": None},
     "outputs": {"field_csv": None, "report": None,
@@ -84,7 +84,7 @@ def load_config(path: str) -> dict:
 
 def _validated_n(cfg: dict, override: int | None) -> int:
     n = override if override is not None else cfg.get("params", {}).get(
-        "N", DEFAULTS["N"])
+        "N", SolverParams.N)
     if not isinstance(n, int) or n < 16 or (n & (n - 1)) != 0:
         raise ConfigurationError(
             f"params.N must be a power of two with N >= 16, got {n!r}")
@@ -92,16 +92,7 @@ def _validated_n(cfg: dict, override: int | None) -> int:
 
 
 def _build_params(cfg: dict, N: int) -> SolverParams:
-    p = cfg.get("params", {})
-    return SolverParams(
-        N=N,
-        cut=float(p.get("cut", 0.0)),
-        refine=int(p.get("refine", 8)),
-        rho_sample=float(p.get("rho_sample", 0.5)),
-        d0=float(p.get("d0", 0.0)),
-        hom_points=tuple(p.get("hom_points", ())),
-        hom_coeffs=tuple(p.get("hom_coeffs", ())),
-    )
+    return SolverParams(**{**cfg.get("params", {}), "N": N})
 
 
 def _build_domain(cfg: dict, N: int):
@@ -164,7 +155,7 @@ def _solve(cfg: dict, N: int, trace):
 
 
 def _grid_spec(cfg: dict):
-    g = dict(DEFAULTS["grid"])
+    g = dict(DEFAULT_GRID)
     g.update(cfg.get("outputs", {}).get("grid", {}) or {})
     nx, ny, hw = int(g["nx"]), int(g["ny"]), float(g["half_width"])
     if nx < 2 or ny < 2 or not (0 < hw < 1.0e6):
@@ -188,16 +179,24 @@ def _write_field_csv(path: str, hs: HarmonicSolution, nx, ny, hw, trace):
     trace(f"field: {int(mask.sum())} in-domain points -> {path}")
 
 
-def _verify_cfg(cfg: dict, flag_tol: float | None):
-    v = cfg.get("verify", {}) or {}
-    return {
-        "V": int(v.get("V", DEFAULTS["V"])),
-        "tol": float(flag_tol if flag_tol is not None
-                     else v.get("tol", DEFAULTS["tol"])),
-        "delta": float(v.get("delta", DEFAULTS["delta"])),
-        "apertures": tuple(v.get("apertures", (0.0, 0.5, -0.5, 1.0, -1.0))),
-        "target": v.get("target"),
-    }
+_VERIFY_KINDS = {"V": int, "tol": float, "delta": float,
+                 "apertures": lambda a: tuple(map(float, a))}
+
+
+def _verify_cfg(cfg: dict, flag_tol: float | None) -> dict:
+    """verify_solution keywords for the verify keys the config sets, with
+    --tol over verify.tol; the target stays a raw spec."""
+    v = dict(cfg.get("verify", {}) or {})
+    if flag_tol is not None:
+        v["tol"] = flag_tol
+    for key, kind in _VERIFY_KINDS.items():
+        if key in v:
+            try:
+                v[key] = kind(v[key])
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"verify.{key} has the wrong type: {v[key]!r}") from None
+    return v
 
 
 class _OutputGuard:
@@ -223,21 +222,11 @@ class _OutputGuard:
         self.locks.append(lock)
         self.written.append(path)
 
-    def cleanup_partial(self):
-        for path in self.written:
-            if os.path.exists(path):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-
-    def release(self):
-        for lock in self.locks:
-            if os.path.exists(lock):
-                try:
-                    os.unlink(lock)
-                except OSError:
-                    pass
+    def release(self, failed: bool):
+        """Remove the locks, and after a failure the outputs first."""
+        for path in (self.written if failed else []) + self.locks:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
 
 
 def _out_paths(cfg: dict, out_dir: str | None, command: str):
@@ -259,8 +248,16 @@ def _out_paths(cfg: dict, out_dir: str | None, command: str):
     return rebase(field), rebase(report)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are usage errors: usage text on stderr, exit code 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhbvp",
         description="Riemann-Hilbert directional/Neumann boundary value solver")
     parser.add_argument("command", choices=["solve", "verify", "family", "map"])
@@ -269,17 +266,18 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=None, help="override params.N")
     parser.add_argument("--tol", type=float, default=None,
                         help="override verify.tol")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into reports (sampling is "
-                             "deterministic)")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help exits 0, bad arguments 1
+        return exc.code
 
     def trace(msg: str):
         if not args.quiet:
             print(msg)
 
     guard = _OutputGuard()
+    failed = True
     try:
         cfg = load_config(args.config)
         N = _validated_n(cfg, args.n)
@@ -294,43 +292,33 @@ def main(argv=None) -> int:
         elif args.command == "family":
             _run_family(cfg, N, field_path, report_path, trace, guard)
         else:
+            vkw = _verify_cfg(cfg, args.tol) if args.command == "verify" else {}
             hs, params, cmap = _solve(cfg, N, trace)
             if field_path is not None:
                 nx, ny, hw = _grid_spec(cfg)
                 _write_field_csv(field_path, hs, nx, ny, hw, trace)
             if args.command == "verify":
-                vc = _verify_cfg(cfg, args.tol)
-                target = None
-                if vc["target"] is not None:
-                    target = build_boundary_function(vc["target"], N)
-                report = verify_solution(
-                    hs, target=target, V=vc["V"], tol=vc["tol"],
-                    delta=vc["delta"], apertures=vc["apertures"])
+                target = vkw.pop("target", None)
+                if target is not None:
+                    target = build_boundary_function(target, N)
+                report = verify_solution(hs, target=target, **vkw)
                 report.settings["config_echo"] = json.dumps(cfg, sort_keys=True)
-                report.settings["seed"] = args.seed
                 with open(report_path, "w") as fh:
                     fh.write(report.serialize())
                 trace(f"verify: pass_fraction={report.pass_fraction:.4f} "
                       f"certified_fraction={report.certified_fraction:.4f} "
                       f"excluded={report.settings['excluded_count']} "
                       f"-> {report_path}")
-        guard.release()
+        failed = False
         return 0
-    except UsageError as exc:
-        guard.cleanup_partial()
-        guard.release()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
-        guard.cleanup_partial()
-        guard.release()
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except RHBVPError as exc:
-        guard.cleanup_partial()
-        guard.release()
+    except RHBVPError as exc:  # UsageError and its subclasses
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:  # any failure, typed or not, leaves no lock and no partial file
+        guard.release(failed)
 
 
 def _run_map(cfg: dict, N: int, field_path, report_path, trace):
@@ -374,8 +362,7 @@ def _run_family(cfg: dict, N: int, field_path, report_path, trace, guard):
     rows = []
     member_paths = []
     for j, sol in enumerate(members):
-        F = antiderivative(sol, M=4 * sol.N, rho_sample=params.rho_sample)
-        hs = HarmonicSolution(F=F, d0=params.d0, f_source=sol)
+        hs = HarmonicSolution(f_source=sol, d0=params.d0)
         rows.append(hs.u)
         p = f"{base}_member{j:02d}{ext}"
         member_paths.append(p)

@@ -6,11 +6,12 @@ antiderivative of f (F' = f, F(0) = 0).  Then (u_x, u_y) = (Re f, -Im f)
 and the directional derivative along a unit direction e (as a complex
 number) is Re(e * f).
 
-The antiderivative is recovered spectrally: f is sampled on a circle of
-radius rho_sample, the power series coefficients are read off the FFT,
-sub-threshold coefficients are dropped, and the series is integrated
-termwise.  Non-decaying recovered coefficients mean f is not represented
-by a power series at this radius and raise RepresentationError.
+HarmonicSolution builds F with antiderivative, the one place that
+samples f for it (times omega' on a mapped domain).  f is sampled on the
+circle of radius RHO_SAMPLE, the power series coefficients are read off
+the FFT, those below DROP_TOL times the largest are dropped, and the
+series is integrated termwise.  Non-decaying recovered coefficients mean
+f is no power series at this radius and raise RepresentationError.
 """
 
 from __future__ import annotations
@@ -25,23 +26,27 @@ from .errors import (ConfigurationError, DataError, DomainError,
                      RepresentationError)
 from .rh_solver import AnalyticSolution, SolverParams, solve_rh
 
+RHO_SAMPLE = 0.5  # radius of the circle f is sampled on
+DROP_TOL = 1e-14  # coefficients below DROP_TOL * max are dropped
+
 
 def antiderivative(sol: AnalyticSolution, M: int = 4096,
-                   rho_sample: float = 0.5,
-                   drop_tol: float = 1e-14) -> SeriesEvaluator:
-    """Antiderivative F of the solution's f with F(0) = 0, as a power series.
+                   cmap=None) -> SeriesEvaluator:
+    """Antiderivative F with F(0) = 0 of f, or of f * omega' for the
+    ConformalMap cmap, as a power series.
 
-    f is sampled at max(M, 4N) points of the circle of radius rho_sample;
+    f is sampled at max(M, 4N) points of the circle of radius RHO_SAMPLE;
     coefficients n >= M/2 are not recovered.
     """
     M = max(M, 4 * sol.N)
-    vals = sol.f_on_scales(np.array([rho_sample]), M)[0]
-    return antiderivative_from_circle(vals, rho_sample, drop_tol)
+    vals = sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0]
+    if cmap is not None:
+        vals = vals * cmap.omega_prime.eval_on_circle(RHO_SAMPLE, M)
+    return antiderivative_from_circle(vals)
 
 
-def antiderivative_from_circle(vals: np.ndarray, rho_sample: float = 0.5,
-                               drop_tol: float = 1e-14) -> SeriesEvaluator:
-    """Antiderivative recovery from samples of f on a centered circle."""
+def antiderivative_from_circle(vals: np.ndarray) -> SeriesEvaluator:
+    """F from M samples of f on the circle of radius RHO_SAMPLE."""
     vals = np.asarray(vals, dtype=complex)
     M = len(vals)
     if not np.all(np.isfinite(vals)):
@@ -58,12 +63,12 @@ def antiderivative_from_circle(vals: np.ndarray, rho_sample: float = 0.5,
         raise RepresentationError(
             "recovered coefficients do not decay "
             f"(|c_n| rho^n ~ {last:.2e} at the tail vs {mid:.2e} mid-band); "
-            "reduce rho_sample or check analyticity")
+            "reduce RHO_SAMPLE or check analyticity")
     c = d[:M // 2].copy()
-    c[mag < drop_tol * top] = 0.0
+    c[mag < DROP_TOL * top] = 0.0
     nz = np.flatnonzero(np.abs(c))
     c = c[:nz[-1] + 1] if len(nz) else c[:1]
-    c *= rho_sample ** -np.arange(len(c), dtype=float)
+    c *= RHO_SAMPLE ** -np.arange(len(c), dtype=float)
     return SeriesEvaluator(c).integrate()
 
 
@@ -71,12 +76,13 @@ def antiderivative_from_circle(vals: np.ndarray, rho_sample: float = 0.5,
 class HarmonicSolution:
     """u = Re F + d0 with grad u read off f = F'.
 
-    nu and phi default to f_source's; a nu whose samples differ from
-    f_source's is refused, since the verifier pairs f with f_source.nu.
+    F defaults to antiderivative(f_source, cmap=conformal_map).  nu and
+    phi default to f_source's; a nu whose samples differ from f_source's
+    is refused, since the verifier pairs f with f_source.nu.
     """
 
-    F: SeriesEvaluator
     f_source: AnalyticSolution
+    F: SeriesEvaluator | None = None
     d0: float = 0.0
     nu: DirectionField | None = None
     phi: BoundaryFunction | None = None
@@ -91,6 +97,8 @@ class HarmonicSolution:
                 "nu differs from the direction field f_source was solved for")
         self.nu = src.nu if self.nu is None else self.nu
         self.phi = src.phi if self.phi is None else self.phi
+        if self.F is None:
+            self.F = antiderivative(src, M=4 * src.N, cmap=self.conformal_map)
 
     def _preimage(self, w):
         if self.conformal_map is None:
@@ -141,7 +149,4 @@ def solve_directional(nu: DirectionField, phi: BoundaryFunction,
     """Solve grad u . nu -> phi nontangentially a.e. on the unit circle."""
     params = params or SolverParams(N=nu.N)
     sol = solve_rh(nu, phi, params)
-    F = antiderivative(sol, M=4 * sol.N, rho_sample=params.rho_sample,
-                       drop_tol=params.drop_tol)
-    return HarmonicSolution(F=F, d0=params.d0, f_source=sol,
-                            notes=list(sol.notes))
+    return HarmonicSolution(f_source=sol, d0=params.d0, notes=list(sol.notes))

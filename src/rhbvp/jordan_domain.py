@@ -24,15 +24,14 @@ from typing import Callable
 import numpy as np
 
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
-                            grid_nodes)
-from .direction_solver import (HarmonicSolution, antiderivative_from_circle)
+                            as_function, grid_nodes)
+from .direction_solver import HarmonicSolution
 from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
                             conjugate_boundary, exp_series,
                             _boundary_values_of_series)
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, InvariantViolation,
                      PointQueryError)
-from .expressions import parse_expression
 from .neumann import compatibility_note
 from .rh_solver import SolverParams, solve_rh
 
@@ -40,17 +39,10 @@ from .rh_solver import SolverParams, solve_rh
 # near the rounding floor (~1e-18), and Newton inversion pays for every
 # term it keeps.
 OMEGA_TAIL_TOL = 16.0 * np.finfo(float).eps
-
-
-def _as_radius_fn(rho) -> tuple[Callable, str]:
-    if callable(rho):
-        return rho, getattr(rho, "source", "<callable>")
-    if isinstance(rho, (int, float)):
-        r = float(rho)
-        return (lambda a: np.full(np.shape(a), r, dtype=float)), repr(r)
-    if isinstance(rho, str):
-        return parse_expression(rho, var="a"), rho
-    raise ConfigurationError(f"cannot interpret {rho!r} as a radius function")
+THEODORSEN_TOL = 1e-13  # sup-norm update of sigma that ends the iteration
+THEODORSEN_MAX_ITER = 200
+INVERT_TOL = 1e-13  # Newton step, relative to 1 + max |w|
+INVERT_MAX_ITER = 60
 
 
 @dataclass
@@ -78,23 +70,22 @@ class ConformalMap:
         return np.abs(w) < np.asarray(self.rho(np.angle(w)), dtype=float) \
             * (1.0 - 1e-12)
 
-    def invert(self, w, tol: float = 1e-13, max_iter: int = 60) -> np.ndarray:
+    def invert(self, w) -> np.ndarray:
         """Newton inversion of omega; point queries that fail raise."""
         w = np.asarray(w, dtype=complex)
         flat = np.atleast_1d(w).astype(complex)
         z = flat / np.maximum(np.asarray(self.rho(np.angle(flat)), float), 1e-12)
         z *= 0.99
-        dom = np.abs
-        for _ in range(max_iter):
+        for _ in range(INVERT_MAX_ITER):
             fz = self.omega._horner(z) - flat
             step = fz / self.omega_prime._horner(z)
             z = z - step
             # keep iterates inside the closed disk
-            r = dom(z)
+            r = np.abs(z)
             bad = r >= 1.0
             if np.any(bad):
                 z[bad] = z[bad] / r[bad] * (1.0 - 1e-9)
-            if np.max(np.abs(step)) < tol * (1.0 + np.max(np.abs(flat))):
+            if np.max(np.abs(step)) < INVERT_TOL * (1.0 + np.max(np.abs(flat))):
                 break
         resid = np.abs(self.omega._horner(z) - flat)
         ok = resid < 1e-9 * (1.0 + np.abs(flat))
@@ -114,10 +105,9 @@ def _trim_tail(c: np.ndarray) -> np.ndarray:
     return c[:len(c) - int(np.sum(drop))]
 
 
-def theodorsen_map(rho, N: int = 1024, tol: float = 1e-13,
-                   max_iter: int = 200) -> ConformalMap:
+def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
     """Conformal map onto the star-like domain with radius function rho."""
-    fn, src = _as_radius_fn(rho)
+    fn, src = as_function(rho, var="a", what="a radius function")
     t = grid_nodes(N)
     rvals = np.asarray(fn(t), dtype=float)
     if not np.all(np.isfinite(rvals)) or np.any(rvals <= 0):
@@ -132,20 +122,17 @@ def theodorsen_map(rho, N: int = 1024, tol: float = 1e-13,
             f"contraction region")
 
     sigma = t.copy()
-    iterations = 0
-    history = []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, THEODORSEN_MAX_ITER + 1):
         ls = np.log(np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float))
         new = t + conjugate_boundary(BoundaryFunction(samples=ls)).samples
         delta = float(np.max(np.abs(new - sigma)))
         sigma = new
-        history.append(delta)
-        if delta < tol:
+        if delta < THEODORSEN_TOL:
             break
     else:
         raise ConvergenceError(
-            f"Theodorsen iteration did not reach {tol:g} within {max_iter} "
-            f"steps (last update {history[-1]:.3e})")
+            f"Theodorsen iteration did not reach {THEODORSEN_TOL:g} within "
+            f"{THEODORSEN_MAX_ITER} steps (last update {delta:.3e})")
 
     ls = np.log(np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float))
     b = analytic_coefficients(ls)
@@ -212,16 +199,12 @@ def transplant_solve(cmap: ConformalMap, phi: BoundaryFunction,
     if nu is None:
         nu = image_inner_normal(cmap)
     sol = solve_rh(nu, phi, params)
-    M = 4 * sol.N
-    fv = sol.f_on_scales(np.array([params.rho_sample]), M)[0]
-    opv = cmap.omega_prime.eval_on_circle(params.rho_sample, M)
-    F = antiderivative_from_circle(fv * opv, params.rho_sample, params.drop_tol)
     notes = list(sol.notes)
     notes.append(f"transplanted through a degree-{len(cmap.omega.coefficients)} "
                  f"map (residual {cmap.residual:.3e}, "
                  f"{cmap.iterations} iterations)")
-    return HarmonicSolution(F=F, d0=params.d0, f_source=sol,
-                            conformal_map=cmap, notes=notes)
+    return HarmonicSolution(f_source=sol, d0=params.d0, conformal_map=cmap,
+                            notes=notes)
 
 
 def transplant_neumann(cmap: ConformalMap, phi: BoundaryFunction,

@@ -46,26 +46,30 @@ CLAMP_LOG = float(np.log(1e12))  # exp(H) confined to [1e-12, 1e12]
 
 @dataclass
 class SolverParams:
-    """Discretization and construction parameters shared by the solvers."""
+    """Discretization and construction parameters shared by the solvers;
+    a value that does not convert to its field's type is a ConfigurationError."""
 
     N: int = 1024
     cut: float = 0.0
     refine: int = 8
-    rho_sample: float = 0.5
-    drop_tol: float = 1e-14
     d0: float = 0.0
     hom_points: tuple[float, ...] = ()
     hom_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for name, kind in (
+                ("cut", float), ("refine", int), ("d0", float),
+                ("hom_points", lambda v: tuple(float(a) % TWO_PI for a in v)),
+                ("hom_coeffs", lambda v: tuple(map(float, v)))):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, kind(value))
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"params.{name} has the wrong type: {value!r}") from None
         if self.refine < 1 or (self.refine & (self.refine - 1)) != 0:
             raise ConfigurationError(
                 f"params.refine must be a power of two >= 1, got {self.refine}")
-        if not (0.0 < self.rho_sample < 1.0):
-            raise ConfigurationError(
-                f"params.rho_sample must lie in (0, 1), got {self.rho_sample}")
-        self.hom_points = tuple(float(a) % TWO_PI for a in self.hom_points)
-        self.hom_coeffs = tuple(float(c) for c in self.hom_coeffs)
         a = np.sort(self.hom_points)
         close = np.diff(a, append=a[:1] + TWO_PI) < 1e-12  # with the wrap gap
         if np.any(close):

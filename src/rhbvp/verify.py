@@ -32,6 +32,11 @@ from .rh_solver import AnalyticSolution
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 
 DEFAULT_APERTURES = (0.0, 0.5, -0.5, 1.0, -1.0)
+J_DEEP = 34  # radial tables integrate out to radius 1 - 2^-J_DEEP
+J_FLAG = (3, 12)  # dyadic levels whose u values must converge
+J_QUOT = (3, 16)  # dyadic levels of the Neumann difference quotients
+LAPLACIAN_H = 1e-3  # radius of the mean-value stencil
+CHORD_PANELS = 6  # 12-point Gauss panels along a recovery chord
 
 
 # ----------------------------------------------------------------------
@@ -153,15 +158,14 @@ def parse_report(text: str) -> dict:
 
 def verify_solution(hsol, target: BoundaryFunction | None = None,
                     V: int = 500, tol: float = 1e-3, delta: float = 1e-2,
-                    apertures: Sequence[float] = DEFAULT_APERTURES,
-                    with_radial: bool = True,
-                    laplacian_points: np.ndarray | None = None) -> VerificationReport:
+                    apertures: Sequence[float] = DEFAULT_APERTURES) -> VerificationReport:
     """Certify that f_source's Re(nu f) attains the target nontangentially.
 
     A vertex passes when it converged at every aperture and all aperture
     estimates are within tol of the target.  certified_fraction divides
     the passed vertices by the non-excluded ones, pass_fraction by the
-    non-excluded ones that converged.
+    non-excluded ones that converged.  On the disk the report adds the
+    radial table's fractions and the Laplacian residual on disk_grid(21, 0.9).
     """
     target = target if target is not None else hsol.phi
     if target is None:
@@ -227,7 +231,7 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
         if (~excluded).any() else 0.0,
     }
 
-    if with_radial and hsol.conformal_map is None:
+    if hsol.conformal_map is None:
         table = radial_u_table(hsol, V=V, tol=tol, delta=delta)
         settings["radial_flag_fraction"] = table.flag_fraction
         ok = table.valid
@@ -235,11 +239,7 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
             np.abs(table.quotient_est[ok] - targets[ok]) <= 1e-2)) if ok.any() else 0.0
         settings["u_boundary_range"] = [float(np.min(table.u_boundary)),
                                         float(np.max(table.u_boundary))]
-
-    if laplacian_points is None:
-        laplacian_points = disk_grid(21, 0.9)
-    if hsol.conformal_map is None and len(laplacian_points):
-        stats = laplacian_residual(hsol.u, laplacian_points)
+        stats = laplacian_residual(hsol.u, disk_grid(21, 0.9))
         residual_stats = (stats.max_residual, stats.mean_residual)
     else:
         residual_stats = (float("nan"), float("nan"))
@@ -261,7 +261,7 @@ class RadialTable:
     """u along rays at dyadic depths, its boundary values, and quotients.
 
     u_edges[k, v] is u at radius edges[k] along the ray of vertex v;
-    u_boundary is the deepest value (radius 1 - 2^-j_deep), the numerical
+    u_boundary is the deepest value (radius 1 - 2^-J_DEEP), the numerical
     nontangential boundary value of u.  quotient_est holds the Neumann
     difference quotient (u(r_j) - u_boundary)/(1 - r_j) at the deepest
     quotient level, which attains the boundary data where u does.
@@ -282,22 +282,21 @@ class RadialTable:
         return (~self.excluded) & self.flags
 
 
-def radial_u_table(hsol, V: int = 500, tol: float = 1e-3, delta: float = 1e-2,
-                   j_flag: tuple[int, int] = (3, 12),
-                   j_quot: tuple[int, int] = (3, 16),
-                   j_deep: int = 34, with_quotients: bool = True) -> RadialTable:
+def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
+                   delta: float = 1e-2) -> RadialTable:
     """Integrate du/dr = Re(e^{i theta} f) along V rays with Gauss panels.
 
     Panels are dyadically graded toward the boundary so the cumulative
     values converge even when f is unbounded at the rim (integrable
-    singularities).  edges[j] = 1 - 2^-j for j >= 3.
+    singularities).  edges[j] = 1 - 2^-j for 3 <= j <= J_DEEP; the
+    convergence flags read levels J_FLAG, the quotients levels J_QUOT.
     """
     if hsol.conformal_map is not None:
         raise ConfigurationError("radial tables are disk-native; verify "
                                  "transplanted solutions via the pairing")
     angles = TWO_PI * np.arange(V) / V
     edges = np.concatenate([[0.0, 0.5, 0.75],
-                            1.0 - 2.0 ** (-np.arange(3, j_deep + 1, dtype=float))])
+                            1.0 - 2.0 ** (-np.arange(3, J_DEEP + 1, dtype=float))])
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]).ravel()
@@ -312,21 +311,17 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3, delta: float = 1e-2,
     u_edges += hsol.d0
 
     u_boundary = u_edges[-1]
-    lo, hi = j_flag
+    lo, hi = J_FLAG
     flags = converged_sequence(u_edges[lo:hi + 1].T, tol)
 
     jumps, cuts, poles = _solution_specials(hsol.f_source, ())
     excluded, _, _ = _exclusions(angles, delta, jumps, cuts, poles)
 
-    ql, qh = j_quot
-    if with_quotients:
-        depths = 2.0 ** (-np.arange(ql, qh + 1, dtype=float))
-        quots = (u_edges[ql:qh + 1] - u_boundary[None, :]) / depths[:, None]
-        quotient_est = quots[-1]
-        quotient_conv = converged_sequence(quots.T, max(tol, 1e-2))
-    else:
-        quotient_est = np.full(V, np.nan)
-        quotient_conv = np.zeros(V, dtype=bool)
+    ql, qh = J_QUOT
+    depths = 2.0 ** (-np.arange(ql, qh + 1, dtype=float))
+    quots = (u_edges[ql:qh + 1] - u_boundary[None, :]) / depths[:, None]
+    quotient_est = quots[-1]
+    quotient_conv = converged_sequence(quots.T, max(tol, 1e-2))
 
     valid_mask = ~excluded
     flag_fraction = float(np.mean(flags[valid_mask])) if valid_mask.any() else 0.0
@@ -348,8 +343,7 @@ class LaplacianStats:
     n_skipped: int
 
 
-def laplacian_residual(u: Callable, points: np.ndarray, h: float = 1e-3,
-                       contains: Callable | None = None) -> LaplacianStats:
+def laplacian_residual(u: Callable, points: np.ndarray) -> LaplacianStats:
     """Mean-value Laplacian residual of u at interior points.
 
     Delta u(z) ~ (4/h^2) * (mean of u(z + h e^{2 pi i k/8}), k = 0..7,
@@ -361,25 +355,21 @@ def laplacian_residual(u: Callable, points: np.ndarray, h: float = 1e-3,
     Weideman, "The exponentially convergent trapezoidal rule", SIAM
     Review 56, 2014.)
 
-    Points with any of the 8 nodes outside the domain are skipped and
-    counted.
+    h = LAPLACIAN_H.  Points with any of the 8 nodes outside the unit disk
+    are skipped and counted.
     """
     z = np.asarray(points, dtype=complex).ravel()
-    if contains is None:
-        inside = lambda w: np.abs(w) < 1.0
-    else:
-        inside = contains
-    stencil = h * np.exp(2j * np.pi * np.arange(8) / 8)
+    stencil = LAPLACIAN_H * np.exp(2j * np.pi * np.arange(8) / 8)
     ok = np.ones(len(z), dtype=bool)
     for s in stencil:
-        ok &= inside(z + s)
+        ok &= np.abs(z + s) < 1.0
     zin = z[ok]
     if len(zin) == 0:
         return LaplacianStats(float("nan"), float("nan"), 0, int(len(z)))
     nodes = (zin[:, None] + stencil[None, :]).ravel()
     ring = np.asarray(u(nodes), dtype=float).reshape(len(zin), len(stencil))
     acc = ring.mean(axis=1) - np.asarray(u(zin), dtype=float)
-    res = 4.0 * np.abs(acc) / (h * h)
+    res = 4.0 * np.abs(acc) / LAPLACIAN_H ** 2
     return LaplacianStats(float(np.max(res)), float(np.mean(res)),
                           int(len(zin)), int(len(z) - len(zin)))
 
@@ -441,8 +431,7 @@ def dimension_certificate(rows: Sequence[Callable],
                                 rank, notes)
 
 
-def chord_recovery(hsol, z0: complex, z1: complex,
-                     panels: int = 6) -> tuple[float, float]:
+def chord_recovery(hsol, z0: complex, z1: complex) -> tuple[float, float]:
     """Recover u(z1) from u(z0) plus the chord integral of the pairing.
 
     u(z1) = u(z0) + |z1 - z0| * int_0^1 Re(e * f(z0 + t (z1 - z0))) dt
@@ -458,12 +447,12 @@ def chord_recovery(hsol, z0: complex, z1: complex,
     if abs(span) == 0:
         raise DataError("chord endpoints coincide")
     e = span / abs(span)
-    edges = np.linspace(0.0, 1.0, panels + 1)
+    edges = np.linspace(0.0, 1.0, CHORD_PANELS + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     t = (mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]).ravel()
     pts = z0 + t * span
-    vals = (e * hsol.f(pts)).real.reshape(panels, 12)
+    vals = (e * hsol.f(pts)).real.reshape(CHORD_PANELS, 12)
     integral = float(np.sum(vals * _GAUSS_W[None, :] * halfs[:, None]))
     recovered = float(hsol.u(z0)) + abs(span) * integral
     direct = float(hsol.u(z1))

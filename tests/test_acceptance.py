@@ -169,7 +169,7 @@ def test_criterion_07_harmonicity_everywhere():
     m = _get("hom10", lambda: R.homogeneous_family(cos.nu, 10))[1]
     solutions["homogeneous member (crit 6)"] = HarmonicSolution(
         F=antiderivative(m, M=4 * m.N), f_source=m).u
-    residuals = {name: laplacian_residual(u, pts, h=1e-3).max_residual
+    residuals = {name: laplacian_residual(u, pts).max_residual
                  for name, u in solutions.items()}
     report = "; ".join(f"{k}: {v:.3e}" for k, v in residuals.items())
     assert all(v < 1e-6 for v in residuals.values()), report
@@ -225,7 +225,6 @@ def test_criterion_10_aperture_agreement():
     agreements = []
     for hs, tol in suite:
         rep = verify_solution(hs, V=500, tol=tol,
-                              apertures=(0.0, 0.5, -0.5, 1.0, -1.0),
-                              with_radial=False)
+                              apertures=(0.0, 0.5, -0.5, 1.0, -1.0))
         agreements.append(rep.settings["aperture_agreement"])
     assert all(a >= 0.98 for a in agreements), f"agreements {agreements}"

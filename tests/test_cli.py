@@ -133,12 +133,11 @@ def test_field_csv_matches_per_row_writer(tmp_path, domain):
 def test_verify_report_end_to_end(tmp_path, capsys):
     cfg = _base_cfg(tmp_path)
     cfg["verify"] = {"V": 120}
-    rc = main(["verify", "--config", _write_cfg(tmp_path, cfg),
-               "--seed", "7"])
+    rc = main(["verify", "--config", _write_cfg(tmp_path, cfg)])
     assert rc == 0
     rep = parse_report((tmp_path / "report.txt").read_text())
     assert rep["pass_fraction"] > 0.99
-    assert rep["settings"]["seed"] == 7
+    assert "seed" not in rep["settings"]
     assert json.loads(rep["settings"]["config_echo"]) == cfg
     assert rep["residual_max"] < 1e-6
     assert "grid_laplacian_max" not in rep["settings"]
@@ -225,6 +224,58 @@ def test_unknown_keys_are_listed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown config keys" in err
     assert "params.Nx" in err and "phy" in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["bogus", "--config", "x"], "invalid choice: 'bogus'"),
+    (["solve"], "--config"),
+    (["solve", "--config", "x", "--n", "abc"], "invalid int value: 'abc'"),
+])
+def test_bad_arguments_exit_1_with_usage(argv, needle, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rhbvp") and needle in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: rhbvp" in capsys.readouterr().out
+
+
+def test_rho_sample_is_an_unknown_key(tmp_path, capsys):
+    cfg = _base_cfg(tmp_path)
+    cfg["params"]["rho_sample"] = 0.4
+    assert main(["solve", "--config", _write_cfg(tmp_path, cfg)]) == 1
+    assert "unknown config keys: params.rho_sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, values, needle", [
+    ("solve", "params", {"cut": "x"}, "params.cut"),
+    ("verify", "verify", {"V": "abc"}, "verify.V"),
+    ("family", "params", {"hom_points": 3}, "params.hom_points"),
+    ("verify", "verify", {"apertures": [0.0, "wide"]}, "verify.apertures"),
+])
+def test_wrong_type_exits_1_and_leaves_nothing(tmp_path, capsys, command,
+                                               section, values, needle):
+    good = _base_cfg(tmp_path)
+    if command == "family":
+        good["params"]["hom_points"] = [1.0, 2.0]
+    bad = json.loads(json.dumps(good))
+    bad.setdefault(section, {}).update(values)
+    assert main([command, "--config", _write_cfg(tmp_path, bad), "--quiet"]) == 1
+    assert needle in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert main([command, "--config", _write_cfg(tmp_path, good), "--quiet"]) == 0
+
+
+def test_unexpected_exception_releases_locks_and_outputs(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr("rhbvp.cli.verify_solution", boom)
+    cfg = _base_cfg(tmp_path)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["verify", "--config", _write_cfg(tmp_path, cfg), "--quiet"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_missing_config_file(tmp_path, capsys):

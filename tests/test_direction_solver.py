@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import rhbvp as R
 from rhbvp.direction_solver import antiderivative_from_circle, solve_directional
+from rhbvp.disk_harmonic import SeriesEvaluator
 from rhbvp.errors import (ConfigurationError, DataError, DomainError,
                           RepresentationError)
 from rhbvp.rh_solver import SolverParams
@@ -150,3 +151,59 @@ def test_harmonic_solution_refuses_a_different_nu():
     hs = R.solve_neumann(R.build_boundary_function("cos(theta)", 64))
     with pytest.raises(ConfigurationError, match="f_source"):
         R.HarmonicSolution(F=hs.F, f_source=hs.f_source, nu=_const_nu(64))
+
+
+# ----------------------------------------------------------------------
+# F has one home: HarmonicSolution builds it
+# ----------------------------------------------------------------------
+
+def _written_out_F(sol, cmap=None):
+    """F by the recovery written out: f (times omega' on a map) at 4N
+    points of |z| = 0.5, FFT, coefficients below 1e-14 of the largest
+    dropped, rescaled by 0.5^-n and integrated termwise."""
+    M = 4 * sol.N
+    vals = sol.f_on_scales(np.array([0.5]), M)[0]
+    if cmap is not None:
+        vals = vals * cmap.omega_prime.eval_on_circle(0.5, M)
+    d = np.fft.fft(vals) / M
+    mag = np.abs(d[:M // 2])
+    c = d[:M // 2].copy()
+    c[mag < 1e-14 * np.max(mag)] = 0.0
+    c = c[:np.flatnonzero(np.abs(c))[-1] + 1]
+    c *= 0.5 ** -np.arange(len(c), dtype=float)
+    return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_harmonic_solution_builds_F_on_the_disk(N):
+    # below N = 1024, 4N differs from antiderivative's default M = 4096
+    phi = R.build_boundary_function(
+        [{"from": 0.0, "to": np.pi, "expr": 1.0},
+         {"from": np.pi, "to": 2 * np.pi, "expr": 0.0}], N)
+    hs = R.solve_neumann(phi)
+    want = _written_out_F(hs.f_source)
+    assert np.array_equal(hs.F.coefficients, want)
+    assert np.array_equal(
+        R.HarmonicSolution(f_source=hs.f_source).F.coefficients, want)
+
+
+def test_transplant_solve_builds_F_through_the_map(ellipse_map):
+    phi = R.build_boundary_function("cos(t) + 0.3*sin(2*t)", 1024)
+    hs = R.transplant_solve(ellipse_map, phi)
+    want = _written_out_F(hs.f_source, ellipse_map)
+    assert np.array_equal(hs.F.coefficients, want)
+    assert not np.array_equal(_written_out_F(hs.f_source), want)
+
+
+def test_family_member_F_is_built_from_its_own_f(hom_family_cos):
+    for m in (hom_family_cos[0], hom_family_cos[4]):
+        F = R.HarmonicSolution(f_source=m).F
+        assert np.array_equal(F.coefficients, _written_out_F(m))
+        assert np.array_equal(R.antiderivative(m, M=4 * m.N).coefficients,
+                              F.coefficients)
+
+
+def test_harmonic_solution_keeps_a_given_F(neumann_cos):
+    F = SeriesEvaluator(np.array([0.0, 1.0]))
+    assert R.HarmonicSolution(f_source=neumann_cos.f_source, F=F).F is F
+

@@ -11,6 +11,7 @@ from rhbvp.errors import (ConfigurationError, ConvergenceDomainError,
                           ConvergenceError, DataError, PointQueryError)
 from rhbvp.disk_harmonic import (SeriesEvaluator, analytic_coefficients,
                                  exp_series)
+from rhbvp import jordan_domain
 from rhbvp.jordan_domain import (OMEGA_TAIL_TOL, image_inner_normal, pullback,
                                  theodorsen_map, transplant_neumann)
 
@@ -91,10 +92,10 @@ def test_rejects_steep_radius():
         theodorsen_map("exp(1.2*sin(a))", N=256)
 
 
-def test_iteration_budget_exhaustion():
-    with pytest.raises(ConvergenceError, match="did not reach"):
-        theodorsen_map("0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)", N=256,
-                       max_iter=3)
+def test_iteration_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(jordan_domain, "THEODORSEN_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError, match="within 3 steps"):
+        theodorsen_map("0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)", N=256)
 
 
 # ----------------------------------------------------------------------

@@ -192,7 +192,6 @@ def _family_one_solve_per_member(nu, points, params):
     for j in range(k + 1):
         coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
         p = SolverParams(N=base.N, cut=base.cut, refine=base.refine,
-                         rho_sample=base.rho_sample, drop_tol=base.drop_tol,
                          d0=base.d0, hom_points=points, hom_coeffs=coeffs)
         members.append(solve_rh(nu, zero_phi, p))
     return members
@@ -354,6 +353,23 @@ def test_rejects_coeff_length_mismatch():
 def test_rejects_bad_refine():
     with pytest.raises(ConfigurationError, match="refine"):
         SolverParams(refine=3)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cut", "x"), ("refine", "eight"), ("d0", None), ("hom_points", 3),
+    ("hom_points", ["a"]), ("hom_coeffs", [1.0, "b"])])
+def test_rejects_wrong_types(name, value):
+    with pytest.raises(ConfigurationError,
+                       match=f"params.{name} has the wrong type"):
+        SolverParams(**{name: value})
+
+
+def test_converts_values_to_field_types():
+    p = SolverParams(cut=1, refine=4.0, d0="2.5", hom_points=[7],
+                     hom_coeffs=(0, 1))
+    assert (p.cut, p.refine, p.d0) == (1.0, 4, 2.5)
+    assert type(p.cut) is float and type(p.refine) is int
+    assert p.hom_points == (7.0 - 2 * np.pi,) and p.hom_coeffs == (0.0, 1.0)
 
 
 def test_rejects_evaluation_outside_disk():
