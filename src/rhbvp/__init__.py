@@ -15,13 +15,11 @@ from .disk_harmonic import (SeriesEvaluator, StolzPath, conjugate_boundary,
                             schwarz_integral)
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, DomainError,
-                     InvariantViolation, NumericalRangeError,
-                     OrientationError, ParametrizationError, PointQueryError,
+                     InvariantViolation, NumericalRangeError, PointQueryError,
                      RepresentationError, RHBVPError)
 from .jordan_domain import (ConformalMap, theodorsen_map, transplant_neumann,
                             transplant_solve)
-from .neumann import (NormalField, disk_inner_normal, inner_normal,
-                      solve_neumann)
+from .neumann import NormalField, disk_inner_normal, solve_neumann
 from .rh_solver import (AnalyticSolution, SolverParams, homogeneous_family,
                         solve_rh)
 from .verify import (VerificationReport, dimension_certificate,
@@ -34,12 +32,11 @@ __all__ = [
     "AnalyticSolution", "BoundaryFunction", "ConfigurationError",
     "ConformalMap", "ConvergenceDomainError", "ConvergenceError", "DataError",
     "DirectionField", "DomainError", "HarmonicSolution", "InvariantViolation",
-    "NormalField", "NumericalRangeError", "OrientationError",
-    "ParametrizationError", "PointQueryError", "RHBVPError",
+    "NormalField", "NumericalRangeError", "PointQueryError", "RHBVPError",
     "RepresentationError", "SeriesEvaluator", "SolverParams", "StolzPath",
     "VerificationReport", "antiderivative", "build_boundary_function",
     "conjugate_boundary", "dimension_certificate", "disk_inner_normal",
-    "homogeneous_family", "inner_normal", "laplacian_residual",
+    "homogeneous_family", "laplacian_residual",
     "measurable_arg", "radial_u_table", "chord_recovery", "schwarz_integral",
     "solve_directional", "solve_neumann", "solve_rh", "theodorsen_map",
     "transplant_neumann", "transplant_solve", "verify_solution",

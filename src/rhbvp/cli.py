@@ -82,8 +82,22 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _section(cfg: dict, path: str) -> dict:
+    """The object at the dotted config path, {} where it is absent or null;
+    a value of any other type is a ConfigurationError."""
+    val, keys = cfg, path.split(".")
+    for i, key in enumerate(keys):
+        val = val.get(key)
+        if val is None:
+            return {}
+        if not isinstance(val, dict):
+            raise ConfigurationError(
+                f"{'.'.join(keys[:i + 1])} has the wrong type: {val!r}")
+    return val
+
+
 def _validated_n(cfg: dict, override: int | None) -> int:
-    n = override if override is not None else cfg.get("params", {}).get(
+    n = override if override is not None else _section(cfg, "params").get(
         "N", SolverParams.N)
     if not isinstance(n, int) or n < 16 or (n & (n - 1)) != 0:
         raise ConfigurationError(
@@ -92,7 +106,7 @@ def _validated_n(cfg: dict, override: int | None) -> int:
 
 
 def _build_params(cfg: dict, N: int) -> SolverParams:
-    return SolverParams(**{**cfg.get("params", {}), "N": N})
+    return SolverParams(**{**_section(cfg, "params"), "N": N})
 
 
 def _build_domain(cfg: dict, N: int):
@@ -100,7 +114,7 @@ def _build_domain(cfg: dict, N: int):
     if dom == "disk":
         return None
     if isinstance(dom, dict) and set(dom) == {"starlike"}:
-        rho = dom["starlike"].get("rho")
+        rho = _section(cfg, "domain.starlike").get("rho")
         if rho is None:
             raise ConfigurationError("domain.starlike.rho is required")
         return theodorsen_map(rho, N=N)
@@ -156,8 +170,12 @@ def _solve(cfg: dict, N: int, trace):
 
 def _grid_spec(cfg: dict):
     g = dict(DEFAULT_GRID)
-    g.update(cfg.get("outputs", {}).get("grid", {}) or {})
-    nx, ny, hw = int(g["nx"]), int(g["ny"]), float(g["half_width"])
+    g.update(_section(cfg, "outputs.grid"))
+    try:
+        nx, ny, hw = int(g["nx"]), int(g["ny"]), float(g["half_width"])
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"outputs.grid has the wrong type: {g!r}") from None
     if nx < 2 or ny < 2 or not (0 < hw < 1.0e6):
         raise ConfigurationError(f"invalid outputs.grid: {g!r}")
     return nx, ny, hw
@@ -186,7 +204,7 @@ _VERIFY_KINDS = {"V": int, "tol": float, "delta": float,
 def _verify_cfg(cfg: dict, flag_tol: float | None) -> dict:
     """verify_solution keywords for the verify keys the config sets, with
     --tol over verify.tol; the target stays a raw spec."""
-    v = dict(cfg.get("verify", {}) or {})
+    v = dict(_section(cfg, "verify"))
     if flag_tol is not None:
         v["tol"] = flag_tol
     for key, kind in _VERIFY_KINDS.items():
@@ -230,7 +248,7 @@ class _OutputGuard:
 
 
 def _out_paths(cfg: dict, out_dir: str | None, command: str):
-    outs = cfg.get("outputs", {}) or {}
+    outs = _section(cfg, "outputs")
     field = outs.get("field_csv")
     report = outs.get("report") if command != "solve" else None
     if command in ("solve", "map", "family") and field is None:
@@ -238,14 +256,16 @@ def _out_paths(cfg: dict, out_dir: str | None, command: str):
     if command in ("verify", "family") and report is None:
         raise ConfigurationError("outputs.report is required")
 
-    def rebase(p):
+    def rebase(key, p):
         if p is None:
             return None
+        if not isinstance(p, str):
+            raise ConfigurationError(f"outputs.{key} has the wrong type: {p!r}")
         if out_dir and not os.path.isabs(p):
             return os.path.join(out_dir, p)
         return p
 
-    return rebase(field), rebase(report)
+    return rebase("field_csv", field), rebase("report", report)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -16,6 +16,8 @@ import numpy as np
 from .boundary_data import BoundaryFunction
 from .errors import ConfigurationError, DataError, DomainError
 
+RAY_CHUNK = 64  # scales per real matrix product in eval_on_rays
+
 
 # ----------------------------------------------------------------------
 # power series
@@ -74,25 +76,39 @@ class SeriesEvaluator:
         scale s_j across all V vertices.
 
         With n = k*V + m the folded bin m is s^m * sum_k c_{kV+m} (s^V)^k,
-        so the coefficients are reshaped once into q = ceil(L/V) blocks
-        of V and one Horner pass in s^V over the blocks serves every
-        scale at once; the s^m factor and a batched inverse FFT finish.
-        Plain elementwise numpy on purpose: a complex BLAS product here
-        (OpenBLAS zgemm) was seen to slow later complex powers and
-        exponentials in the same process about tenfold.
+        a matrix product: the powers P[i, k] = (s_i^V)^k, k < q = ceil(L/V),
+        times the (q, V) blocks of the coefficients.  It runs as real
+        products (dgemm) on the blocks' float view, (q, 2V) with re/im
+        interleaved, which needs no copy: Re P times it gives P @ B for
+        real P, and Im P times it, rotated by i, is added only when a
+        scale is complex.  Scales go in chunks of RAY_CHUNK into one
+        preallocated output, each finished by its s^m factor and an
+        in-place inverse FFT, so the peak is the output plus one chunk.
+        No complex product: a complex BLAS call here (OpenBLAS zgemm)
+        was seen to slow later complex powers and exponentials in the
+        same process about tenfold.
         """
         s = np.asarray(scales, dtype=complex).reshape(-1, 1)
-        blocks = _blocks(self.coefficients, V)
-        sV = s ** V
-        acc = np.repeat(blocks[-1][None, :], len(s), axis=0)
-        for row in blocks[-2::-1]:
-            acc *= sV
-            acc += row
-        powers = np.empty_like(acc)  # s^m, m < V, by running product
-        powers[:, 0] = 1.0
-        powers[:, 1:] = s
-        acc *= np.cumprod(powers, axis=1, out=powers)
-        return np.fft.ifft(acc, axis=1) * V
+        blocks = _blocks(self.coefficients, V).view(float)
+        out = np.empty((len(s), V), dtype=complex)
+        for i in range(0, len(s), RAY_CHUNK):
+            sc, acc = s[i:i + RAY_CHUNK], out[i:i + RAY_CHUNK]
+            P = _running_powers(sc ** V, len(blocks))
+            np.matmul(np.ascontiguousarray(P.real), blocks, out=acc.view(float))
+            if np.any(P.imag):
+                acc += 1j * (np.ascontiguousarray(P.imag) @ blocks).view(complex)
+            acc *= _running_powers(sc, V)
+            np.fft.ifft(acc, axis=1, out=acc)
+        out *= V
+        return out
+
+
+def _running_powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^k for k < n along axis 1 by running product; x has shape (m, 1)."""
+    p = np.empty((len(x), n), dtype=complex)
+    p[:, 0] = 1.0
+    p[:, 1:] = x
+    return np.cumprod(p, axis=1, out=p)
 
 
 def _blocks(coeffs: np.ndarray, M: int) -> np.ndarray:

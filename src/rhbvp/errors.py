@@ -31,14 +31,6 @@ class InvariantViolation(UsageError):
     """A declared structural invariant failed at construction time."""
 
 
-class OrientationError(UsageError):
-    """Boundary parametrization traverses the curve the wrong way."""
-
-
-class ParametrizationError(UsageError):
-    """Boundary parametrization is not by arc length where required."""
-
-
 class NumericalError(RHBVPError):
     """Computation left its certified numerical range; CLI exit code 2."""
 

@@ -173,16 +173,6 @@ def image_inner_normal(cmap: ConformalMap) -> DirectionField:
     return DirectionField.from_samples(vals)
 
 
-def pullback(cmap: ConformalMap, func_of_w: Callable, kind: str = "real",
-             jumps=()) -> BoundaryFunction:
-    """Boundary data on the image, pulled back to the parameter circle."""
-    wb = cmap.boundary_nodes()
-    vals = np.asarray(func_of_w(wb))
-    if kind == "real":
-        vals = vals.real if np.iscomplexobj(vals) else vals
-    return BoundaryFunction(samples=vals, kind=kind, jumps=tuple(jumps))
-
-
 def transplant_solve(cmap: ConformalMap, phi: BoundaryFunction,
                      params: SolverParams | None = None,
                      nu: DirectionField | None = None) -> HarmonicSolution:

@@ -17,7 +17,6 @@ import numpy as np
 from .boundary_data import TWO_PI, BoundaryFunction, DirectionField, grid_nodes
 from .direction_solver import HarmonicSolution, solve_directional
 from .disk_harmonic import _boundary_values_of_series
-from .errors import OrientationError, ParametrizationError
 from .rh_solver import SolverParams
 
 
@@ -37,40 +36,6 @@ def disk_inner_normal(N: int) -> NormalField:
     """Inner normal of the unit disk: exactly -exp(i*theta_j) at the nodes."""
     return NormalField(DirectionField.from_samples(-np.exp(1j * grid_nodes(N))),
                        provenance="disk")
-
-
-def inner_normal(points: np.ndarray, derivs: np.ndarray,
-                 interior_point: complex = 0.0, closed: bool = True) -> np.ndarray:
-    """Inner normal samples along an arc-length parametrized boundary.
-
-    points and derivs are zeta(s_j) and zeta'(s_j) at uniform parameter
-    nodes.  Requires unit speed, counterclockwise traversal of closed
-    curves, and resolves the normal side by a sign check against the
-    interior point.
-    """
-    points = np.asarray(points, dtype=complex)
-    derivs = np.asarray(derivs, dtype=complex)
-    speed = np.abs(derivs)
-    dev = float(np.max(np.abs(speed - 1.0)))
-    if dev > 1e-8:
-        raise ParametrizationError(
-            f"boundary parametrization is not by arc length "
-            f"(max | |zeta'| - 1 | = {dev:.3e})")
-    tau = derivs / speed
-    if closed:
-        rel = points - interior_point
-        incr = np.angle(np.roll(rel, -1) / rel)
-        wind = np.sum(incr) / (2 * np.pi)
-        if abs(wind - 1.0) > 0.25:
-            raise OrientationError(
-                f"closed boundary must wind once counterclockwise around the "
-                f"interior point (winding {wind:+.3f})")
-    for cand in (1j * tau, -1j * tau):
-        inward = ((interior_point - points) * np.conj(cand)).real
-        if np.all(inward > 0):
-            return cand
-    raise OrientationError(
-        "neither normal candidate points consistently toward the interior")
 
 
 def compatibility_integral(phi: BoundaryFunction) -> float:

@@ -311,11 +311,3 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
         members[-1]._fans = fans
     return members
 
-
-def cr_residual(sol, z, h: float = 1e-5) -> float:
-    """Cauchy-Riemann residual |df/dx + i df/dy| / scale by central differences."""
-    z = np.asarray(z, dtype=complex)
-    fx = (sol.f(z + h) - sol.f(z - h)) / (2 * h)
-    fy = (sol.f(z + 1j * h) - sol.f(z - 1j * h)) / (2 * h)
-    scale = np.maximum(np.abs(fx) + np.abs(fy), 1.0)
-    return float(np.max(np.abs(fx + 1j * fy) / scale))

@@ -268,6 +268,38 @@ def test_wrong_type_exits_1_and_leaves_nothing(tmp_path, capsys, command,
     assert main([command, "--config", _write_cfg(tmp_path, good), "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("command, path, value, needle", [
+    ("solve", "params", 3, "params has the wrong type"),
+    ("solve", "params", [1], "params has the wrong type"),
+    ("family", "params", [1], "params has the wrong type"),
+    ("verify", "verify", [1], "verify has the wrong type"),
+    ("solve", "outputs", 3, "outputs has the wrong type"),
+    ("solve", "outputs.field_csv", 3, "outputs.field_csv has the wrong type"),
+    ("solve", "outputs.grid", 3, "outputs.grid has the wrong type"),
+    ("solve", "outputs.grid", [1], "outputs.grid has the wrong type"),
+    ("solve", "outputs.grid", {"nx": "a"}, "outputs.grid has the wrong type"),
+    ("family", "outputs.grid", {"nx": "a"}, "outputs.grid has the wrong type"),
+    ("solve", "domain", {"starlike": 3}, "domain.starlike has the wrong type"),
+    ("map", "domain", {"starlike": 3}, "domain.starlike has the wrong type"),
+], ids=["params_int", "params_list", "family_params_list", "verify_list",
+        "outputs_int", "field_csv_int", "grid_int", "grid_list", "grid_nx_str",
+        "family_grid_nx_str", "starlike_int", "map_starlike_int"])
+def test_wrong_section_type_exits_1_and_leaves_nothing(tmp_path, capsys, command,
+                                                       path, value, needle):
+    cfg = _base_cfg(tmp_path)
+    if command == "family":
+        cfg["params"]["hom_points"] = [1.0, 2.0]
+    *parents, key = path.split(".")
+    node = cfg
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    assert main([command, "--config", _write_cfg(tmp_path, cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_unexpected_exception_releases_locks_and_outputs(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

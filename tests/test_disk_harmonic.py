@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhbvp.boundary_data import BoundaryFunction, grid_nodes
-from rhbvp.disk_harmonic import (SeriesEvaluator, StolzPath,
+from rhbvp.disk_harmonic import (RAY_CHUNK, SeriesEvaluator, StolzPath,
                                  analytic_coefficients, conjugate_boundary,
                                  converged_sequence, default_j_max, exp_series,
                                  schwarz_integral)
 from rhbvp.errors import ConfigurationError, DataError, DomainError
+from rhbvp.verify import J_DEEP, radial_u_table
 
 LOG2 = 0.6931471805599453
 # independent quadrature oracle (adaptive Poisson integral of the upper-arc
@@ -200,24 +201,72 @@ def _stolz_scales():
                            r * np.exp(-1j * (1.0 - r))])
 
 
+def _radial_panels():
+    """Gauss nodes (panels, 12), weights and panel half-widths of the
+    verifier's radial table (radial_u_table)."""
+    edges = np.concatenate([[0.0, 0.5, 0.75],
+                            1.0 - 2.0 ** -np.arange(3, J_DEEP + 1, dtype=float)])
+    x, w = np.polynomial.legendre.leggauss(12)
+    mids, halfs = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return mids[:, None] + halfs[:, None] * x[None, :], w, halfs
+
+
+def _radial_nodes():
+    return _radial_panels()[0].ravel()
+
+
+_RAY_SCALES = {
+    "stolz": _stolz_scales,
+    "circle": lambda: np.array([0.5 + 0j]),
+    "radial": _radial_nodes,
+    # one chunk holding real scales then complex ones
+    "mixed": lambda: np.concatenate([_radial_nodes()[-40:], _stolz_scales()]),
+    # 0, s^V = 0 by underflow (0.1, 0.2, 0.2i), a subnormal s^V (0.24)
+    # and ordinary scales
+    "tiny": lambda: np.array([0.0, 0.1, 0.2, 0.2j, 0.24, 0.3, 0.9 * np.exp(0.1j)]),
+    "chunk_plus_one": lambda: _radial_nodes()[-(RAY_CHUNK + 1):],
+}
+
+
 @pytest.mark.parametrize("L, V, scales", [
     (4000, 500, "stolz"),    # V divides L
     (4096, 500, "stolz"),    # V does not divide L
     (300, 2000, "stolz"),    # L < V: a single block
     (4096, 8, "stolz"),      # smallest verifier V
     (4096, 4096, "circle"),  # antiderivative at N = 1024: one scale, V = 4N
-], ids=["V_divides_L", "V_not_dividing_L", "L_below_V", "V8", "V4N"])
+    (4096, 64, "radial"),    # the verifier's 408 radial nodes: several chunks
+    (4096, 64, "mixed"),     # real and complex scales in one chunk
+    (4096, 500, "tiny"),     # zero, underflowing and subnormal s^V
+    (4096, 64, "chunk_plus_one"),  # a last chunk of one scale
+], ids=["V_divides_L", "V_not_dividing_L", "L_below_V", "V8", "V4N",
+        "radial_nodes", "mixed_real_complex", "zero_and_underflow",
+        "chunk_plus_one"])
 def test_series_eval_on_rays_block_horner(L, V, scales):
     rng = np.random.default_rng(L + V)
     n = np.arange(L)
     c = (rng.normal(size=L) + 1j * rng.normal(size=L)) / (1.0 + n)
     s = SeriesEvaluator(c)
-    sc = _stolz_scales() if scales == "stolz" else np.array([0.5 + 0j])
+    sc = np.asarray(_RAY_SCALES[scales](), dtype=complex)
     vals = s.eval_on_rays(sc, V)
     assert vals.shape == (len(sc), V)
     ang = np.exp(2j * np.pi * np.arange(V) / V)
     ref = s._horner(sc[:, None] * ang[None, :])
     assert np.max(np.abs(vals - ref)) <= 2e-12 * np.max(np.abs(ref))
+
+
+def test_radial_u_table_matches_horner_quadrature(neumann_step):
+    # u along each ray by Gauss panels on f evaluated by Horner, not by the
+    # folded fans radial_u_table reads
+    V = 64
+    table = radial_u_table(neumann_step, V=V)
+    r, w, halfs = _radial_panels()
+    ray = np.exp(2j * np.pi * np.arange(V) / V)
+    f = neumann_step.f_source.f(r[..., None] * ray)  # (panels, 12, V)
+    panels = np.einsum("pkv,k->pv", (ray * f).real, w) * halfs[:, None]
+    ref = np.concatenate([np.zeros((1, V)), np.cumsum(panels, axis=0)])
+    ref += neumann_step.d0
+    assert table.u_edges.shape == ref.shape
+    assert np.max(np.abs(table.u_edges - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_exp_series_against_exp():

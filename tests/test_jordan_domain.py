@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhbvp as R
-from rhbvp.boundary_data import grid_nodes
+from rhbvp.boundary_data import BoundaryFunction, grid_nodes
 from rhbvp.errors import (ConfigurationError, ConvergenceDomainError,
                           ConvergenceError, DataError, PointQueryError)
 from rhbvp.disk_harmonic import (SeriesEvaluator, analytic_coefficients,
                                  exp_series)
 from rhbvp import jordan_domain
-from rhbvp.jordan_domain import (OMEGA_TAIL_TOL, image_inner_normal, pullback,
+from rhbvp.jordan_domain import (OMEGA_TAIL_TOL, image_inner_normal,
                                  theodorsen_map, transplant_neumann)
 
 
@@ -164,18 +164,12 @@ def test_image_normal_identity_map():
                                atol=1e-12)
 
 
-def test_pullback_evaluates_on_image_boundary(ellipse_map):
-    bf = pullback(ellipse_map, lambda w: w.real)
-    np.testing.assert_allclose(bf.samples,
-                               ellipse_map.boundary_nodes().real, atol=0)
-    assert bf.kind == "real"
-
-
 def test_transplant_scaled_disk_neumann():
     # disk of radius 2, inner-normal data cos t at w = 2 exp(it):
     # u = -Re w, grad = (-1, 0)
     cmap = theodorsen_map(2.0, N=256)
-    phi = pullback(cmap, lambda w: w.real / np.abs(w))
+    wb = cmap.boundary_nodes()
+    phi = BoundaryFunction(samples=wb.real / np.abs(wb))
     hs = transplant_neumann(cmap, phi)
     w = np.array([0.5 + 0.3j, -1.2 + 0j, 1.1j])
     np.testing.assert_allclose(hs.u(w), -w.real, atol=1e-12)

@@ -1,13 +1,10 @@
-"""Neumann dispatch, normal-field validation, radial certificates."""
+"""Neumann dispatch, the disk inner normal, radial certificates."""
 
 import numpy as np
-import pytest
 
 import rhbvp as R
 from rhbvp.boundary_data import grid_nodes
-from rhbvp.errors import OrientationError, ParametrizationError
-from rhbvp.neumann import (compatibility_integral, disk_inner_normal,
-                           inner_normal)
+from rhbvp.neumann import compatibility_integral, disk_inner_normal
 from rhbvp.verify import radial_u_table
 
 
@@ -21,35 +18,6 @@ def test_disk_inner_normal_exact():
     assert np.array_equal(nf.field.samples, -np.exp(1j * theta))
     assert nf.provenance == "disk"
     assert nf.N == 64
-
-
-def test_inner_normal_ccw_circle():
-    s = grid_nodes(128)
-    n = inner_normal(np.exp(1j * s), 1j * np.exp(1j * s))
-    np.testing.assert_allclose(n, -np.exp(1j * s), atol=1e-14)
-
-
-def test_inner_normal_clockwise_rejected():
-    s = grid_nodes(128)
-    with pytest.raises(OrientationError, match="counterclockwise"):
-        inner_normal(np.exp(-1j * s), -1j * np.exp(-1j * s))
-
-
-def test_inner_normal_requires_arc_length():
-    s = grid_nodes(128)
-    # speed 2 parametrization of the same circle
-    with pytest.raises(ParametrizationError, match="arc length"):
-        inner_normal(np.exp(2j * s), 2j * np.exp(2j * s))
-
-
-def test_inner_normal_open_edge():
-    # bottom edge of a square traversed left to right, interior above:
-    # the inner normal is +i everywhere
-    x = np.linspace(-1.0, 1.0, 41)
-    pts = x + 0j
-    der = np.ones_like(pts)
-    n = inner_normal(pts, der, interior_point=0.5j, closed=False)
-    np.testing.assert_allclose(n, 1j * np.ones_like(pts), atol=1e-14)
 
 
 def test_compatibility_integral_values():
