@@ -83,7 +83,9 @@ class SeriesEvaluator:
         real P, and Im P times it, rotated by i, is added only when a
         scale is complex.  Scales go in chunks of RAY_CHUNK into one
         preallocated output, each finished by its s^m factor and an
-        in-place inverse FFT, so the peak is the output plus one chunk.
+        inverse FFT copied back into its rows, so the peak is the output
+        plus one chunk.  (ifft's ``out=`` would save that copy but needs
+        NumPy 2.)
         No complex product: a complex BLAS call here (OpenBLAS zgemm)
         was seen to slow later complex powers and exponentials in the
         same process about tenfold.
@@ -98,7 +100,7 @@ class SeriesEvaluator:
             if np.any(P.imag):
                 acc += 1j * (np.ascontiguousarray(P.imag) @ blocks).view(complex)
             acc *= _running_powers(sc, V)
-            np.fft.ifft(acc, axis=1, out=acc)
+            acc[:] = np.fft.ifft(acc, axis=1)
         out *= V
         return out
 
