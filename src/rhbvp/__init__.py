@@ -19,7 +19,7 @@ from .errors import (ConfigurationError, ConvergenceDomainError,
                      RepresentationError, RHBVPError)
 from .jordan_domain import (ConformalMap, theodorsen_map, transplant_neumann,
                             transplant_solve)
-from .neumann import NormalField, disk_inner_normal, solve_neumann
+from .neumann import disk_inner_normal, solve_neumann
 from .rh_solver import (AnalyticSolution, SolverParams, homogeneous_family,
                         solve_rh)
 from .verify import (VerificationReport, dimension_certificate,
@@ -32,7 +32,7 @@ __all__ = [
     "AnalyticSolution", "BoundaryFunction", "ConfigurationError",
     "ConformalMap", "ConvergenceDomainError", "ConvergenceError", "DataError",
     "DirectionField", "DomainError", "HarmonicSolution", "InvariantViolation",
-    "NormalField", "NumericalRangeError", "PointQueryError", "RHBVPError",
+    "NumericalRangeError", "PointQueryError", "RHBVPError",
     "RepresentationError", "SeriesEvaluator", "SolverParams", "StolzPath",
     "VerificationReport", "antiderivative", "build_boundary_function",
     "conjugate_boundary", "dimension_certificate", "disk_inner_normal",

@@ -28,9 +28,9 @@ from .boundary_data import (BoundaryFunction, DirectionField,
                             build_boundary_function, grid_nodes)
 from .direction_solver import HarmonicSolution, solve_directional
 from .errors import ConfigurationError, NumericalError, RHBVPError
-from .jordan_domain import image_inner_normal, theodorsen_map, transplant_solve
-from .neumann import compatibility_note, disk_inner_normal
-from .rh_solver import SolverParams, homogeneous_family
+from .jordan_domain import theodorsen_map, transplant_neumann, transplant_solve
+from .neumann import disk_inner_normal, solve_neumann
+from .rh_solver import REFINE, SolverParams, homogeneous_family
 from .verify import dimension_certificate, verify_solution
 
 DEFAULT_GRID = {"nx": 101, "ny": 101, "half_width": 0.95}
@@ -40,8 +40,8 @@ _SCHEMA = {
     "domain": {"starlike": {"rho": None}},
     "nu": None,
     "phi": None,
-    "params": {"N": None, "cut": None, "refine": None, "hom_points": None,
-               "hom_coeffs": None, "d0": None},
+    "params": {"N": None, "cut": None, "hom_points": None, "hom_coeffs": None,
+               "d0": None},
     "verify": {"V": None, "tol": None, "delta": None, "apertures": None,
                "target": None},
     "outputs": {"field_csv": None, "report": None,
@@ -128,12 +128,11 @@ def _build_phi(cfg: dict, N: int) -> BoundaryFunction:
     return build_boundary_function(cfg["phi"], N)
 
 
-def _build_nu(cfg: dict, N: int, cmap):
+def _build_nu(cfg: dict, N: int) -> DirectionField | None:
+    """The configured direction field; None for the inner normal."""
     spec = cfg.get("nu", "normal")
     if spec == "normal":
-        if cmap is None:
-            return disk_inner_normal(N).field
-        return image_inner_normal(cmap)
+        return None
     if isinstance(spec, dict) and set(spec) == {"angle"}:
         spec = spec["angle"]
     if isinstance(spec, str):
@@ -150,17 +149,15 @@ def _solve(cfg: dict, N: int, trace):
     if problem not in ("neumann", "directional"):
         raise ConfigurationError(
             f"problem must be 'neumann' or 'directional', got {problem!r}")
-    nu = _build_nu(cfg, N, cmap)
-    if cmap is None:
-        hs = solve_directional(nu, phi, params)
-    else:
+    nu = _build_nu(cfg, N)
+    if problem == "neumann" and nu is None:
+        hs = (solve_neumann(phi, params) if cmap is None
+              else transplant_neumann(cmap, phi, params))
+    elif cmap is None:
+        hs = solve_directional(nu or disk_inner_normal(N).field, phi, params)
+    else:  # nu None is the image inner normal
         hs = transplant_solve(cmap, phi, params, nu=nu)
-    # Neumann is the directional problem for the inner normal plus a note
-    if problem == "neumann" and cfg.get("nu", "normal") == "normal":
-        note = compatibility_note(phi, cmap)
-        if note:
-            hs.notes.append(note)
-    trace(f"solve: N={N} refine={params.refine} "
+    trace(f"solve: N={N} refine={REFINE} "
           f"winding={hs.f_source.index} "
           f"series_terms={len(hs.F.coefficients)} d0={params.d0:g}")
     for note in hs.notes:
@@ -374,7 +371,7 @@ def _run_family(cfg: dict, N: int, field_path, report_path, trace, guard):
     cmap = _build_domain(cfg, N)
     if cmap is not None:
         raise ConfigurationError("family command is disk-native")
-    nu = _build_nu(cfg, N, None)
+    nu = _build_nu(cfg, N) or disk_inner_normal(N).field
     members = homogeneous_family(nu, params.hom_points, params)
 
     base, ext = os.path.splitext(field_path)

@@ -100,6 +100,12 @@ class HarmonicSolution:
         if self.F is None:
             self.F = antiderivative(src, M=4 * src.N, cmap=self.conformal_map)
 
+    def contains(self, w) -> np.ndarray:
+        """Mask of the points w inside the solution's domain."""
+        if self.conformal_map is None:
+            return np.abs(np.asarray(w, dtype=complex)) < 1.0
+        return self.conformal_map.contains(w)
+
     def _preimage(self, w):
         if self.conformal_map is None:
             z = np.asarray(w, dtype=complex)
@@ -134,13 +140,9 @@ class HarmonicSolution:
         """u on a Cartesian grid; returns (U, mask) with NaN off-domain."""
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         W = X + 1j * Y
-        if self.conformal_map is None:
-            mask = np.abs(W) < 1.0
-        else:
-            mask = self.conformal_map.contains(W)
+        mask = self.contains(W)
         U = np.full(W.shape, np.nan)
-        if np.any(mask):
-            U[mask] = self.u(W[mask])
+        U[mask] = self.u(W[mask])
         return U, mask
 
 

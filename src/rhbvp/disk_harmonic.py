@@ -147,16 +147,6 @@ def schwarz_integral(bf: BoundaryFunction) -> SeriesEvaluator:
     return SeriesEvaluator(analytic_coefficients(bf.samples))
 
 
-def _boundary_values_of_series(c: np.ndarray, L: int) -> np.ndarray:
-    """Values of sum c_n exp(i n theta) at L uniform nodes via padded iFFT."""
-    if len(c) > L:
-        raise ConfigurationError(
-            f"target grid L={L} is below the series length {len(c)}")
-    buf = np.zeros(L, dtype=complex)
-    buf[:len(c)] = c
-    return np.fft.ifft(buf) * L
-
-
 def conjugate_boundary(bf: BoundaryFunction, L: int | None = None) -> BoundaryFunction:
     """Boundary values of the harmonic conjugate (conjugate vanishing at 0)
     on L uniform nodes, by band-limited interpolation of bf: one real

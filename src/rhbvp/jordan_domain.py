@@ -27,8 +27,7 @@ from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
                             as_function, grid_nodes)
 from .direction_solver import HarmonicSolution
 from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
-                            conjugate_boundary, exp_series,
-                            _boundary_values_of_series)
+                            conjugate_boundary, exp_series)
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, InvariantViolation,
                      PointQueryError)
@@ -63,7 +62,7 @@ class ConformalMap:
         return len(self.correspondence)
 
     def boundary_nodes(self) -> np.ndarray:
-        return _boundary_values_of_series(self.omega.coefficients, self.N)
+        return self.omega.eval_on_circle(1.0, self.N)
 
     def contains(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)
@@ -74,6 +73,8 @@ class ConformalMap:
         """Newton inversion of omega; point queries that fail raise."""
         w = np.asarray(w, dtype=complex)
         flat = np.atleast_1d(w).astype(complex)
+        if flat.size == 0:
+            return flat.reshape(w.shape)
         z = flat / np.maximum(np.asarray(self.rho(np.angle(flat)), float), 1e-12)
         z *= 0.99
         for _ in range(INVERT_MAX_ITER):
@@ -140,7 +141,7 @@ def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
     omega = SeriesEvaluator(om)
     omega_prime = omega.derivative()
 
-    wb = _boundary_values_of_series(om, N)
+    wb = omega.eval_on_circle(1.0, N)
     residual = float(np.max(np.abs(np.abs(wb)
                                    - np.asarray(fn(np.angle(wb)), dtype=float))))
 
@@ -168,7 +169,7 @@ def image_inner_normal(cmap: ConformalMap) -> DirectionField:
     remainder from the map derivative.
     """
     t = grid_nodes(cmap.N)
-    opb = _boundary_values_of_series(cmap.omega_prime.coefficients, cmap.N)
+    opb = cmap.omega_prime.eval_on_circle(1.0, cmap.N)
     vals = -np.exp(1j * t) * opb / np.abs(opb)
     return DirectionField.from_samples(vals)
 

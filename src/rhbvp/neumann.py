@@ -5,37 +5,29 @@ exactly, a winding-one field with nu0 = -1, and grad u . n -> phi is the
 (possibly nonclassical) Neumann problem.  The index reduction gives
 f = (m * H_cut - S[phi]) / z, m the mean of phi: m = 0 is the classical
 solution, and otherwise the pole at the cut carries the flux while the
-boundary derivative still attains phi a.e.; a note records it.
+boundary derivative still attains phi a.e.; a note records it.  The
+normal is reduced once per N (disk_inner_normal), so solve_neumann runs
+only the phi stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .boundary_data import TWO_PI, BoundaryFunction, DirectionField, grid_nodes
-from .direction_solver import HarmonicSolution, solve_directional
-from .disk_harmonic import _boundary_values_of_series
-from .rh_solver import SolverParams
+from .direction_solver import HarmonicSolution
+from .rh_solver import ReducedField, SolverParams, reduce_field
 
 
-@dataclass(frozen=True)
-class NormalField:
-    """Inner normal direction field along a boundary, with provenance."""
-
-    field: DirectionField
-    provenance: str = "disk"
-
-    @property
-    def N(self) -> int:
-        return self.field.N
-
-
-def disk_inner_normal(N: int) -> NormalField:
-    """Inner normal of the unit disk: exactly -exp(i*theta_j) at the nodes."""
-    return NormalField(DirectionField.from_samples(-np.exp(1j * grid_nodes(N))),
-                       provenance="disk")
+@lru_cache(maxsize=None)
+def disk_inner_normal(N: int) -> ReducedField:
+    """Reduced inner normal of the unit disk, exactly -exp(i*theta_j) at
+    the nodes (its .field); one read-only reduction per N."""
+    nu = DirectionField.from_samples(-np.exp(1j * grid_nodes(N)))
+    nu.samples.flags.writeable = False
+    return reduce_field(nu)
 
 
 def compatibility_integral(phi: BoundaryFunction) -> float:
@@ -49,8 +41,7 @@ def compatibility_note(phi: BoundaryFunction, cmap=None) -> str | None:
     if cmap is None:
         flux = compatibility_integral(phi)
     else:
-        speed = np.abs(_boundary_values_of_series(
-            cmap.omega_prime.coefficients, cmap.N))
+        speed = np.abs(cmap.omega_prime.eval_on_circle(1.0, cmap.N))
         flux = float(np.mean(np.asarray(phi.samples, float) * speed) * TWO_PI)
     scale = 1.0 + float(np.max(np.abs(phi.samples)))
     if abs(flux) <= 1e-10 * scale:
@@ -65,9 +56,7 @@ def solve_neumann(phi: BoundaryFunction,
                   params: SolverParams | None = None) -> HarmonicSolution:
     """Neumann problem grad u . n -> phi on the unit disk."""
     params = params or SolverParams(N=phi.N)
-    normal = disk_inner_normal(phi.N)
-    hs = solve_directional(normal.field, phi, params)
+    sol = disk_inner_normal(phi.N).solve(phi, params)
     note = compatibility_note(phi)
-    if note:
-        hs.notes.append(note)
-    return hs
+    return HarmonicSolution(f_source=sol, d0=params.d0,
+                            notes=sol.notes + ([note] if note else []))

@@ -19,8 +19,11 @@ exactly when a classical solution exists.  The pairing telescopes on
 the boundary: nu * exp(-i A) * zeta^-w = exp(H), and Re(i p) = Re(b_j H_j)
 = 0 away from the poles, so Re(nu f) -> exp(H) * psi = phi.
 
-psi is formed on an internally refined grid (refine * N nodes, exact
-piece evaluation) and the solution series keeps refine*N/2 coefficients;
+solve_rh runs two stages: reduce_field does what depends on nu alone
+(w, alpha0, A, H) into a frozen ReducedField, and ReducedField.solve forms
+psi, T and g for one phi, so a caller with many data reduces nu once.
+psi is formed on an internally refined grid (REFINE * N nodes, exact
+piece evaluation) and the solution series keeps REFINE*N/2 coefficients;
 this lowers the representation floor near jumps of phi without changing
 the contract.  Any construction satisfying the boundary verifier is
 admissible; the verifier is the contract.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +46,7 @@ from .errors import (ConfigurationError, DataError, DomainError,
                      NumericalRangeError)
 
 CLAMP_LOG = float(np.log(1e12))  # exp(H) confined to [1e-12, 1e12]
+REFINE = 8  # psi is formed on REFINE * N nodes; g keeps REFINE * N / 2 terms
 
 
 @dataclass
@@ -51,14 +56,13 @@ class SolverParams:
 
     N: int = 1024
     cut: float = 0.0
-    refine: int = 8
     d0: float = 0.0
     hom_points: tuple[float, ...] = ()
     hom_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
         for name, kind in (
-                ("cut", float), ("refine", int), ("d0", float),
+                ("cut", float), ("d0", float),
                 ("hom_points", lambda v: tuple(float(a) % TWO_PI for a in v)),
                 ("hom_coeffs", lambda v: tuple(map(float, v)))):
             value = getattr(self, name)
@@ -67,17 +71,13 @@ class SolverParams:
             except (TypeError, ValueError):
                 raise ConfigurationError(
                     f"params.{name} has the wrong type: {value!r}") from None
-        if self.refine < 1 or (self.refine & (self.refine - 1)) != 0:
-            raise ConfigurationError(
-                f"params.refine must be a power of two >= 1, got {self.refine}")
         a = np.sort(self.hom_points)
         close = np.diff(a, append=a[:1] + TWO_PI) < 1e-12  # with the wrap gap
         if np.any(close):
             dup = a[(int(np.argmax(close)) + 1) % len(a)]
             raise ConfigurationError(
                 f"hom_points contains a duplicate angle {dup:.6g}")
-        if self.hom_coeffs and self.hom_points and \
-                len(self.hom_coeffs) != len(self.hom_points) + 1:
+        if self.hom_coeffs and len(self.hom_coeffs) != len(self.hom_points) + 1:
             raise ConfigurationError(
                 "hom_coeffs must have length len(hom_points) + 1 "
                 "(constant or cut-dipole coefficient first)")
@@ -109,23 +109,90 @@ def index_poles(w: int, cut: float) -> tuple[float, ...]:
     return tuple((cut + TWO_PI * j / m) % TWO_PI for j in range(max(m, 0)))
 
 
+@dataclass(frozen=True)
+class ReducedField:
+    """What the construction takes from nu alone, made by reduce_field:
+    the winding index, alpha = arg nu0, A = S[alpha], H = H[alpha] on the
+    REFINE * N grid clamped to CLAMP_LOG, and the clamp note.  Its arrays
+    are read-only, so solutions and callers may share one reduction."""
+
+    field: DirectionField
+    index: int
+    alpha: BoundaryFunction
+    A: SeriesEvaluator
+    H: np.ndarray
+    weight_boundary: BoundaryFunction
+    notes: tuple[str, ...] = ()
+
+    def boundary_pairing_residual(self) -> float:
+        """max_j |nu_j * w_j - exp(H_j)| over nodes, w = weight_boundary.
+
+        Telescoping check of the construction; exact up to rounding except
+        at clamped nodes.
+        """
+        prod = self.field.samples * self.weight_boundary.samples
+        return float(np.max(np.abs(prod.imag) / np.maximum(np.abs(prod), 1e-30)))
+
+    def solve(self, phi: BoundaryFunction,
+              params: SolverParams | None = None) -> "AnalyticSolution":
+        """The phi stage: psi = phi * exp(-H), T = S[psi] and g from T."""
+        N = self.field.N
+        params = params or SolverParams(N=N)
+        if phi.kind != "real":
+            raise DataError("boundary data phi must be real-valued")
+        if N != phi.N:
+            raise ConfigurationError(
+                f"nu and phi live on different grids (N={N} vs {phi.N})")
+        phi_L = phi.resample(REFINE * N).samples
+        psi_L = phi_L * np.exp(-self.H)
+        if not np.all(np.isfinite(psi_L)):
+            bad = int(np.flatnonzero(~np.isfinite(psi_L))[0])
+            raise NumericalRangeError(
+                f"psi non-finite at refined node {bad} despite clamping")
+        T = analytic_coefficients(psi_L)
+        w = self.index
+        g = SeriesEvaluator(np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
+        psi = BoundaryFunction(samples=psi_L[::REFINE], kind="real",
+                               jumps=set(phi.jumps) | set(self.alpha.jumps))
+        return AnalyticSolution(reduced=self, phi=phi, psi=psi, g=g,
+                                head=T[:max(w, 0)], hom_points=params.hom_points,
+                                hom_coeffs=params.hom_coeffs, params=params,
+                                notes=list(self.notes))
+
+
+def reduce_field(nu: DirectionField) -> ReducedField:
+    """The nu stage: index reduction, A = S[alpha0] and the clamped
+    conjugate H = H[alpha0] on the refined grid."""
+    w, alpha = measurable_arg(nu)
+    A = schwarz_integral(alpha)
+    L = REFINE * nu.N
+    H = conjugate_boundary(alpha, L).samples
+    n_clamped = int(np.sum(np.abs(H) > CLAMP_LOG))
+    notes = (f"conjugate clamped at {n_clamped} of {L} refined nodes "
+             f"(|H| limited to {CLAMP_LOG:.2f})",) if n_clamped else ()
+    Hc = np.clip(H, -CLAMP_LOG, CLAMP_LOG)
+    wb = BoundaryFunction(samples=np.exp(-1j * (alpha.samples + w * nu.theta)
+                                         + Hc[::REFINE]),
+                          kind="complex", jumps=alpha.jumps)
+    for a in (alpha.samples, A.coefficients, Hc, wb.samples):
+        a.flags.writeable = False
+    return ReducedField(field=nu, index=w, alpha=alpha, A=A, H=Hc,
+                        weight_boundary=wb, notes=notes)
+
+
 @dataclass
 class AnalyticSolution:
     """Solution f of the directional boundary value problem on the disk.
 
-    index is the winding w of nu, alpha the argument of nu0 and A its
-    Schwarz integral.  g is z^k * T for w = -k <= 0, and T shifted down
-    by k for w = k > 0, whose first k terms head keeps.
+    nu, index, alpha and A read through to reduced, its ReducedField.
+    g is z^k * T for w = -k <= 0, and T shifted down by k for w = k > 0,
+    whose first k terms head keeps.
     """
 
-    nu: DirectionField
+    reduced: ReducedField
     phi: BoundaryFunction
-    alpha: BoundaryFunction
-    A: SeriesEvaluator
-    weight_boundary: BoundaryFunction
     psi: BoundaryFunction
     g: SeriesEvaluator
-    index: int
     head: np.ndarray
     hom_points: tuple[float, ...]
     hom_coeffs: tuple[float, ...]
@@ -135,6 +202,11 @@ class AnalyticSolution:
     # one homogeneous family; None (no store) for every other solution
     _fans: dict | None = field(default=None, init=False, repr=False,
                                compare=False)
+
+    nu = property(attrgetter("reduced.field"))
+    index = property(attrgetter("reduced.index"))
+    alpha = property(attrgetter("reduced.alpha"))
+    A = property(attrgetter("reduced.A"))
 
     @property
     def N(self) -> int:
@@ -217,62 +289,11 @@ class AnalyticSolution:
             acc += (-1j * c[0] * np.exp(-1j * w * self.params.cut)
                     * (w - (w - 1) * q) / (1.0 - q) ** 2)
 
-    def boundary_pairing_residual(self) -> float:
-        """max_j |nu_j * w_j - exp(H_j)| over nodes, w = weight_boundary.
-
-        Telescoping check of the construction; exact up to rounding except
-        at clamped nodes.
-        """
-        prod = self.nu.samples * self.weight_boundary.samples
-        return float(np.max(np.abs(prod.imag) / np.maximum(np.abs(prod), 1e-30)))
-
 
 def solve_rh(nu: DirectionField, phi: BoundaryFunction,
              params: SolverParams | None = None) -> AnalyticSolution:
     """Construct the analytic solution for (nu, phi) on the unit disk."""
-    params = params or SolverParams(N=nu.N)
-    if phi.kind != "real":
-        raise DataError("boundary data phi must be real-valued")
-    if nu.N != phi.N:
-        raise ConfigurationError(
-            f"nu and phi live on different grids (N={nu.N} vs {phi.N})")
-    if params.hom_coeffs and not params.hom_points and len(params.hom_coeffs) != 1:
-        raise ConfigurationError("hom_coeffs without hom_points must be (c0,)")
-    notes: list[str] = []
-
-    w, alpha = measurable_arg(nu)
-    A = schwarz_integral(alpha)
-
-    L = params.refine * nu.N
-    H = conjugate_boundary(alpha, L).samples
-    n_clamped = int(np.sum(np.abs(H) > CLAMP_LOG))
-    if n_clamped:
-        notes.append(f"conjugate clamped at {n_clamped} of {L} refined nodes "
-                     f"(|H| limited to {CLAMP_LOG:.2f})")
-    Hc = np.clip(H, -CLAMP_LOG, CLAMP_LOG)
-
-    phi_L = phi.resample(L).samples
-    psi_L = phi_L * np.exp(-Hc)
-    if not np.all(np.isfinite(psi_L)):
-        bad = int(np.flatnonzero(~np.isfinite(psi_L))[0])
-        raise NumericalRangeError(
-            f"psi non-finite at refined node {bad} despite clamping")
-
-    T = analytic_coefficients(psi_L)
-    g = SeriesEvaluator(np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
-
-    psi = BoundaryFunction(samples=psi_L[::params.refine], kind="real",
-                           jumps=tuple(sorted(set(phi.jumps) | set(alpha.jumps))))
-    wb = np.exp(-1j * (alpha.samples + w * nu.theta) + Hc[::params.refine])
-    weight_boundary = BoundaryFunction(samples=wb, kind="complex",
-                                       jumps=alpha.jumps)
-
-    return AnalyticSolution(nu=nu, phi=phi, alpha=alpha, A=A,
-                            weight_boundary=weight_boundary, psi=psi, g=g,
-                            index=w, head=T[:max(w, 0)],
-                            hom_points=params.hom_points,
-                            hom_coeffs=params.hom_coeffs,
-                            params=params, notes=notes)
+    return reduce_field(nu).solve(phi, params)
 
 
 def default_hom_points(k: int) -> tuple[float, ...]:
@@ -287,12 +308,12 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     Returns k + 1 members for k distinguished points: the first-coefficient
     member (the constant for winding <= 0, the cut dipole for winding >= 1)
     followed by one member per point.  f is linear in the Herglotz
-    coefficients, so one solve with phi = 0 serves every member; the
-    members are copies of it that differ only in hom_coeffs, params and
-    notes, and share its alpha, A, weight, psi and g (each member solves
-    its own b_j) and one store of fans, so f_on_scales evaluates A and g
-    once per fan for the whole family.  hom_points and hom_coeffs preset
-    in params are ignored.
+    coefficients, so one solve with phi = 0, one reduction of nu, serves
+    every member; the members are copies of it that differ only in
+    hom_coeffs, params and notes, and share its reduced field, psi and g
+    (each member solves its own b_j) and one store of fans, so f_on_scales
+    evaluates A and g once per fan for the whole family.  hom_points and
+    hom_coeffs preset in params are ignored.
     """
     if isinstance(points, int):
         points = default_hom_points(points)
@@ -310,4 +331,3 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
                                notes=list(sol.notes)))
         members[-1]._fans = fans
     return members
-

@@ -441,8 +441,8 @@ def chord_recovery(hsol, z0: complex, z1: complex) -> tuple[float, float]:
     """
     z0 = complex(z0)
     z1 = complex(z1)
-    if abs(z0) >= 1.0 or abs(z1) >= 1.0:
-        raise DomainError("chord endpoints must lie inside the disk")
+    if not np.all(hsol.contains(np.array([z0, z1]))):
+        raise DomainError("chord endpoints must lie inside the domain")
     span = z1 - z0
     if abs(span) == 0:
         raise DataError("chord endpoints coincide")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rhbvp as R
+import rhbvp.rh_solver as rh_solver
 from rhbvp.cli import _write_field_csv, main
 from rhbvp.verify import parse_report
 
@@ -247,6 +248,25 @@ def test_rho_sample_is_an_unknown_key(tmp_path, capsys):
     cfg["params"]["rho_sample"] = 0.4
     assert main(["solve", "--config", _write_cfg(tmp_path, cfg)]) == 1
     assert "unknown config keys: params.rho_sample" in capsys.readouterr().err
+
+
+def test_refine_is_an_unknown_key(tmp_path, capsys):
+    cfg = _base_cfg(tmp_path)
+    cfg["params"]["refine"] = 8
+    assert main(["solve", "--config", _write_cfg(tmp_path, cfg)]) == 1
+    assert "unknown config keys: params.refine" in capsys.readouterr().err
+
+
+def test_neumann_runs_reuse_the_disk_reduction(tmp_path, monkeypatch):
+    path = _write_cfg(tmp_path, _base_cfg(tmp_path))
+    assert main(["solve", "--config", path, "--quiet"]) == 0
+    calls = []
+    real_arg = rh_solver.measurable_arg
+    monkeypatch.setattr(rh_solver, "measurable_arg",
+                        lambda nu: calls.append(nu) or real_arg(nu))
+    os.remove(tmp_path / "field.csv")
+    assert main(["solve", "--config", path, "--quiet"]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("command, section, values, needle", [

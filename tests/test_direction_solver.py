@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhbvp as R
+from rhbvp.boundary_data import grid_nodes
 from rhbvp.direction_solver import antiderivative_from_circle, solve_directional
 from rhbvp.disk_harmonic import SeriesEvaluator
 from rhbvp.errors import (ConfigurationError, DataError, DomainError,
@@ -143,7 +144,8 @@ def test_harmonic_solution_defaults_nu_and_phi_to_its_source():
     bare = R.HarmonicSolution(F=hs.F, f_source=hs.f_source)
     assert bare.nu is hs.f_source.nu and bare.phi is hs.f_source.phi
     # an equal field built apart is the same pairing
-    same = R.disk_inner_normal(64).field
+    same = R.DirectionField.from_samples(-np.exp(1j * grid_nodes(64)))
+    assert same is not hs.f_source.nu
     assert R.HarmonicSolution(F=hs.F, f_source=hs.f_source, nu=same).nu is same
 
 

@@ -108,6 +108,16 @@ def test_contains(ellipse_map):
         ellipse_map.contains(w), [True, True, True, True, False, False])
 
 
+@pytest.mark.parametrize("mapped", [False, True], ids=["disk", "ellipse"])
+def test_u_of_an_empty_array(mapped, ellipse_map, neumann_cos):
+    hs = (R.transplant_neumann(ellipse_map, neumann_cos.phi) if mapped
+          else neumann_cos)
+    empty = np.array([], dtype=complex)
+    assert hs.u(empty).shape == (0,)
+    assert hs.contains(empty).shape == (0,)
+    assert ellipse_map.invert(np.empty((0, 3), complex)).shape == (0, 3)
+
+
 def test_invert_roundtrip(ellipse_map):
     rng = np.random.default_rng(23)
     z = 0.9 * np.sqrt(rng.uniform(0, 1, 40)) * \

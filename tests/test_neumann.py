@@ -1,6 +1,7 @@
 """Neumann dispatch, the disk inner normal, radial certificates."""
 
 import numpy as np
+import pytest
 
 import rhbvp as R
 from rhbvp.boundary_data import grid_nodes
@@ -16,8 +17,24 @@ def test_disk_inner_normal_exact():
     nf = disk_inner_normal(64)
     theta = grid_nodes(64)
     assert np.array_equal(nf.field.samples, -np.exp(1j * theta))
-    assert nf.provenance == "disk"
-    assert nf.N == 64
+    assert nf.index == 1 and nf.field.N == 64
+    assert disk_inner_normal(64) is nf  # one reduction per N
+
+
+def test_disk_inner_normal_is_read_only():
+    phi = R.build_boundary_function([(0.0, 1.0, "1"), (1.0, 2 * np.pi, "0")], 64)
+    before = R.solve_neumann(phi)
+    nf = disk_inner_normal(64)
+    with pytest.raises(ValueError, match="read-only"):
+        nf.field.samples[0] = 1.0
+    for arr in (nf.alpha.samples, nf.A.coefficients, nf.H,
+                nf.weight_boundary.samples):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    after = R.solve_neumann(phi)
+    assert np.array_equal(after.F.coefficients, before.F.coefficients)
+    assert np.array_equal(after.f_source.g.coefficients,
+                          before.f_source.g.coefficients)
 
 
 def test_compatibility_integral_values():

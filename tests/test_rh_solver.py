@@ -10,6 +10,7 @@ import rhbvp as R
 from rhbvp.boundary_data import grid_nodes, measurable_arg
 from rhbvp.disk_harmonic import SeriesEvaluator
 from rhbvp.errors import ConfigurationError, DataError, DomainError, RHBVPError
+from rhbvp.jordan_domain import image_inner_normal
 import rhbvp.rh_solver as rh_solver
 from rhbvp.rh_solver import (SolverParams, default_hom_points,
                              herglotz_term, homogeneous_family, index_poles,
@@ -58,7 +59,7 @@ class TestNormalCosTrace:
 
     def test_conjugate_closed_form_in_weight(self, sol):
         # |weight_boundary| = exp(H) with H = H[alpha0] = 0
-        H = np.log(np.abs(sol.weight_boundary.samples))
+        H = np.log(np.abs(sol.reduced.weight_boundary.samples))
         np.testing.assert_allclose(H, 0.0, atol=1e-13)
         assert not any("clamped" in n for n in sol.notes)
 
@@ -79,7 +80,7 @@ class TestNormalCosTrace:
         assert np.max(np.abs(sol.f(z) + 1.0)) < 1e-10
 
     def test_boundary_pairing_telescopes(self, sol):
-        assert sol.boundary_pairing_residual() < 1e-12
+        assert sol.reduced.boundary_pairing_residual() < 1e-12
 
     def test_cauchy_riemann(self, sol):
         # |df/dx + i df/dy| by central differences, relative to |grad f|
@@ -196,8 +197,8 @@ def _family_one_solve_per_member(nu, points, params):
     members = []
     for j in range(k + 1):
         coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
-        p = SolverParams(N=base.N, cut=base.cut, refine=base.refine,
-                         d0=base.d0, hom_points=points, hom_coeffs=coeffs)
+        p = SolverParams(N=base.N, cut=base.cut, d0=base.d0,
+                         hom_points=points, hom_coeffs=coeffs)
         members.append(solve_rh(nu, zero_phi, p))
     return members
 
@@ -207,35 +208,37 @@ def _oblique_nu(N):
     return R.DirectionField.from_samples(np.exp(1j * (grid_nodes(N) + 0.7)))
 
 
-FAMILY_CASES = {
-    "inner_normal": (lambda: _normal_nu(256), 4, None),
+FAMILY_CASES = {  # nu, points, params, REFINE
+    "inner_normal": (lambda: _normal_nu(256), 4, None, 8),
     "oblique_cut_refine4": (
         lambda: _oblique_nu(256), (0.4, 2.5, 5.0),
         # preset hom_points/hom_coeffs are ignored by homogeneous_family
-        SolverParams(N=256, cut=1.0, refine=4, hom_points=(1.5, 2.0, 3.0),
-                     hom_coeffs=(3.0, -2.0, 1.0, 0.5))),
-    "k0": (lambda: _normal_nu(128), 0, None),
+        SolverParams(N=256, cut=1.0, hom_points=(1.5, 2.0, 3.0),
+                     hom_coeffs=(3.0, -2.0, 1.0, 0.5)), 4),
+    "k0": (lambda: _normal_nu(128), 0, None, 8),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_homogeneous_family_equals_one_solve_per_member(case, monkeypatch):
-    make_nu, points, params = FAMILY_CASES[case]
-    nu = make_nu()
+    make_nu, points, params, refine = FAMILY_CASES[case]
+    nu = make_nu()  # before the patch: the disk normal's reduction is kept
+    monkeypatch.setattr(rh_solver, "REFINE", refine)
     assert measurable_arg(nu)[0] == 1
     want = _family_one_solve_per_member(nu, points, params)
 
     calls = []
-    real_solve = rh_solver.solve_rh
+    real_reduce = rh_solver.reduce_field
 
-    def counting_solve(*args, **kwargs):
+    def counting_reduce(*args, **kwargs):
         calls.append(1)
-        return real_solve(*args, **kwargs)
+        return real_reduce(*args, **kwargs)
 
-    monkeypatch.setattr(rh_solver, "solve_rh", counting_solve)
+    monkeypatch.setattr(rh_solver, "reduce_field", counting_reduce)
     got = homogeneous_family(nu, points, params)
     assert len(calls) == 1
     assert len(got) == len(want)
+    assert len(got[0].g.coefficients) == refine * nu.N // 2 - 1
 
     z = _interior(40)
     scales = np.array([0.5, 0.9 * np.exp(0.1j), 0.99])
@@ -247,8 +250,8 @@ def test_homogeneous_family_equals_one_solve_per_member(case, monkeypatch):
         assert np.max(np.abs(m.f(z) - r.f(z))) == 0.0
         assert np.max(np.abs(m.f_on_scales(scales, 32)
                              - r.f_on_scales(scales, 32))) == 0.0
-    # members share the phi = 0 data but not their notes lists
-    assert all(m.g is got[0].g for m in got)
+    # members share the reduction and the phi = 0 data, not their notes
+    assert all(m.g is got[0].g and m.reduced is got[0].reduced for m in got)
     assert len({id(m.notes) for m in got}) == len(got)
 
 
@@ -355,13 +358,14 @@ def test_rejects_coeff_length_mismatch():
         SolverParams(hom_points=(0.5, 1.5), hom_coeffs=(1.0, 2.0))
 
 
-def test_rejects_bad_refine():
-    with pytest.raises(ConfigurationError, match="refine"):
-        SolverParams(refine=3)
+def test_rejects_coeffs_without_points_beyond_c0():
+    assert SolverParams(hom_coeffs=(1.5,)).hom_coeffs == (1.5,)
+    with pytest.raises(ConfigurationError, match="len\\(hom_points\\) \\+ 1"):
+        SolverParams(hom_coeffs=(1.0, 2.0))
 
 
 @pytest.mark.parametrize("name, value", [
-    ("cut", "x"), ("refine", "eight"), ("d0", None), ("hom_points", 3),
+    ("cut", "x"), ("hom_coeffs", 2), ("d0", None), ("hom_points", 3),
     ("hom_points", ["a"]), ("hom_coeffs", [1.0, "b"])])
 def test_rejects_wrong_types(name, value):
     with pytest.raises(ConfigurationError,
@@ -370,10 +374,9 @@ def test_rejects_wrong_types(name, value):
 
 
 def test_converts_values_to_field_types():
-    p = SolverParams(cut=1, refine=4.0, d0="2.5", hom_points=[7],
-                     hom_coeffs=(0, 1))
-    assert (p.cut, p.refine, p.d0) == (1.0, 4, 2.5)
-    assert type(p.cut) is float and type(p.refine) is int
+    p = SolverParams(cut=1, d0="2.5", hom_points=[7], hom_coeffs=(0, 1))
+    assert (p.cut, p.d0) == (1.0, 2.5)
+    assert type(p.cut) is float and type(p.d0) is float
     assert p.hom_points == (7.0 - 2 * np.pi,) and p.hom_coeffs == (0.0, 1.0)
 
 
@@ -529,3 +532,71 @@ def test_homogeneous_family_for_positive_winding(w):
     rows = [(lambda m: (lambda z: m.f(z).real))(m) for m in members]
     cert = R.dimension_certificate(rows)
     assert cert.rank == len(members) and cert.sigma_min > 1e-3
+
+
+# ----------------------------------------------------------------------
+# two stages: a reduction of nu serves every phi
+# ----------------------------------------------------------------------
+
+def _fresh_normal(N):
+    return R.DirectionField.from_samples(-np.exp(1j * grid_nodes(N)))
+
+
+def _assert_same_solution(got, want):
+    """F and g bitwise equal, for HarmonicSolutions."""
+    assert np.array_equal(got.F.coefficients, want.F.coefficients)
+    assert np.array_equal(got.f_source.g.coefficients,
+                          want.f_source.g.coefficients)
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_memoized_disk_normal_equals_a_fresh_one(N):
+    R.solve_neumann(R.build_boundary_function("cos(t) + 0.5", N))
+    phi = R.build_boundary_function(STEP, N)
+    want = R.HarmonicSolution(f_source=solve_rh(_fresh_normal(N), phi))
+    _assert_same_solution(R.solve_neumann(phi), want)
+
+
+def test_shared_reduction_equals_fresh_solves():
+    N = 1024
+    expr, _ = _tilted_nu(1)
+    red = rh_solver.reduce_field(R.DirectionField.from_angle(expr, N))
+    red.solve(R.build_boundary_function("cos(3*t)", N))
+    phi = R.build_boundary_function(STEP, N)
+    want = solve_rh(R.DirectionField.from_angle(expr, N), phi)
+    _assert_same_solution(R.HarmonicSolution(f_source=red.solve(phi)),
+                          R.HarmonicSolution(f_source=want))
+
+
+def test_transplant_equals_a_solve_on_a_fresh_normal(ellipse_map, step_1024):
+    got = R.transplant_neumann(ellipse_map, step_1024)
+    fresh = solve_rh(image_inner_normal(ellipse_map), step_1024)
+    _assert_same_solution(got, R.HarmonicSolution(f_source=fresh,
+                                                  conformal_map=ellipse_map))
+
+
+def test_family_on_the_memoized_normal_equals_own_solves():
+    N = 1024
+    points = default_hom_points(6)
+    members = homogeneous_family(R.disk_inner_normal(N).field, points)
+    for j in (0, 4):
+        want = _member_by_own_solve(_fresh_normal(N), points, j)
+        _assert_same_solution(R.HarmonicSolution(f_source=members[j]),
+                              R.HarmonicSolution(f_source=want))
+
+
+def test_one_reduction_serves_a_family_and_neumann_solves(monkeypatch):
+    N = 256
+    R.disk_inner_normal(N)  # warm-up
+    calls = []
+    real_arg = rh_solver.measurable_arg
+
+    def counting_arg(nu):
+        calls.append(nu)
+        return real_arg(nu)
+
+    monkeypatch.setattr(rh_solver, "measurable_arg", counting_arg)
+    homogeneous_family(R.disk_inner_normal(N).field, 4)
+    for k in range(32):
+        R.solve_neumann(R.build_boundary_function(f"cos({k}*t + 0.1)", N))
+    assert len(calls) == 1

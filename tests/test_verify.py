@@ -347,3 +347,14 @@ def test_chord_recovery_validation(neumann_cos):
         chord_recovery(neumann_cos, 0.0, 1.5)
     with pytest.raises(DataError, match="coincide"):
         chord_recovery(neumann_cos, 0.3, 0.3)
+
+
+def test_chord_recovery_on_a_mapped_domain():
+    # rho = 1 + 0.2 cos 3a is 1.2 at a = 0 and about 0.84 at arg(0.3 + 0.9i)
+    cmap = R.theodorsen_map("1 + 0.2*cos(3*a)", N=1024)
+    hs = R.transplant_neumann(cmap, R.build_boundary_function("cos(t)", 1024))
+    rec, direct = chord_recovery(hs, 0.1, 1.0)
+    assert abs(rec - direct) < 1e-6
+    chord_recovery(hs, 0.1, 1.1)
+    with pytest.raises(DomainError, match="inside the domain"):
+        chord_recovery(hs, 0.1, 0.3 + 0.9j)
