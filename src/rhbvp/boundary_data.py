@@ -50,6 +50,21 @@ class Piece:
     source: str = ""
 
 
+def _piece_values(pieces: Sequence[Piece], t: np.ndarray,
+                  kind: str) -> np.ndarray:
+    """Exact values of sorted pieces at angles t in [0, 2pi), with the
+    right-piece convention at junctions."""
+    out = np.empty(len(t), dtype=complex if kind == "complex" else float)
+    los = np.array([p.lo for p in pieces])
+    idx = np.clip(np.searchsorted(los, t + _EDGE_EPS, side="right") - 1,
+                  0, len(pieces) - 1)
+    for k, p in enumerate(pieces):
+        m = idx == k
+        if np.any(m):
+            out[m] = p.fn(t[m])
+    return out
+
+
 def as_function(obj, var: str = "theta",
                 what: str = "a boundary expression") -> tuple[Callable, str]:
     """A number, an expression string in var or a callable, as a
@@ -127,18 +142,6 @@ class BoundaryFunction:
         coeff[-1] *= 0.5
         return coeff
 
-    def _eval_pieces(self, t: np.ndarray) -> np.ndarray:
-        """Exact piece values at angles in [0, 2pi), right-piece convention."""
-        los = np.array([p.lo for p in self.pieces])
-        idx = np.searchsorted(los, t + _EDGE_EPS, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        out = np.empty(len(t), dtype=complex if self.kind == "complex" else float)
-        for k, p in enumerate(self.pieces):
-            m = idx == k
-            if np.any(m):
-                out[m] = p.fn(t[m])
-        return out
-
     # -- public API --------------------------------------------------------
 
     def evaluate(self, theta) -> np.ndarray:
@@ -147,7 +150,8 @@ class BoundaryFunction:
         t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = self._eval_pieces(t) if self.pieces is not None else self._interp(t)
+        out = (_piece_values(self.pieces, t, self.kind)
+               if self.pieces is not None else self._interp(t))
         return out[0] if scalar else out
 
     def on_uniform_grid(self, V: int) -> np.ndarray:
@@ -159,7 +163,7 @@ class BoundaryFunction:
         gives every value.  Piecewise data is evaluated exactly.
         """
         if self.pieces is not None:
-            return self._eval_pieces(grid_nodes(V))
+            return _piece_values(self.pieces, grid_nodes(V), self.kind)
         coeff = self._spectrum()
         bins = np.arange(-(self.N // 2), self.N // 2 + 1) % V
         folded = (np.bincount(bins, coeff.real, minlength=V)
@@ -235,14 +239,7 @@ def build_boundary_function(spec, N: int, kind: str = "real",
             raise ConfigurationError(
                 f"boundary pieces do not form a partition near angle {a.hi:.6g}")
     theta = grid_nodes(N)
-    samples = np.empty(N, dtype=complex if kind == "complex" else float)
-    los = np.array([p.lo for p in pieces])
-    idx = np.clip(np.searchsorted(los, theta + _EDGE_EPS, side="right") - 1,
-                  0, len(pieces) - 1)
-    for k, p in enumerate(pieces):
-        m = idx == k
-        if np.any(m):
-            samples[m] = p.fn(theta[m])
+    samples = _piece_values(pieces, theta, kind)
     if not np.all(np.isfinite(samples)):
         bad = int(np.flatnonzero(~np.isfinite(samples))[0])
         raise DataError(f"boundary expression is non-finite at node {bad} "

@@ -8,7 +8,8 @@ Subcommands:
 
 One JSON config drives everything; unknown keys anywhere are errors
 naming the offending paths.  A key the config leaves out takes the
-default of the library call it feeds (SolverParams, verify_solution).
+default of the library call it feeds (SolverParams, verify_solution),
+except params.N, the grid size, which defaults to DEFAULT_N.
 Exit codes: 0 success, 1 usage/configuration errors (bad arguments
 included), 2 numerical failures.  Output files are guarded by .lock files
 and partial outputs are removed when a run fails for any reason.
@@ -33,6 +34,7 @@ from .neumann import disk_inner_normal, solve_neumann
 from .rh_solver import REFINE, SolverParams, homogeneous_family
 from .verify import dimension_certificate, verify_solution
 
+DEFAULT_N = 1024  # grid size when neither params.N nor --n sets it
 DEFAULT_GRID = {"nx": 101, "ny": 101, "half_width": 0.95}
 
 _SCHEMA = {
@@ -98,15 +100,17 @@ def _section(cfg: dict, path: str) -> dict:
 
 def _validated_n(cfg: dict, override: int | None) -> int:
     n = override if override is not None else _section(cfg, "params").get(
-        "N", SolverParams.N)
+        "N", DEFAULT_N)
     if not isinstance(n, int) or n < 16 or (n & (n - 1)) != 0:
         raise ConfigurationError(
             f"params.N must be a power of two with N >= 16, got {n!r}")
     return n
 
 
-def _build_params(cfg: dict, N: int) -> SolverParams:
-    return SolverParams(**{**_section(cfg, "params"), "N": N})
+def _build_params(cfg: dict) -> SolverParams:
+    """SolverParams from the params section less N, which sizes the grid."""
+    return SolverParams(**{k: v for k, v in _section(cfg, "params").items()
+                           if k != "N"})
 
 
 def _build_domain(cfg: dict, N: int):
@@ -142,7 +146,7 @@ def _build_nu(cfg: dict, N: int) -> DirectionField | None:
 
 
 def _solve(cfg: dict, N: int, trace):
-    params = _build_params(cfg, N)
+    params = _build_params(cfg)
     cmap = _build_domain(cfg, N)
     phi = _build_phi(cfg, N)
     problem = cfg.get("problem", "neumann")
@@ -365,7 +369,7 @@ def _run_map(cfg: dict, N: int, field_path, report_path, trace):
 
 
 def _run_family(cfg: dict, N: int, field_path, report_path, trace, guard):
-    params = _build_params(cfg, N)
+    params = _build_params(cfg)
     if not params.hom_points:
         raise ConfigurationError("family command requires params.hom_points")
     cmap = _build_domain(cfg, N)

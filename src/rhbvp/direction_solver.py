@@ -149,6 +149,6 @@ class HarmonicSolution:
 def solve_directional(nu: DirectionField, phi: BoundaryFunction,
                       params: SolverParams | None = None) -> HarmonicSolution:
     """Solve grad u . nu -> phi nontangentially a.e. on the unit circle."""
-    params = params or SolverParams(N=nu.N)
+    params = params or SolverParams()
     sol = solve_rh(nu, phi, params)
     return HarmonicSolution(f_source=sol, d0=params.d0, notes=list(sol.notes))

@@ -2,9 +2,9 @@
 
 Schwarz integral, boundary conjugation, truncated power series
 evaluation, and nontangential (Stolz) approach paths.  Every transform
-here acts on periodic data through the FFT; the winding of a direction
-field never reaches this module, because measurable_arg reduces it
-before conjugation.
+here acts on periodic data through the FFT, with no per-coefficient
+loop; the winding of a direction field never reaches this module,
+because measurable_arg reduces it before conjugation.
 """
 
 from __future__ import annotations
@@ -163,24 +163,6 @@ def conjugate_boundary(bf: BoundaryFunction, L: int | None = None) -> BoundaryFu
     buf[:len(c)] = -0.5j * M * c
     H = np.ascontiguousarray(np.fft.irfft(buf, M)[::M // L])
     return BoundaryFunction(samples=H, kind="real", jumps=bf.jumps)
-
-
-def exp_series(b: np.ndarray, M: int | None = None) -> np.ndarray:
-    """Power series coefficients of exp(sum b_k z^k), length M.
-
-    Standard recurrence: w_0 = exp(b_0), n*w_n = sum_{k=1}^{n} k*b_k*w_{n-k}.
-    """
-    b = np.asarray(b, dtype=complex)
-    M = M or len(b)
-    w = np.zeros(M, dtype=complex)
-    w[0] = np.exp(b[0])
-    kb = np.arange(len(b)) * b
-    for n in range(1, M):
-        kmax = min(n, len(b) - 1)
-        stop = n - kmax - 1
-        seg = w[n - 1:stop:-1] if stop >= 0 else w[n - 1::-1]
-        w[n] = np.dot(kb[1:kmax + 1], seg) / n
-    return w
 
 
 # ----------------------------------------------------------------------

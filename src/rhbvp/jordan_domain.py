@@ -8,7 +8,11 @@ correspondence sigma.  sigma solves the fixed point
     sigma(t) = t + H[log rho(sigma(.))](t)
 
 with H the boundary conjugation; iteration from sigma = identity is
-contractive under the slope condition.
+contractive under the slope condition.  At the converged sigma the map's
+boundary values are omega(e^{it_j}) = rho(sigma_j) e^{i sigma_j}, so the
+Taylor coefficients of omega are one FFT of those points, cut where the
+rest is rounding noise (Wegmann, "Methods for numerical conformal
+mapping", Handbook of Complex Analysis vol. 2, 2005).
 
 Solutions transplant: boundary data pulled back through the
 correspondence is solved on the disk, the antiderivative integrates
@@ -26,17 +30,15 @@ import numpy as np
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
                             as_function, grid_nodes)
 from .direction_solver import HarmonicSolution
-from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
-                            conjugate_boundary, exp_series)
+from .disk_harmonic import SeriesEvaluator, conjugate_boundary
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, InvariantViolation,
                      PointQueryError)
 from .neumann import compatibility_note
 from .rh_solver import SolverParams, solve_rh
 
-# omega keeps its significant degree: exp_series leaves a tail of terms
-# near the rounding floor (~1e-18), and Newton inversion pays for every
-# term it keeps.
+# omega keeps its significant degree: the FFT leaves a tail of terms at
+# the rounding floor, and Newton inversion pays for every term it keeps.
 OMEGA_TAIL_TOL = 16.0 * np.finfo(float).eps
 THEODORSEN_TOL = 1e-13  # sup-norm update of sigma that ends the iteration
 THEODORSEN_MAX_ITER = 200
@@ -98,11 +100,12 @@ class ConformalMap:
 
 
 def _trim_tail(c: np.ndarray) -> np.ndarray:
-    """c without the trailing terms whose summed magnitude is at most
-    OMEGA_TAIL_TOL * sum |c|; this moves the series by no more than that
-    anywhere on the closed disk."""
-    tail = np.cumsum(np.abs(c[::-1]))[::-1]  # tail[k] = sum_{n >= k} |c_n|
-    drop = tail <= OMEGA_TAIL_TOL * tail[0]
+    """c without the trailing terms whose l2 norm is at most
+    OMEGA_TAIL_TOL * ||c||_2; by Parseval this moves the series by no more
+    than that in mean square on the unit circle.  FFT rounding noise is
+    l2-sized, so the kept degree does not grow with the FFT length."""
+    tail = np.cumsum(np.abs(c[::-1]) ** 2)[::-1]  # sum_{n >= k} |c_n|^2
+    drop = tail <= OMEGA_TAIL_TOL ** 2 * tail[0]
     return c[:len(c) - int(np.sum(drop))]
 
 
@@ -135,9 +138,10 @@ def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
             f"Theodorsen iteration did not reach {THEODORSEN_TOL:g} within "
             f"{THEODORSEN_MAX_ITER} steps (last update {delta:.3e})")
 
-    ls = np.log(np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float))
-    b = analytic_coefficients(ls)
-    om = _trim_tail(np.concatenate([[0.0], exp_series(b, N // 2)]))
+    radii = np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float)
+    om = np.fft.fft(radii * np.exp(1j * sigma))[:N // 2 + 1] / N
+    om[0] = 0.0
+    om = _trim_tail(om)
     omega = SeriesEvaluator(om)
     omega_prime = omega.derivative()
 
@@ -183,7 +187,7 @@ def transplant_solve(cmap: ConformalMap, phi: BoundaryFunction,
     problem for the pulled-back pair is solved, F integrates f * omega',
     and the returned solution evaluates through Newton inversion.
     """
-    params = params or SolverParams(N=cmap.N)
+    params = params or SolverParams()
     if phi.N != cmap.N:
         raise ConfigurationError(
             f"boundary data N={phi.N} does not match the map N={cmap.N}")

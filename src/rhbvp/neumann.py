@@ -55,7 +55,7 @@ def compatibility_note(phi: BoundaryFunction, cmap=None) -> str | None:
 def solve_neumann(phi: BoundaryFunction,
                   params: SolverParams | None = None) -> HarmonicSolution:
     """Neumann problem grad u . n -> phi on the unit disk."""
-    params = params or SolverParams(N=phi.N)
+    params = params or SolverParams()
     sol = disk_inner_normal(phi.N).solve(phi, params)
     note = compatibility_note(phi)
     return HarmonicSolution(f_source=sol, d0=params.d0,

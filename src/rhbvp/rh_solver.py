@@ -51,10 +51,10 @@ REFINE = 8  # psi is formed on REFINE * N nodes; g keeps REFINE * N / 2 terms
 
 @dataclass
 class SolverParams:
-    """Discretization and construction parameters shared by the solvers;
-    a value that does not convert to its field's type is a ConfigurationError."""
+    """Construction parameters shared by the solvers (the grid size is the
+    data's); a value that does not convert to its field's type is a
+    ConfigurationError."""
 
-    N: int = 1024
     cut: float = 0.0
     d0: float = 0.0
     hom_points: tuple[float, ...] = ()
@@ -137,7 +137,7 @@ class ReducedField:
               params: SolverParams | None = None) -> "AnalyticSolution":
         """The phi stage: psi = phi * exp(-H), T = S[psi] and g from T."""
         N = self.field.N
-        params = params or SolverParams(N=N)
+        params = params or SolverParams()
         if phi.kind != "real":
             raise DataError("boundary data phi must be real-valued")
         if N != phi.N:
@@ -155,8 +155,7 @@ class ReducedField:
         psi = BoundaryFunction(samples=psi_L[::REFINE], kind="real",
                                jumps=set(phi.jumps) | set(self.alpha.jumps))
         return AnalyticSolution(reduced=self, phi=phi, psi=psi, g=g,
-                                head=T[:max(w, 0)], hom_points=params.hom_points,
-                                hom_coeffs=params.hom_coeffs, params=params,
+                                head=T[:max(w, 0)], params=params,
                                 notes=list(self.notes))
 
 
@@ -184,7 +183,8 @@ def reduce_field(nu: DirectionField) -> ReducedField:
 class AnalyticSolution:
     """Solution f of the directional boundary value problem on the disk.
 
-    nu, index, alpha and A read through to reduced, its ReducedField.
+    nu, index, alpha and A read through to reduced, its ReducedField, and
+    hom_points and hom_coeffs to params.
     g is z^k * T for w = -k <= 0, and T shifted down by k for w = k > 0,
     whose first k terms head keeps.
     """
@@ -194,8 +194,6 @@ class AnalyticSolution:
     psi: BoundaryFunction
     g: SeriesEvaluator
     head: np.ndarray
-    hom_points: tuple[float, ...]
-    hom_coeffs: tuple[float, ...]
     params: SolverParams
     notes: list[str] = field(default_factory=list)
     # fans of exp(-i A), g and z by (scales, V), shared by the members of
@@ -207,6 +205,8 @@ class AnalyticSolution:
     index = property(attrgetter("reduced.index"))
     alpha = property(attrgetter("reduced.alpha"))
     A = property(attrgetter("reduced.A"))
+    hom_points = property(attrgetter("params.hom_points"))
+    hom_coeffs = property(attrgetter("params.hom_coeffs"))
 
     @property
     def N(self) -> int:
@@ -310,15 +310,15 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     followed by one member per point.  f is linear in the Herglotz
     coefficients, so one solve with phi = 0, one reduction of nu, serves
     every member; the members are copies of it that differ only in
-    hom_coeffs, params and notes, and share its reduced field, psi and g
-    (each member solves its own b_j) and one store of fans, so f_on_scales
-    evaluates A and g once per fan for the whole family.  hom_points and
+    params (so in hom_coeffs) and notes, and share its reduced field, psi
+    and g (each member solves its own b_j) and one store of fans, so
+    f_on_scales evaluates A and g once per fan for the whole family.  hom_points and
     hom_coeffs preset in params are ignored.
     """
     if isinstance(points, int):
         points = default_hom_points(points)
     points = tuple(float(a) % TWO_PI for a in points)
-    base = params or SolverParams(N=nu.N)
+    base = params or SolverParams()
     zero_phi = BoundaryFunction(samples=np.zeros(nu.N), kind="real")
     sol = solve_rh(nu, zero_phi, replace(base, hom_points=points, hom_coeffs=()))
     members = []
@@ -327,7 +327,6 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     for j in range(k + 1):
         coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
         p = replace(base, hom_points=points, hom_coeffs=coeffs)
-        members.append(replace(sol, hom_coeffs=coeffs, params=p,
-                               notes=list(sol.notes)))
+        members.append(replace(sol, params=p, notes=list(sol.notes)))
         members[-1]._fans = fans
     return members

@@ -180,39 +180,26 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
 
     N = src.N
     j_max = default_j_max(N)
-    paths = [StolzPath(angle=0.0, aperture=k, j_min=3, j_max=j_max)
-             for k in apertures]
-    scale_list = [p.scales for p in paths]
-    all_scales = np.concatenate(scale_list)
-    fvals = src.f_on_scales(all_scales, V)
-
-    est_per_ap = []
-    conv_per_ap = []
-    err_per_ap = []
-    off = 0
-    for sc in scale_list:
-        K = len(sc)
-        block = (nu_vals[None, :] * fvals[off:off + K]).real  # (K, V)
-        off += K
-        est_per_ap.append(block[-1])
-        conv_per_ap.append(converged_sequence(block.T, tol))
-        err_per_ap.append(np.abs(block[-1] - targets))
-    est = est_per_ap[0]
-    conv = np.logical_and.reduce(conv_per_ap)
-    err = np.max(err_per_ap, axis=0)
+    # every path has the same levels, so the fan is (apertures, K, V)
+    scales = np.stack([StolzPath(angle=0.0, aperture=k, j_min=3,
+                                 j_max=j_max).scales for k in apertures])
+    fvals = src.f_on_scales(scales.ravel(), V).reshape(*scales.shape, V)
+    pairing = (nu_vals * fvals).real
+    conv = converged_sequence(pairing.swapaxes(1, 2), tol).all(axis=0)
+    err_per_ap = np.abs(pairing[:, -1] - targets)  # (apertures, V)
+    est, err = pairing[0, -1], err_per_ap.max(axis=0)
 
     jumps, cuts, poles = _solution_specials(src, target.jumps)
     excluded, reasons, budget = _exclusions(angles, delta, jumps, cuts, poles)
 
     denom = (~excluded) & conv
-    ok_per_ap = [e <= tol for e in err_per_ap]
-    passed = denom & np.logical_and.reduce(ok_per_ap)
+    ok_per_ap = err_per_ap <= tol
+    passed = denom & ok_per_ap.all(axis=0)
     pass_fraction = float(passed.sum() / denom.sum()) if denom.any() else 0.0
     certified_fraction = (float(passed.sum() / (~excluded).sum())
                           if (~excluded).any() else 0.0)
 
-    agree = np.logical_and.reduce(
-        [ok == ok_per_ap[0] for ok in ok_per_ap])
+    agree = (ok_per_ap == ok_per_ap[0]).all(axis=0)
     agreement = float(np.mean(agree[denom])) if denom.any() else 1.0
 
     notes = list(hsol.notes)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import rhbvp as R
-from rhbvp.rh_solver import SolverParams
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +41,3 @@ def ellipse_map():
 @pytest.fixture(scope="session")
 def hom_family_cos(neumann_cos):
     return R.homogeneous_family(neumann_cos.nu, 10)
-
-
-def params(N=1024, **kw):
-    return SolverParams(N=N, **kw)

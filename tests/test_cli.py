@@ -503,6 +503,6 @@ def test_shipped_configs_clamp_no_conjugate(tmp_path, capsys, name):
         cfg = json.load(fh)
     nu = R.disk_inner_normal(256).field
     phi = R.build_boundary_function(cfg["phi"], 256)
-    params = R.SolverParams(N=256, hom_points=tuple(
+    params = R.SolverParams(hom_points=tuple(
         cfg["params"].get("hom_points", ())))
     assert not R.solve_rh(nu, phi, params).notes

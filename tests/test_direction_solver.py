@@ -109,7 +109,7 @@ def test_d0_shifts_value_at_origin():
     N = 128
     hs = solve_directional(_const_nu(N),
                            R.build_boundary_function("cos(theta)", N),
-                           SolverParams(N=N, d0=2.5))
+                           SolverParams(d0=2.5))
     assert abs(hs.u(np.array([0.0 + 0j]))[0] - 2.5) < 1e-14
 
 

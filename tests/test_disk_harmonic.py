@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rhbvp.boundary_data import BoundaryFunction, grid_nodes
 from rhbvp.disk_harmonic import (RAY_CHUNK, SeriesEvaluator, StolzPath,
                                  analytic_coefficients, conjugate_boundary,
-                                 converged_sequence, default_j_max, exp_series,
+                                 converged_sequence, default_j_max,
                                  schwarz_integral)
 from rhbvp.errors import ConfigurationError, DataError, DomainError
 from rhbvp.verify import J_DEEP, radial_u_table
@@ -267,14 +267,6 @@ def test_radial_u_table_matches_horner_quadrature(neumann_step):
     ref += neumann_step.d0
     assert table.u_edges.shape == ref.shape
     assert np.max(np.abs(table.u_edges - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_exp_series_against_exp():
-    b = np.array([0.3, 0.5, -0.2, 0.1])
-    w = exp_series(b, 48)
-    z = np.array([0.4 - 0.3j])
-    direct = np.exp(b[0] + b[1] * z + b[2] * z ** 2 + b[3] * z ** 3)
-    np.testing.assert_allclose(SeriesEvaluator(w)(z), direct, atol=1e-12)
 
 
 def test_analytic_coefficients_roundtrip():

@@ -1,5 +1,7 @@
 """Conformal maps of star-like domains and solution transplants."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,7 @@ import rhbvp as R
 from rhbvp.boundary_data import BoundaryFunction, grid_nodes
 from rhbvp.errors import (ConfigurationError, ConvergenceDomainError,
                           ConvergenceError, DataError, PointQueryError)
-from rhbvp.disk_harmonic import (SeriesEvaluator, analytic_coefficients,
-                                 exp_series)
+from rhbvp.disk_harmonic import SeriesEvaluator, analytic_coefficients
 from rhbvp import jordan_domain
 from rhbvp.jordan_domain import (OMEGA_TAIL_TOL, image_inner_normal,
                                  theodorsen_map, transplant_neumann)
@@ -59,25 +60,49 @@ def test_map_invariants(ellipse_map):
     assert np.min(np.abs(ellipse_map.omega_prime(probe))) > 1e-3
 
 
+def _exp_series(b: np.ndarray, M: int) -> np.ndarray:
+    """Taylor coefficients of exp(sum b_k z^k) up to z^(M-1) by the
+    recurrence w_0 = exp(b_0), n w_n = sum_{k=1}^{n} k b_k w_{n-k}."""
+    w = np.zeros(M, dtype=complex)
+    w[0] = np.exp(b[0])
+    kb = np.arange(len(b)) * b
+    for n in range(1, M):
+        k = np.arange(1, min(n, len(b) - 1) + 1)
+        w[n] = np.dot(kb[k], w[n - k]) / n
+    return w
+
+
+@functools.lru_cache(maxsize=None)
+def _degree(rho, N):
+    return len(theodorsen_map(rho, N=N).omega.coefficients)
+
+
 @pytest.mark.parametrize("rho", [ELLIPSE_RHO, STAR3_RHO])
 @pytest.mark.parametrize("N", [256, 1024, 4096])
 def test_omega_trim_stays_within_tail_bound(rho, N):
     cmap = theodorsen_map(rho, N=N)
-    # the untrimmed map, recomputed from the final correspondence
-    ls = np.log(cmap.rho(np.mod(cmap.correspondence, 2 * np.pi)))
-    full = np.concatenate(
-        [[0.0], exp_series(analytic_coefficients(ls), N // 2)])
+    sigma = cmap.correspondence
+    rs = cmap.rho(np.mod(sigma, 2 * np.pi))
+    # the untrimmed map: the FFT of the boundary points rho(sigma) e^{i sigma}
+    full = np.fft.fft(rs * np.exp(1j * sigma))[:N // 2 + 1] / N
+    full[0] = 0.0
     kept = cmap.omega.coefficients
     assert np.array_equal(kept, full[:len(kept)])
+    # z * exp(S) by the Taylor recurrence, an independent reference
+    ref = np.concatenate(
+        [[0.0], _exp_series(analytic_coefficients(np.log(rs)), N // 2)])
+    assert np.max(np.abs(kept - ref[:len(kept)])) <= 1e-14
     if rho == STAR3_RHO and N == 256:
         assert len(kept) == len(full)  # nothing reaches the rounding floor
     else:
         assert len(kept) < len(full)
-    tail = full.copy()
-    tail[:len(kept)] = 0.0
+        # the significant degree, not the FFT length, sets what is kept
+        assert len(kept) == _degree(rho, 1024) == _degree(rho, 16384)
+    assert (np.linalg.norm(full[len(kept):])
+            <= OMEGA_TAIL_TOL * np.linalg.norm(full))
     z = np.exp(2j * np.pi * np.arange(4096) / 4096)
-    diff = np.abs(SeriesEvaluator(tail)._horner(z))
-    assert np.max(diff) <= OMEGA_TAIL_TOL * np.sum(np.abs(full))
+    moved = SeriesEvaluator(kept)._horner(z) - SeriesEvaluator(full)._horner(z)
+    assert np.max(np.abs(moved)) <= 1e-14
     assert OMEGA_TAIL_TOL == 16 * np.finfo(float).eps
 
 
@@ -172,6 +197,24 @@ def test_image_normal_identity_map():
     nf = image_inner_normal(cmap)
     np.testing.assert_allclose(nf.samples, -np.exp(1j * grid_nodes(128)),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [None, ELLIPSE_RHO, STAR3_RHO])
+def test_index_coefficient_is_the_scaled_flux(rho):
+    # w = 1: the pole at the cut carries the flux 2 pi mean(phi |omega'|),
+    # b_0 = -flux / (2 pi omega'(0)); on the disk (omega' = 1) b_0 = -mean phi
+    N = 1024
+    phi = R.build_boundary_function("0.7 + cos(theta) + 0.3*sin(2*theta)", N)
+    if rho is None:
+        sol, speed, scale = R.solve_neumann(phi).f_source, 1.0, 1.0
+    else:
+        cmap = theodorsen_map(rho, N=N)
+        sol = transplant_neumann(cmap, phi).f_source
+        speed = np.abs(cmap.omega_prime.eval_on_circle(1.0, N))
+        scale = cmap.omega.coefficients[1].real
+    flux = 2 * np.pi * np.mean(phi.samples * speed)
+    assert sol.index == 1
+    assert abs(sol.index_coeffs[0] + flux / (2 * np.pi * scale)) <= 1e-12
 
 
 def test_transplant_scaled_disk_neumann():

@@ -64,6 +64,15 @@ def test_neumann_step_notes_incompatibility(neumann_step):
                for n in neumann_step.notes)
 
 
+def test_default_params_solve_on_the_datas_grid():
+    # the grid size is the data's: SolverParams has no N to disagree with it
+    phi = R.build_boundary_function("cos(theta)", 256)
+    assert R.solve_neumann(phi).f_source.N == phi.N
+    assert R.solve_neumann(phi, R.SolverParams(d0=1.0)).f_source.N == phi.N
+    with pytest.raises(TypeError):
+        R.SolverParams(N=64)
+
+
 def test_neumann_solution_carries_sources(neumann_cos):
     assert neumann_cos.phi is not None
     assert neumann_cos.nu is not None

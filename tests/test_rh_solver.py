@@ -191,13 +191,13 @@ def _family_one_solve_per_member(nu, points, params):
     if isinstance(points, int):
         points = default_hom_points(points)
     points = tuple(float(a) % (2 * np.pi) for a in points)
-    base = params or SolverParams(N=nu.N)
+    base = params or SolverParams()
     zero_phi = R.BoundaryFunction(samples=np.zeros(nu.N), kind="real")
     k = len(points)
     members = []
     for j in range(k + 1):
         coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
-        p = SolverParams(N=base.N, cut=base.cut, d0=base.d0,
+        p = SolverParams(cut=base.cut, d0=base.d0,
                          hom_points=points, hom_coeffs=coeffs)
         members.append(solve_rh(nu, zero_phi, p))
     return members
@@ -213,7 +213,7 @@ FAMILY_CASES = {  # nu, points, params, REFINE
     "oblique_cut_refine4": (
         lambda: _oblique_nu(256), (0.4, 2.5, 5.0),
         # preset hom_points/hom_coeffs are ignored by homogeneous_family
-        SolverParams(N=256, cut=1.0, hom_points=(1.5, 2.0, 3.0),
+        SolverParams(cut=1.0, hom_points=(1.5, 2.0, 3.0),
                      hom_coeffs=(3.0, -2.0, 1.0, 0.5)), 4),
     "k0": (lambda: _normal_nu(128), 0, None, 8),
 }
@@ -259,7 +259,7 @@ def _member_by_own_solve(nu, points, j):
     """Member j of homogeneous_family(nu, points) by its own solve_rh."""
     coeffs = tuple(1.0 if i == j else 0.0 for i in range(len(points) + 1))
     zero_phi = R.BoundaryFunction(samples=np.zeros(nu.N), kind="real")
-    return solve_rh(nu, zero_phi, SolverParams(N=nu.N, hom_points=points,
+    return solve_rh(nu, zero_phi, SolverParams(hom_points=points,
                                                hom_coeffs=coeffs))
 
 
@@ -303,7 +303,8 @@ def test_only_family_members_hold_a_fan_store(neumann_step):
     assert all(m._fans is members[0]._fans for m in members)
     assert members[0]._fans == {}
     # a copy with other fields may change A or g: it starts without a store
-    assert replace(members[0], hom_coeffs=(0.0, 1.0, 1.0))._fans is None
+    other = replace(members[0].params, hom_coeffs=(0.0, 1.0, 1.0))
+    assert replace(members[0], params=other)._fans is None
 
 
 @pytest.mark.parametrize("c0", [0.0, 1.5])
@@ -392,14 +393,14 @@ def _fan_cases(step):
     nonzero cut) and 2, and a homogeneous solution with three poles."""
     N = step.N
     zero = R.build_boundary_function(0.0, N)
-    three_poles = SolverParams(N=N, hom_points=default_hom_points(3),
+    three_poles = SolverParams(hom_points=default_hom_points(3),
                                hom_coeffs=(0.5, 1.0, -0.7, 0.3))
     return {
         "winding 0": solve_rh(
             R.DirectionField.from_angle("0.3 + 0.2*cos(t)", N), step),
         "winding 1, cut 1": solve_rh(
             R.DirectionField.from_angle("t + 0.4*sin(t)", N), step,
-            SolverParams(N=N, cut=1.0)),
+            SolverParams(cut=1.0)),
         "winding 2": solve_rh(R.DirectionField.from_angle("2*t", N), step),
         "homogeneous, 3 poles": solve_rh(_normal_nu(N), zero, three_poles),
     }
@@ -504,7 +505,7 @@ def test_winding_property(w, cut, a, b, s, jumps, levels, amp):
     expr, nu_of = _tilted_nu(w, a, b, s)
     try:
         sol = solve_rh(R.DirectionField.from_angle(expr, N), phi,
-                       SolverParams(N=N, cut=cut))
+                       SolverParams(cut=cut))
     except RHBVPError:
         return
     assert sol.index_poles == index_poles(w, cut)
@@ -521,7 +522,7 @@ def test_homogeneous_family_for_positive_winding(w):
     expr, nu_of = _tilted_nu(w)
     points = (0.7, 2.0, 3.5, 5.0)
     members = homogeneous_family(R.DirectionField.from_angle(expr, N), points,
-                                 SolverParams(N=N, cut=0.2))
+                                 SolverParams(cut=0.2))
     assert len(members) == len(points) + 1
     avoid = list(points) + list(index_poles(w, 0.2))
     z = _interior(20)
