@@ -71,7 +71,7 @@ def as_function(obj, var: str = "theta",
     vectorized function of one variable plus its source text."""
     if callable(obj):
         return obj, getattr(obj, "source", getattr(obj, "__name__", "<callable>"))
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         val = float(obj)
         return (lambda t: np.full(np.shape(t), val, dtype=float)), repr(val)
     if isinstance(obj, str):
@@ -201,13 +201,34 @@ class BoundaryFunction:
         return replace(self, samples=np.fft.ifft(G) * (L / self.N))
 
 
+def _piece(item) -> Piece:
+    """A (lo, hi, expr) triple or a {"from", "to", "expr"} object as a Piece."""
+    parts = item
+    if isinstance(item, dict):
+        extra = set(item) - {"from", "to", "expr"}
+        if extra:
+            raise ConfigurationError(
+                f"unknown keys in boundary piece {item!r}: {sorted(extra)}")
+        parts = (item.get("from", 0.0), item.get("to", TWO_PI), item.get("expr"))
+    try:
+        lo, hi, raw = parts
+        lo, hi = float(lo), float(hi)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"boundary piece {item!r} is neither a (from, to, expr) triple "
+            f"nor a {{'from', 'to', 'expr'}} object") from None
+    fn, src = as_function(raw, what=f"the expr of boundary piece {item!r}")
+    return Piece(lo, hi, fn, src)
+
+
 def build_boundary_function(spec, N: int, kind: str = "real",
                             jumps: Sequence[float] = ()) -> BoundaryFunction:
     """Construct boundary data from a piecewise description or samples.
 
     spec may be: a number (constant), an expression string, a callable
     of theta, a list of (lo, hi, expr) triples / {"from","to","expr"}
-    dicts forming a partition of [0, 2pi), or a sample array of length N.
+    dicts forming a partition of [0, 2pi), or a sample array of length N;
+    anything else is a ConfigurationError naming the malformed piece.
     Junctions where the piece values disagree are recorded as jumps.
     """
     _check_grid_size(N)
@@ -218,18 +239,11 @@ def build_boundary_function(spec, N: int, kind: str = "real",
         return BoundaryFunction(samples=spec, kind=kind, jumps=tuple(jumps))
     if isinstance(spec, (int, float, str)) or callable(spec):
         spec = [(0.0, TWO_PI, spec)]
-    pieces = []
-    for item in spec:
-        if isinstance(item, dict):
-            extra = set(item) - {"from", "to", "expr"}
-            if extra:
-                raise ConfigurationError(
-                    f"unknown keys in boundary piece: {sorted(extra)}")
-            lo, hi, raw = item.get("from", 0.0), item.get("to", TWO_PI), item["expr"]
-        else:
-            lo, hi, raw = item
-        fn, src = as_function(raw)
-        pieces.append(Piece(float(lo), float(hi), fn, src))
+    if not isinstance(spec, (list, tuple)) or not spec:
+        raise ConfigurationError(
+            f"boundary data must be a number, an expression or a non-empty "
+            f"list of pieces, got {spec!r}")
+    pieces = [_piece(item) for item in spec]
     pieces.sort(key=lambda p: p.lo)
     if abs(pieces[0].lo) > 1e-12 or abs(pieces[-1].hi - TWO_PI) > 1e-12:
         raise ConfigurationError(

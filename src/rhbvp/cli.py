@@ -6,10 +6,12 @@ Subcommands:
   family   homogeneous family for the configured points + rank certificate
   map      Theodorsen map for a star-like domain, correspondence table
 
-One JSON config drives everything; unknown keys anywhere are errors
-naming the offending paths.  A key the config leaves out takes the
-default of the library call it feeds (SolverParams, verify_solution),
-except params.N, the grid size, which defaults to DEFAULT_N.
+One JSON config drives everything.  load_config checks it against
+_SCHEMA in one walk: unknown keys, values of the wrong JSON type and
+values out of range are errors naming their paths.  A key the config
+leaves out takes the default of the library call it feeds (SolverParams,
+verify_solution), except params.N, the grid size, which defaults to
+DEFAULT_N.
 Exit codes: 0 success, 1 usage/configuration errors (bad arguments
 included), 2 numerical failures.  Output files are guarded by .lock files
 and partial outputs are removed when a run fails for any reason.
@@ -37,33 +39,75 @@ from .verify import dimension_certificate, verify_solution
 DEFAULT_N = 1024  # grid size when neither params.N nor --n sets it
 DEFAULT_GRID = {"nx": 101, "ny": 101, "half_width": 0.95}
 
+# Each key's accepted JSON value: a dict is a section (an object, or null
+# for absent), a type or [type] a leaf's, and None leaves the value to the
+# library call it feeds; domain is the string "disk" or its section.
 _SCHEMA = {
     "problem": None,
-    "domain": {"starlike": {"rho": None}},
+    "domain": ({"starlike": {"rho": None}}, str),
     "nu": None,
     "phi": None,
-    "params": {"N": None, "cut": None, "hom_points": None, "hom_coeffs": None,
+    "params": {"N": int, "cut": None, "hom_points": None, "hom_coeffs": None,
                "d0": None},
-    "verify": {"V": None, "tol": None, "delta": None, "apertures": None,
+    "verify": {"V": int, "tol": float, "delta": float, "apertures": [float],
                "target": None},
-    "outputs": {"field_csv": None, "report": None,
-                "grid": {"nx": None, "ny": None, "half_width": None}},
+    "outputs": {"field_csv": str, "report": str,
+                "grid": {"nx": int, "ny": int, "half_width": float}},
+}
+
+# what a leaf of the right type must also satisfy
+_RULES = {
+    "params.N": ("a power of two with N >= 16",
+                 lambda n: n >= 16 and n & (n - 1) == 0),
+    "verify.apertures": ("non-empty", len),
+    "outputs.grid.nx": ("at least 2", lambda n: n >= 2),
+    "outputs.grid.ny": ("at least 2", lambda n: n >= 2),
+    "outputs.grid.half_width": ("in (0, 1e6)", lambda h: 0 < h < 1.0e6),
 }
 
 
-def _collect_unknown(cfg, schema, prefix="", out=None):
-    out = out if out is not None else []
-    if not isinstance(cfg, dict):
-        return out
+def _has_type(val, kind) -> bool:
+    """JSON typing: a bool is no number, an int is a float, [k] a list of k."""
+    if isinstance(kind, list):
+        return isinstance(val, list) and all(_has_type(v, kind[0]) for v in val)
+    return (isinstance(val, (int, float) if kind is float else kind)
+            and not isinstance(val, bool))
+
+
+def _walk(cfg: dict, schema: dict, prefix: str, unknown: list, bad: list,
+          entry=None):
+    """Collect the unknown paths of cfg, and messages for values of the
+    wrong type or out of range.  A wrong type is reported at the
+    second-level entry that holds it (verify.V, outputs.grid), with that
+    entry's value."""
     for key, val in cfg.items():
-        path = f"{prefix}{key}"
+        path = prefix + key
         if key not in schema:
-            out.append(path)
+            unknown.append(path)
             continue
-        sub = schema[key]
-        if isinstance(sub, dict) and isinstance(val, dict):
-            _collect_unknown(val, sub, path + ".", out)
-    return out
+        spec = schema[key]
+        section, kind = (spec if isinstance(spec, tuple) else
+                         (spec, type(None)) if isinstance(spec, dict)
+                         else (None, spec))
+        if section is not None and isinstance(val, dict):
+            _walk(val, section, path + ".", unknown, bad,
+                  entry or ((path, val) if prefix else None))
+        elif kind is not None and not _has_type(val, kind):
+            at, shown = entry or (path, val)
+            bad.append(f"{at} has the wrong type: {shown!r}")
+        elif path in _RULES and not _RULES[path][1](val):
+            bad.append(f"{path} must be {_RULES[path][0]}, got {val!r}")
+
+
+def _check(cfg: dict) -> None:
+    """ConfigurationError naming every unknown key and every value of the
+    wrong type or out of range."""
+    unknown, bad = [], []
+    _walk(cfg, _SCHEMA, "", unknown, bad)
+    if unknown:
+        bad.insert(0, "unknown config keys: " + ", ".join(sorted(unknown)))
+    if bad:
+        raise ConfigurationError("; ".join(bad))
 
 
 def load_config(path: str) -> dict:
@@ -76,40 +120,21 @@ def load_config(path: str) -> dict:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
-    unknown = _collect_unknown(cfg, _SCHEMA)
-    # "phi" pieces and "domain" strings are validated downstream
-    if unknown:
-        raise ConfigurationError(
-            "unknown config keys: " + ", ".join(sorted(unknown)))
+    _check(cfg)
     return cfg
 
 
-def _section(cfg: dict, path: str) -> dict:
-    """The object at the dotted config path, {} where it is absent or null;
-    a value of any other type is a ConfigurationError."""
-    val, keys = cfg, path.split(".")
-    for i, key in enumerate(keys):
-        val = val.get(key)
-        if val is None:
-            return {}
-        if not isinstance(val, dict):
-            raise ConfigurationError(
-                f"{'.'.join(keys[:i + 1])} has the wrong type: {val!r}")
-    return val
-
-
 def _validated_n(cfg: dict, override: int | None) -> int:
-    n = override if override is not None else _section(cfg, "params").get(
-        "N", DEFAULT_N)
-    if not isinstance(n, int) or n < 16 or (n & (n - 1)) != 0:
-        raise ConfigurationError(
-            f"params.N must be a power of two with N >= 16, got {n!r}")
-    return n
+    """The grid size: --n, which obeys params.N's rule, over params.N."""
+    if override is None:
+        return (cfg.get("params") or {}).get("N", DEFAULT_N)
+    _check({"params": {"N": override}})
+    return override
 
 
 def _build_params(cfg: dict) -> SolverParams:
     """SolverParams from the params section less N, which sizes the grid."""
-    return SolverParams(**{k: v for k, v in _section(cfg, "params").items()
+    return SolverParams(**{k: v for k, v in (cfg.get("params") or {}).items()
                            if k != "N"})
 
 
@@ -118,7 +143,7 @@ def _build_domain(cfg: dict, N: int):
     if dom == "disk":
         return None
     if isinstance(dom, dict) and set(dom) == {"starlike"}:
-        rho = _section(cfg, "domain.starlike").get("rho")
+        rho = (dom["starlike"] or {}).get("rho")
         if rho is None:
             raise ConfigurationError("domain.starlike.rho is required")
         return theodorsen_map(rho, N=N)
@@ -170,16 +195,8 @@ def _solve(cfg: dict, N: int, trace):
 
 
 def _grid_spec(cfg: dict):
-    g = dict(DEFAULT_GRID)
-    g.update(_section(cfg, "outputs.grid"))
-    try:
-        nx, ny, hw = int(g["nx"]), int(g["ny"]), float(g["half_width"])
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"outputs.grid has the wrong type: {g!r}") from None
-    if nx < 2 or ny < 2 or not (0 < hw < 1.0e6):
-        raise ConfigurationError(f"invalid outputs.grid: {g!r}")
-    return nx, ny, hw
+    g = {**DEFAULT_GRID, **((cfg.get("outputs") or {}).get("grid") or {})}
+    return g["nx"], g["ny"], g["half_width"]
 
 
 def _write_field_csv(path: str, hs: HarmonicSolution, nx, ny, hw, trace):
@@ -198,23 +215,14 @@ def _write_field_csv(path: str, hs: HarmonicSolution, nx, ny, hw, trace):
     trace(f"field: {int(mask.sum())} in-domain points -> {path}")
 
 
-_VERIFY_KINDS = {"V": int, "tol": float, "delta": float,
-                 "apertures": lambda a: tuple(map(float, a))}
-
-
-def _verify_cfg(cfg: dict, flag_tol: float | None) -> dict:
+def _verify_cfg(cfg: dict, flag_tol: float | None, N: int) -> dict:
     """verify_solution keywords for the verify keys the config sets, with
-    --tol over verify.tol; the target stays a raw spec."""
-    v = dict(_section(cfg, "verify"))
+    --tol over verify.tol and the target built."""
+    v = dict(cfg.get("verify") or {})
     if flag_tol is not None:
         v["tol"] = flag_tol
-    for key, kind in _VERIFY_KINDS.items():
-        if key in v:
-            try:
-                v[key] = kind(v[key])
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"verify.{key} has the wrong type: {v[key]!r}") from None
+    if v.get("target") is not None:
+        v["target"] = build_boundary_function(v["target"], N)
     return v
 
 
@@ -249,7 +257,7 @@ class _OutputGuard:
 
 
 def _out_paths(cfg: dict, out_dir: str | None, command: str):
-    outs = _section(cfg, "outputs")
+    outs = cfg.get("outputs") or {}
     field = outs.get("field_csv")
     report = outs.get("report") if command != "solve" else None
     if command in ("solve", "map", "family") and field is None:
@@ -257,16 +265,9 @@ def _out_paths(cfg: dict, out_dir: str | None, command: str):
     if command in ("verify", "family") and report is None:
         raise ConfigurationError("outputs.report is required")
 
-    def rebase(key, p):
-        if p is None:
-            return None
-        if not isinstance(p, str):
-            raise ConfigurationError(f"outputs.{key} has the wrong type: {p!r}")
-        if out_dir and not os.path.isabs(p):
-            return os.path.join(out_dir, p)
-        return p
-
-    return rebase("field_csv", field), rebase("report", report)
+    # join keeps absolute paths, and "" leaves relative ones as they are
+    return tuple(p if p is None else os.path.join(out_dir or "", p)
+                 for p in (field, report))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,16 +314,13 @@ def main(argv=None) -> int:
         elif args.command == "family":
             _run_family(cfg, N, field_path, report_path, trace, guard)
         else:
-            vkw = _verify_cfg(cfg, args.tol) if args.command == "verify" else {}
+            vkw = (_verify_cfg(cfg, args.tol, N) if args.command == "verify"
+                   else {})
             hs, params, cmap = _solve(cfg, N, trace)
             if field_path is not None:
-                nx, ny, hw = _grid_spec(cfg)
-                _write_field_csv(field_path, hs, nx, ny, hw, trace)
+                _write_field_csv(field_path, hs, *_grid_spec(cfg), trace)
             if args.command == "verify":
-                target = vkw.pop("target", None)
-                if target is not None:
-                    target = build_boundary_function(target, N)
-                report = verify_solution(hs, target=target, **vkw)
+                report = verify_solution(hs, **vkw)
                 report.settings["config_echo"] = json.dumps(cfg, sort_keys=True)
                 with open(report_path, "w") as fh:
                     fh.write(report.serialize())

@@ -7,10 +7,10 @@ and the directional derivative along a unit direction e (as a complex
 number) is Re(e * f).
 
 HarmonicSolution builds F with antiderivative, the one place that
-samples f for it (times omega' on a mapped domain).  f is sampled on the
-circle of radius RHO_SAMPLE, the power series coefficients are read off
-the FFT, those below DROP_TOL times the largest are dropped, and the
-series is integrated termwise.  Non-decaying recovered coefficients mean
+samples f for it (times omega' on a mapped domain).  f is sampled at
+SAMPLES points of the circle of radius RHO_SAMPLE, whatever N is, the
+power series coefficients are read off the FFT, those below DROP_TOL
+times the largest are dropped, and the series is integrated termwise.  Non-decaying recovered coefficients mean
 f is no power series at this radius and raise RepresentationError.
 """
 
@@ -28,17 +28,20 @@ from .rh_solver import AnalyticSolution, SolverParams, solve_rh
 
 RHO_SAMPLE = 0.5  # radius of the circle f is sampled on
 DROP_TOL = 1e-14  # coefficients below DROP_TOL * max are dropped
+# F keeps the terms with RHO_SAMPLE^n above DROP_TOL, n < 47 whatever N
+# is; four times as many samples, rounded up to a power of two, recover
+# them and leave the non-decay check's tail band at rounding level
+SAMPLES = 1 << int(np.ceil(np.log2(4 * np.log(DROP_TOL) / np.log(RHO_SAMPLE))))
 
 
-def antiderivative(sol: AnalyticSolution, M: int = 4096,
+def antiderivative(sol: AnalyticSolution, M: int = SAMPLES,
                    cmap=None) -> SeriesEvaluator:
     """Antiderivative F with F(0) = 0 of f, or of f * omega' for the
     ConformalMap cmap, as a power series.
 
-    f is sampled at max(M, 4N) points of the circle of radius RHO_SAMPLE;
+    f is sampled at M points of the circle of radius RHO_SAMPLE;
     coefficients n >= M/2 are not recovered.
     """
-    M = max(M, 4 * sol.N)
     vals = sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0]
     if cmap is not None:
         vals = vals * cmap.omega_prime.eval_on_circle(RHO_SAMPLE, M)
@@ -98,7 +101,7 @@ class HarmonicSolution:
         self.nu = src.nu if self.nu is None else self.nu
         self.phi = src.phi if self.phi is None else self.phi
         if self.F is None:
-            self.F = antiderivative(src, M=4 * src.N, cmap=self.conformal_map)
+            self.F = antiderivative(src, cmap=self.conformal_map)
 
     def contains(self, w) -> np.ndarray:
         """Mask of the points w inside the solution's domain."""

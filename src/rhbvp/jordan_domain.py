@@ -149,8 +149,6 @@ def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
     residual = float(np.max(np.abs(np.abs(wb)
                                    - np.asarray(fn(np.angle(wb)), dtype=float))))
 
-    if abs(om[0]) > 1e-14:
-        raise InvariantViolation("omega(0) must be 0")
     if not (om[1].real > 0 and abs(om[1].imag) <= 1e-12 * max(1.0, om[1].real)):
         raise InvariantViolation(
             f"omega'(0) must be real positive, got {om[1]:.6g}")

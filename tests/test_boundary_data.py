@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import rhbvp as R
 from rhbvp.boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
-                                 build_boundary_function, grid_nodes,
-                                 measurable_arg)
+                                 as_function, build_boundary_function,
+                                 grid_nodes, measurable_arg)
 from rhbvp.errors import (ConfigurationError, DataError, InvariantViolation)
 
 SQ2 = np.sqrt(2) / 2
@@ -62,6 +62,30 @@ def test_partition_validation():
     with pytest.raises(ConfigurationError, match="unknown keys"):
         build_boundary_function([{"from": 0.0, "to": TWO_PI, "expr": 1.0,
                                   "color": "red"}], 32)
+
+
+@pytest.mark.parametrize("spec, needle", [
+    ([[0, 1]], "piece [0, 1] "),
+    ([(0.0, "a", "1")], "piece (0.0, 'a', '1') "),
+    ([{"to": TWO_PI}], "piece {'to': 6.28"),
+    ({"from": 0, "to": TWO_PI, "expr": "1"}, "got {'from': 0"),
+    ([], "got []"),
+    (None, "got None"),
+    (True, "cannot interpret True"),
+    ([{"from": 0.0, "to": TWO_PI, "expr": False}], "cannot interpret False"),
+], ids=["short_triple", "string_end", "no_expr", "bare_object", "empty",
+        "none", "bool", "bool_expr"])
+def test_malformed_spec_is_a_configuration_error(spec, needle):
+    with pytest.raises(ConfigurationError) as info:
+        build_boundary_function(spec, 32)
+    assert needle in str(info.value)
+
+
+def test_as_function_refuses_bool():
+    with pytest.raises(ConfigurationError, match="cannot interpret True"):
+        as_function(True)
+    fn, src = as_function(1)
+    assert src == "1.0" and fn(np.zeros(2)).tolist() == [1.0, 1.0]
 
 
 def test_evaluate_matches_pieces_exactly():

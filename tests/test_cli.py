@@ -320,6 +320,44 @@ def test_wrong_section_type_exits_1_and_leaves_nothing(tmp_path, capsys, command
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("path, value, needle", [
+    ("verify.apertures", [], "verify.apertures must be non-empty"),
+    ("phi", [[0, 1]], "boundary piece [0, 1] "),
+    ("phi", {"from": 0, "to": 6.28, "expr": "1"}, "got {'from': 0, 'to': 6.28"),
+    ("phi", [{"to": 6.28}], "boundary piece {'to': 6.28}"),
+    ("phi", [], "list of pieces, got []"),
+    ("phi", None, "list of pieces, got None"),
+    ("verify.target", [[0, 1]], "boundary piece [0, 1] "),
+    ("phi", True, "cannot interpret True"),
+    ("verify.V", True, "verify.V has the wrong type: True"),
+    ("verify.V", "500", "verify.V has the wrong type: '500'"),
+    ("outputs.grid", {"nx": True}, "outputs.grid has the wrong type"),
+    ("outputs.grid", {"ny": 41.0}, "outputs.grid has the wrong type"),
+    ("outputs.grid.nx", 1, "outputs.grid.nx must be at least 2, got 1"),
+    ("outputs.grid.half_width", 0, "half_width must be in (0, 1e6), got 0"),
+    ("params.N", 100, "params.N must be a power of two"),
+], ids=["apertures_empty", "phi_short_triple", "phi_bare_object",
+        "phi_piece_without_expr", "phi_empty", "phi_null", "target_short_triple",
+        "phi_bool", "V_bool", "V_numeric_string", "grid_nx_bool",
+        "grid_ny_float", "grid_nx_1", "grid_half_width_0", "N_100"])
+def test_malformed_config_exits_1_without_traceback(tmp_path, capsys,
+                                                    monkeypatch, path, value,
+                                                    needle):
+    # every case is refused before the solve, which would raise here
+    monkeypatch.setattr("rhbvp.cli.solve_neumann", None)
+    cfg = _base_cfg(tmp_path)
+    *parents, key = path.split(".")
+    node = cfg
+    for p in parents:
+        node = node.setdefault(p, {})
+    node[key] = value
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_unexpected_exception_releases_locks_and_outputs(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

@@ -160,10 +160,10 @@ def test_harmonic_solution_refuses_a_different_nu():
 # ----------------------------------------------------------------------
 
 def _written_out_F(sol, cmap=None):
-    """F by the recovery written out: f (times omega' on a map) at 4N
+    """F by the recovery written out: f (times omega' on a map) at 256
     points of |z| = 0.5, FFT, coefficients below 1e-14 of the largest
     dropped, rescaled by 0.5^-n and integrated termwise."""
-    M = 4 * sol.N
+    M = 256
     vals = sol.f_on_scales(np.array([0.5]), M)[0]
     if cmap is not None:
         vals = vals * cmap.omega_prime.eval_on_circle(0.5, M)
@@ -178,7 +178,6 @@ def _written_out_F(sol, cmap=None):
 
 @pytest.mark.parametrize("N", [256, 1024])
 def test_harmonic_solution_builds_F_on_the_disk(N):
-    # below N = 1024, 4N differs from antiderivative's default M = 4096
     phi = R.build_boundary_function(
         [{"from": 0.0, "to": np.pi, "expr": 1.0},
          {"from": np.pi, "to": 2 * np.pi, "expr": 0.0}], N)
@@ -201,8 +200,35 @@ def test_family_member_F_is_built_from_its_own_f(hom_family_cos):
     for m in (hom_family_cos[0], hom_family_cos[4]):
         F = R.HarmonicSolution(f_source=m).F
         assert np.array_equal(F.coefficients, _written_out_F(m))
-        assert np.array_equal(R.antiderivative(m, M=4 * m.N).coefficients,
+        assert np.array_equal(R.antiderivative(m).coefficients,
                               F.coefficients)
+
+
+@pytest.fixture(scope="module")
+def step_Fs():
+    """{N: (F, F from 4N samples)} for 0/1 step data."""
+    out = {}
+    for N in (256, 1024, 16384):
+        sol = R.solve_neumann(R.build_boundary_function(
+            [{"from": 0.0, "to": np.pi, "expr": 1.0},
+             {"from": np.pi, "to": 2 * np.pi, "expr": 0.0}], N)).f_source
+        out[N] = R.antiderivative(sol), R.antiderivative(sol, M=4 * N)
+    return out
+
+
+def test_F_length_does_not_grow_with_N(step_Fs):
+    # the kept terms are set by RHO_SAMPLE and DROP_TOL, not by N
+    assert len({len(F.coefficients) for F, _ in step_Fs.values()}) == 1
+
+
+@pytest.mark.parametrize("N", [256, 1024, 16384])
+def test_F_from_fixed_samples_matches_4N_samples(step_Fs, N):
+    F, F4 = step_Fs[N]
+    rng = np.random.default_rng(N)
+    z = 0.6 * np.sqrt(rng.uniform(0, 1, 500)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 500))
+    z = np.concatenate([z, 0.6 * np.exp(2j * np.pi * np.arange(64) / 64)])
+    assert np.max(np.abs(F._horner(z) - F4._horner(z))) < 1e-12
 
 
 def test_harmonic_solution_keeps_a_given_F(neumann_cos):

@@ -233,7 +233,7 @@ _RAY_SCALES = {
     (4096, 500, "stolz"),    # V does not divide L
     (300, 2000, "stolz"),    # L < V: a single block
     (4096, 8, "stolz"),      # smallest verifier V
-    (4096, 4096, "circle"),  # antiderivative at N = 1024: one scale, V = 4N
+    (4096, 4096, "circle"),  # antiderivative(M=4N) at N = 1024: one scale
     (4096, 64, "radial"),    # the verifier's 408 radial nodes: several chunks
     (4096, 64, "mixed"),     # real and complex scales in one chunk
     (4096, 500, "tiny"),     # zero, underflowing and subnormal s^V

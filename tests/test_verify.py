@@ -88,6 +88,18 @@ def test_verify_determinism(neumann_cos):
     assert a == b
 
 
+def test_estimate_is_the_radial_path_at_its_deepest_level(neumann_step):
+    # the estimate column is Re(nu f) at r = 1 - 2^-j_max on the radial
+    # path (aperture 0), not on any tilted Stolz path
+    rep = verify_solution(neumann_step)
+    src = neumann_step.f_source
+    r = 1.0 - 2.0 ** -rep.settings["j_max"]
+    assert rep.settings["apertures"][0] == 0.0 and r == 1.0 - 2.0 ** -7
+    nu = src.nu.base.on_uniform_grid(len(rep.angles))
+    want = (nu * src.f(r * np.exp(1j * rep.angles))).real
+    np.testing.assert_allclose(rep.estimate, want, rtol=0, atol=1e-12)
+
+
 def test_verify_exclusion_budget_guard(neumann_step):
     with pytest.raises(ConfigurationError, match="5%"):
         verify_solution(neumann_step, V=100, delta=0.5)
