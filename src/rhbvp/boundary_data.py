@@ -52,17 +52,27 @@ class Piece:
 
 def _piece_values(pieces: Sequence[Piece], t: np.ndarray,
                   kind: str) -> np.ndarray:
-    """Exact values of sorted pieces at angles t in [0, 2pi), with the
-    right-piece convention at junctions."""
+    """Exact values of sorted pieces at ascending angles t.  Piece k takes
+    t when lo_k <= t + _EDGE_EPS < lo_{k+1} (the ends go to the first and
+    last pieces) and fills one contiguous slice from a read-only view of t."""
     out = np.empty(len(t), dtype=complex if kind == "complex" else float)
-    los = np.array([p.lo for p in pieces])
-    idx = np.clip(np.searchsorted(los, t + _EDGE_EPS, side="right") - 1,
-                  0, len(pieces) - 1)
-    for k, p in enumerate(pieces):
-        m = idx == k
-        if np.any(m):
-            out[m] = p.fn(t[m])
+    t = t.view()
+    t.flags.writeable = False
+    cuts = np.searchsorted(t + _EDGE_EPS, [p.lo for p in pieces[1:]], side="left")
+    for p, a, b in zip(pieces, [0, *cuts], [*cuts, len(t)]):
+        if b > a:
+            out[a:b] = p.fn(t[a:b])
     return out
+
+
+def _grid_values(pieces: Sequence[Piece], N: int, kind: str) -> np.ndarray:
+    """_piece_values on the N-node grid; a non-finite value is a DataError."""
+    samples = _piece_values(pieces, grid_nodes(N), kind)
+    if not np.all(np.isfinite(samples)):
+        bad = int(np.argmin(np.isfinite(samples)))
+        raise DataError(f"boundary expression is non-finite at node {bad} of "
+                        f"N={N} (theta={TWO_PI * bad / N:.6g})")
+    return samples
 
 
 def as_function(obj, var: str = "theta",
@@ -146,12 +156,18 @@ class BoundaryFunction:
 
     def evaluate(self, theta) -> np.ndarray:
         """Value at arbitrary angles: exact for piecewise data, band-limited
-        interpolation otherwise.  Right-piece convention at junctions."""
+        interpolation otherwise.  Right-piece convention at junctions;
+        pieces see the angles stably sorted, and the values go back."""
         t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = (_piece_values(self.pieces, t, self.kind)
-               if self.pieces is not None else self._interp(t))
+        if self.pieces is None:
+            out = self._interp(t)
+        else:
+            order = np.argsort(t, kind="stable")
+            vals = _piece_values(self.pieces, t[order], self.kind)
+            out = np.empty_like(vals)
+            out[order] = vals
         return out[0] if scalar else out
 
     def on_uniform_grid(self, V: int) -> np.ndarray:
@@ -174,9 +190,9 @@ class BoundaryFunction:
     def resample(self, L: int) -> "BoundaryFunction":
         """Same function on an L-node grid (L a power of two >= N).
 
-        Piecewise data is re-evaluated exactly; sampled data is resampled
-        band-limitedly, which is exact for trigonometric polynomials of
-        degree < N/2.
+        Piecewise data keeps its pieces and jumps and is evaluated exactly
+        on the L-grid; sampled data is resampled band-limitedly, which is
+        exact for trigonometric polynomials of degree < N/2.
         """
         _check_grid_size(L)
         if L == self.N:
@@ -184,8 +200,7 @@ class BoundaryFunction:
         if L < self.N:
             raise ConfigurationError(f"resample target {L} is below current N={self.N}")
         if self.pieces is not None:
-            return build_boundary_function(
-                [(p.lo, p.hi, p.fn) for p in self.pieces], L, kind=self.kind)
+            return replace(self, samples=_grid_values(self.pieces, L, self.kind))
         half = self.N // 2
         if self.kind == "real":
             G = np.zeros(L // 2 + 1, dtype=complex)
@@ -252,12 +267,7 @@ def build_boundary_function(spec, N: int, kind: str = "real",
         if abs(a.hi - b.lo) > 1e-12:
             raise ConfigurationError(
                 f"boundary pieces do not form a partition near angle {a.hi:.6g}")
-    theta = grid_nodes(N)
-    samples = _piece_values(pieces, theta, kind)
-    if not np.all(np.isfinite(samples)):
-        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
-        raise DataError(f"boundary expression is non-finite at node {bad} "
-                        f"(theta={theta[bad]:.6g})")
+    samples = _grid_values(pieces, N, kind)
     # junction angles where left limit and right value disagree are jumps
     scale = 1.0 + float(np.max(np.abs(samples)))
     detected = []

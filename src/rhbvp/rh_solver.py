@@ -49,11 +49,18 @@ CLAMP_LOG = float(np.log(1e12))  # exp(H) confined to [1e-12, 1e12]
 REFINE = 8  # psi is formed on REFINE * N nodes; g keeps REFINE * N / 2 terms
 
 
+def _real(value) -> float:
+    """float(value) for a number; a bool or a string is a TypeError."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 @dataclass
 class SolverParams:
     """Construction parameters shared by the solvers (the grid size is the
-    data's); a value that does not convert to its field's type is a
-    ConfigurationError."""
+    data's).  cut and d0 take a number, hom_points and hom_coeffs numbers;
+    anything else, a bool or a string included, is a ConfigurationError."""
 
     cut: float = 0.0
     d0: float = 0.0
@@ -62,9 +69,9 @@ class SolverParams:
 
     def __post_init__(self):
         for name, kind in (
-                ("cut", float), ("d0", float),
-                ("hom_points", lambda v: tuple(float(a) % TWO_PI for a in v)),
-                ("hom_coeffs", lambda v: tuple(map(float, v)))):
+                ("cut", _real), ("d0", _real),
+                ("hom_points", lambda v: tuple(_real(a) % TWO_PI for a in v)),
+                ("hom_coeffs", lambda v: tuple(map(_real, v)))):
             value = getattr(self, name)
             try:
                 setattr(self, name, kind(value))

@@ -172,6 +172,8 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
         raise ConfigurationError("verification requires a boundary target")
     if V < 8:
         raise ConfigurationError(f"V must be at least 8, got {V}")
+    if len(apertures) == 0:
+        raise ConfigurationError(f"apertures must be non-empty, got {apertures!r}")
     src = hsol.f_source
 
     angles = TWO_PI * np.arange(V) / V

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rhbvp as R
-from rhbvp.boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
-                                 as_function, build_boundary_function,
+from rhbvp.boundary_data import (_EDGE_EPS, BoundaryFunction, DirectionField,
+                                 TWO_PI, as_function, build_boundary_function,
                                  grid_nodes, measurable_arg)
 from rhbvp.errors import (ConfigurationError, DataError, InvariantViolation)
+from rhbvp.rh_solver import REFINE
 
 SQ2 = np.sqrt(2) / 2
 
@@ -125,6 +126,79 @@ def test_resample_band_limited_property(k, a, b):
     t2 = grid_nodes(128)
     np.testing.assert_allclose(up.samples, a * np.cos(k * t2) + b * np.sin(k * t2),
                                atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", [
+    "cos(t)", [(0.0, 2.0, "1"), (2.0, TWO_PI, "sin(t)")]],
+    ids=["expression", "pieces"])
+def test_resample_keeps_pieces_and_jumps(spec):
+    bf = build_boundary_function(spec, 64, jumps=(1.0,))
+    up = bf.resample(256)
+    assert 1.0 in bf.jumps and up.jumps == bf.jumps
+    assert up.pieces is bf.pieces
+
+
+PIECEWISE_CASES = {
+    "four_constants": ([(0.0, 1.0, "0.5"), (1.0, 2.0, "-1"), (2.0, 4.5, "2"),
+                        (4.5, TWO_PI, "0")], "real"),
+    "three_trig": ([(0.0, 2.0, "cos(theta)"), (2.0, 3.0, "sin(2*theta)"),
+                    (3.0, TWO_PI, "0.3*cos(3*theta) + 1")], "real"),
+    "complex": ([(0.0, np.pi, lambda t: np.exp(1j * t)),
+                 (np.pi, TWO_PI, lambda t: np.exp(2j * t) + 0.5j)], "complex"),
+}
+
+
+@pytest.mark.parametrize("name", list(PIECEWISE_CASES))
+def test_piecewise_resample_equals_a_build_on_the_fine_grid(name):
+    spec, kind = PIECEWISE_CASES[name]
+    bf = build_boundary_function(spec, 64, kind=kind)
+    for L in (128, 1024, 8192):
+        ref = build_boundary_function(spec, L, kind=kind).samples
+        up = bf.resample(L)
+        assert up.samples.dtype == ref.dtype
+        assert up.samples.tobytes() == ref.tobytes()  # bitwise
+        assert up.pieces is bf.pieces and up.jumps == bf.jumps
+
+
+def test_evaluate_shuffled_angles_equals_per_angle_evaluation():
+    bf = build_boundary_function(
+        [(0.0, 1.0, "cos(theta)"), (1.0, 2.5, "0.3"), (2.5, 4.0, "theta^2"),
+         (4.0, TWO_PI, "sin(3*theta)")], 64)
+    los = np.array([p.lo for p in bf.pieces] + [TWO_PI])
+    h = _EDGE_EPS / 2
+    rng = np.random.default_rng(3)
+    # los - eps lands exactly on the junction after the shift by eps
+    t = np.concatenate([los, los - h, los + h, los - _EDGE_EPS,
+                        los - 3 * _EDGE_EPS, los + 3 * _EDGE_EPS, los - TWO_PI,
+                        los + 2 * TWO_PI, rng.uniform(-10.0, 20.0, 200)])
+    t = np.concatenate([t, t[::5]])  # duplicates
+    rng.shuffle(t)
+    vals = bf.evaluate(t)
+    np.testing.assert_array_equal(vals, [bf.evaluate(a) for a in t])
+    # the junction rule: piece k takes t when lo_k <= t + eps < lo_{k+1}
+    tm = np.mod(t, TWO_PI)
+    k = np.searchsorted(los[:-1], tm + _EDGE_EPS, side="right") - 1
+    ref = [bf.pieces[i].fn(np.array([a]))[0] for i, a in zip(k, tm)]
+    np.testing.assert_array_equal(vals, ref)
+
+
+def test_pieces_see_read_only_angles():
+    def scribble(t):
+        t += 1.0
+        return t
+    with pytest.raises(ValueError, match="read-only"):
+        build_boundary_function([(0.0, 1.0, scribble), (1.0, TWO_PI, "0")], 32)
+
+
+def test_data_singular_at_a_refined_node_fail_in_the_solve():
+    N = 64
+    c = grid_nodes(REFINE * N)[1]
+    with np.errstate(divide="ignore"):
+        phi = build_boundary_function(lambda t: 1.0 / (t - c), N)
+        assert np.all(np.isfinite(phi.samples))
+        with pytest.raises(DataError,
+                           match=f"non-finite at node 1 of N={REFINE * N} "):
+            R.solve_neumann(phi)
 
 
 def test_direction_field_unit_modulus_enforced():

@@ -336,10 +336,13 @@ def test_wrong_section_type_exits_1_and_leaves_nothing(tmp_path, capsys, command
     ("outputs.grid.nx", 1, "outputs.grid.nx must be at least 2, got 1"),
     ("outputs.grid.half_width", 0, "half_width must be in (0, 1e6), got 0"),
     ("params.N", 100, "params.N must be a power of two"),
+    ("params.d0", "0.5", "params.d0 has the wrong type: '0.5'"),
+    ("params.cut", True, "params.cut has the wrong type: True"),
 ], ids=["apertures_empty", "phi_short_triple", "phi_bare_object",
         "phi_piece_without_expr", "phi_empty", "phi_null", "target_short_triple",
         "phi_bool", "V_bool", "V_numeric_string", "grid_nx_bool",
-        "grid_ny_float", "grid_nx_1", "grid_half_width_0", "N_100"])
+        "grid_ny_float", "grid_nx_1", "grid_half_width_0", "N_100",
+        "d0_numeric_string", "cut_bool"])
 def test_malformed_config_exits_1_without_traceback(tmp_path, capsys,
                                                     monkeypatch, path, value,
                                                     needle):

@@ -367,7 +367,9 @@ def test_rejects_coeffs_without_points_beyond_c0():
 
 @pytest.mark.parametrize("name, value", [
     ("cut", "x"), ("hom_coeffs", 2), ("d0", None), ("hom_points", 3),
-    ("hom_points", ["a"]), ("hom_coeffs", [1.0, "b"])])
+    ("hom_points", ["a"]), ("hom_coeffs", [1.0, "b"]), ("d0", "2.5"),
+    ("cut", True), ("d0", np.bool_(False)), ("hom_points", [True, "2"]),
+    ("hom_points", "12"), ("hom_coeffs", [0.5, np.bool_(True)])])
 def test_rejects_wrong_types(name, value):
     with pytest.raises(ConfigurationError,
                        match=f"params.{name} has the wrong type"):
@@ -375,7 +377,8 @@ def test_rejects_wrong_types(name, value):
 
 
 def test_converts_values_to_field_types():
-    p = SolverParams(cut=1, d0="2.5", hom_points=[7], hom_coeffs=(0, 1))
+    p = SolverParams(cut=1, d0=np.float32(2.5), hom_points=[np.int64(7)],
+                     hom_coeffs=(0, np.float64(1)))
     assert (p.cut, p.d0) == (1.0, 2.5)
     assert type(p.cut) is float and type(p.d0) is float
     assert p.hom_points == (7.0 - 2 * np.pi,) and p.hom_coeffs == (0.0, 1.0)

@@ -110,6 +110,13 @@ def test_verify_rejects_tiny_vertex_count(neumann_cos):
         verify_solution(neumann_cos, V=4)
 
 
+@pytest.mark.parametrize("apertures", [[], (), np.array([])],
+                         ids=["list", "tuple", "array"])
+def test_verify_rejects_empty_apertures(neumann_cos, apertures):
+    with pytest.raises(ConfigurationError, match="apertures must be non-empty"):
+        verify_solution(neumann_cos, V=50, apertures=apertures)
+
+
 def test_verify_requires_target():
     # phi defaults to f_source's, so the target is missing only when the
     # solution was built without one
