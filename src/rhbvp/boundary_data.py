@@ -156,11 +156,11 @@ class BoundaryFunction:
 
     def evaluate(self, theta) -> np.ndarray:
         """Value at arbitrary angles: exact for piecewise data, band-limited
-        interpolation otherwise.  Right-piece convention at junctions;
-        pieces see the angles stably sorted, and the values go back."""
-        t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
+        interpolation otherwise, in the shape of theta (a scalar for a
+        scalar).  Right-piece convention at junctions; pieces see the
+        angles stably sorted, and the values go back."""
+        shape = np.shape(theta)
+        t = np.mod(np.asarray(theta, dtype=float), TWO_PI).ravel()
         if self.pieces is None:
             out = self._interp(t)
         else:
@@ -168,7 +168,7 @@ class BoundaryFunction:
             vals = _piece_values(self.pieces, t[order], self.kind)
             out = np.empty_like(vals)
             out[order] = vals
-        return out[0] if scalar else out
+        return out.reshape(shape)[()]
 
     def on_uniform_grid(self, V: int) -> np.ndarray:
         """Values at theta_v = 2*pi*v/V, v = 0..V-1 (any V >= 1).

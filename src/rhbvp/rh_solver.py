@@ -11,13 +11,15 @@ reduction (Boundary Value Problems, 1966, sections 40-41):
     f     = z^k * exp(-i A) * (T + i p)                        (w = -k <= 0)
     f     = exp(-i A) * (T + i p + sum_j b_j H_j) / z^k        (w = k > 0)
 
-where p is the Herglotz-type homogeneous term attached to hom_points and
-H_j(z) = (zeta_j + z)/(zeta_j - z) sits at the 2k - 1 index poles
-zeta_j = exp(i*(cut + 2*pi*j/(2k - 1))).  The real b_j cancel the Taylor
-coefficients 0..k-1 of the bracket, so f is analytic at 0; they vanish
-exactly when a classical solution exists.  The pairing telescopes on
-the boundary: nu * exp(-i A) * zeta^-w = exp(H), and Re(i p) = Re(b_j H_j)
-= 0 away from the poles, so Re(nu f) -> exp(H) * psi = phi.
+where p = c_0 + sum_j c_j i (zeta_j + z)/(zeta_j - z) is the Herglotz
+term attached to hom_points and H_j(z) = (zeta_j + z)/(zeta_j - z) sits
+at the 2k - 1 index poles zeta_j = exp(i*(cut + 2*pi*j/(2k - 1))).  The
+real b_j cancel the Taylor coefficients 0..k-1 of the bracket, so f is
+analytic at 0; they vanish exactly when a classical solution exists.
+The pairing telescopes on the boundary: nu * exp(-i A) * zeta^-w =
+exp(H), and Re(i p) = Re(b_j H_j) = 0 away from the poles, so
+Re(nu f) -> exp(H) * psi = phi.  Both kinds of pole enter f as one sum
+of 2 beta zeta^-m / (1 - z/zeta), m = max(w, 0), for every winding.
 
 solve_rh runs two stages: reduce_field does what depends on nu alone
 (w, alpha0, A, H) into a frozen ReducedField, and ReducedField.solve forms
@@ -88,26 +90,6 @@ class SolverParams:
             raise ConfigurationError(
                 "hom_coeffs must have length len(hom_points) + 1 "
                 "(constant or cut-dipole coefficient first)")
-
-
-def herglotz_term(hom_points: Sequence[float], hom_coeffs: Sequence[float], z):
-    """p(z) = c_0 + sum_k c_k * i * (zeta_k + z)/(zeta_k - z).
-
-    Each summand has vanishing real part after the i * p pairing, so these
-    span homogeneous solutions with boundary poles at the zeta_k.  Terms
-    with c_k = 0 are skipped: adding an exact zero does not change a float,
-    and a family member evaluates its one pole, not all k.
-    """
-    z = np.asarray(z, dtype=complex)
-    if not hom_coeffs:
-        return np.zeros(z.shape, dtype=complex)
-    out = np.full(z.shape, complex(hom_coeffs[0]), dtype=complex)
-    for a, c in zip(hom_points, hom_coeffs[1:]):
-        if c == 0.0:
-            continue
-        zk = np.exp(1j * a)
-        out = out + c * 1j * (zk + z) / (zk - z)
-    return out
 
 
 def index_poles(w: int, cut: float) -> tuple[float, ...]:
@@ -228,12 +210,12 @@ class AnalyticSolution:
         """The real b_j with which sum_j b_j H_j, H = 1 + 2 sum zeta^-n z^n,
         cancels the Taylor terms r_n, n < w, of T + i p.  On the 2w - 1
         equally spaced poles this is the inverse DFT
-        b_j = -Re(sum_n r_n zeta_j^n) / (2w - 1)."""
+        b_j = -Re(sum_n r_n zeta_j^n) / (2w - 1).  Empty for w <= 0."""
         w = self.index
         c = np.asarray(self.hom_coeffs or (0.0,) * (len(self.hom_points) + 1))
         n = np.arange(w)
         h = 2.0 * np.exp(-1j * np.multiply.outer(n, self.hom_points))
-        h[0] = 1.0
+        h[:1] = 1.0
         r = (self.head - (h * c[1:]).sum(axis=1)
              - 1j * c[0] * n * np.exp(-1j * n * self.params.cut))
         zn = np.exp(1j * np.multiply.outer(self.index_poles, n))
@@ -274,24 +256,27 @@ class AnalyticSolution:
         return np.multiply(ea, acc, out=acc)
 
     def _add_pole_terms(self, z, acc):
-        """Add the bracket's closed-form part at z to acc: z^k * i p for
-        w = -k <= 0.  For w = k > 0 each term beta * H of i p + b_j H_j less
-        its Taylor terms below z^k is 2 beta zeta^-k / (1 - z/zeta) over z^k.
-        c_0 multiplies the cut dipole -z*zeta_c/(zeta_c - z)^2, not the
+        """Add the bracket's closed-form part at z to acc.  Each Herglotz
+        pole (beta = -c_j) and index pole (beta = b_j) adds
+        2 beta zeta^-m / (1 - z/zeta), m = max(w, 0): for w = k > 0 that is
+        beta H_j less its Taylor terms below z^k, over z^k, and for w <= 0
+        i p = i c_0 + sum c_j + sum_j 2 (-c_j) / (1 - z/zeta_j), so the
+        sum takes that constant and is multiplied by z^-w.  For w > 0, c_0
+        multiplies the cut dipole -z*zeta_c/(zeta_c - z)^2, not the
         constant that no real b_j could cancel; over z^k that is
         -i c_0 zeta_c^-k (k - (k-1) q)/(1 - q)^2 with q = z/zeta_c."""
         w = self.index
-        if w <= 0:
-            ip = 1j * herglotz_term(self.hom_points, self.hom_coeffs, z)
-            acc += ip if w == 0 else z ** -w * ip
-            return
+        m = max(w, 0)
         c = self.hom_coeffs or (0.0,) * (len(self.hom_points) + 1)
+        part = acc if w > 0 else np.full(z.shape, 1j * c[0] + sum(c[1:]))
         for a, beta in zip(self.hom_points + self.index_poles,
                            [-x for x in c[1:]] + self.index_coeffs.tolist()):
             if beta != 0.0:
                 q = z * np.exp(-1j * a)
-                acc += 2.0 * beta * np.exp(-1j * w * a) / np.subtract(1.0, q, out=q)
-        if c[0]:
+                part += 2.0 * beta * np.exp(-1j * m * a) / np.subtract(1.0, q, out=q)
+        if w <= 0:
+            acc += part if w == 0 else z ** -w * part
+        elif c[0]:
             q = z * np.exp(-1j * self.params.cut)
             acc += (-1j * c[0] * np.exp(-1j * w * self.params.cut)
                     * (w - (w - 1) * q) / (1.0 - q) ** 2)

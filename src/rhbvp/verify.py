@@ -34,7 +34,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 DEFAULT_APERTURES = (0.0, 0.5, -0.5, 1.0, -1.0)
 J_DEEP = 34  # radial tables integrate out to radius 1 - 2^-J_DEEP
 J_FLAG = (3, 12)  # dyadic levels whose u values must converge
-J_QUOT = (3, 16)  # dyadic levels of the Neumann difference quotients
+J_QUOT = 16  # dyadic level of the Neumann difference quotient
 LAPLACIAN_H = 1e-3  # radius of the mean-value stencil
 CHORD_PANELS = 6  # 12-point Gauss panels along a recovery chord
 
@@ -262,7 +262,6 @@ class RadialTable:
     u_boundary: np.ndarray
     flags: np.ndarray
     quotient_est: np.ndarray
-    quotient_conv: np.ndarray
     excluded: np.ndarray
     flag_fraction: float
 
@@ -278,7 +277,7 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     Panels are dyadically graded toward the boundary so the cumulative
     values converge even when f is unbounded at the rim (integrable
     singularities).  edges[j] = 1 - 2^-j for 3 <= j <= J_DEEP; the
-    convergence flags read levels J_FLAG, the quotients levels J_QUOT.
+    convergence flags read levels J_FLAG, the quotient level J_QUOT.
     """
     if hsol.conformal_map is not None:
         raise ConfigurationError("radial tables are disk-native; verify "
@@ -306,17 +305,13 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     jumps, cuts, poles = _solution_specials(hsol.f_source, ())
     excluded, _, _ = _exclusions(angles, delta, jumps, cuts, poles)
 
-    ql, qh = J_QUOT
-    depths = 2.0 ** (-np.arange(ql, qh + 1, dtype=float))
-    quots = (u_edges[ql:qh + 1] - u_boundary[None, :]) / depths[:, None]
-    quotient_est = quots[-1]
-    quotient_conv = converged_sequence(quots.T, max(tol, 1e-2))
+    quotient_est = (u_edges[J_QUOT] - u_boundary) * 2.0 ** J_QUOT
 
     valid_mask = ~excluded
     flag_fraction = float(np.mean(flags[valid_mask])) if valid_mask.any() else 0.0
     return RadialTable(angles=angles, edges=edges, u_edges=u_edges,
                        u_boundary=u_boundary, flags=flags,
-                       quotient_est=quotient_est, quotient_conv=quotient_conv,
+                       quotient_est=quotient_est,
                        excluded=excluded, flag_fraction=flag_fraction)
 
 

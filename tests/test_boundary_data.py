@@ -343,6 +343,19 @@ def test_on_uniform_grid_matches_evaluate(name):
         assert np.max(np.abs(vals - ref)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (0,), ()])
+@pytest.mark.parametrize("name", ["expression", "piecewise", "real_sampled"])
+def test_evaluate_keeps_the_shape_of_the_angles(name, shape):
+    N = 64
+    bf = (build_boundary_function("cos(theta) + 0.5", N)
+          if name == "expression" else _grid_case(name, N))
+    t = np.asarray(np.random.default_rng(6).uniform(-1.0, 7.0, shape))
+    vals = bf.evaluate(t)
+    assert np.shape(vals) == shape and (shape or np.isscalar(vals))
+    want = [bf.evaluate(np.array([a]))[0] for a in t.ravel()]
+    np.testing.assert_allclose(np.ravel(vals), want, rtol=0, atol=1e-13)
+
+
 def test_on_uniform_grid_reproduces_samples():
     bf = _grid_case("real_sampled", 64)
     np.testing.assert_allclose(bf.on_uniform_grid(64), bf.samples, atol=1e-13)

@@ -13,8 +13,7 @@ from rhbvp.errors import ConfigurationError, DataError, DomainError, RHBVPError
 from rhbvp.jordan_domain import image_inner_normal
 import rhbvp.rh_solver as rh_solver
 from rhbvp.rh_solver import (SolverParams, default_hom_points,
-                             herglotz_term, homogeneous_family, index_poles,
-                             solve_rh)
+                             homogeneous_family, index_poles, solve_rh)
 
 RNG = np.random.default_rng(1105)
 
@@ -180,12 +179,6 @@ def test_default_hom_points_distinct():
     assert all(0 <= a < 2 * np.pi for a in pts)
 
 
-def test_herglotz_term_boundary_real_part_vanishes():
-    z = 0.9999 * np.exp(1j * np.linspace(0.2, 6.0, 11))
-    p = herglotz_term((1.0, 3.5), (0.0, 2.0, -1.0), z)
-    assert np.max(np.abs((1j * p).real)) < 1e-2
-
-
 def _family_one_solve_per_member(nu, points, params):
     """Reference family: one full solve_rh per member with phi = 0."""
     if isinstance(points, int):
@@ -305,19 +298,6 @@ def test_only_family_members_hold_a_fan_store(neumann_step):
     # a copy with other fields may change A or g: it starts without a store
     other = replace(members[0].params, hom_coeffs=(0.0, 1.0, 1.0))
     assert replace(members[0], params=other)._fans is None
-
-
-@pytest.mark.parametrize("c0", [0.0, 1.5])
-def test_herglotz_term_zero_coefficients_match_dense_sum(c0):
-    points = (0.3, 1.7, 2.9, 4.4, 5.5)
-    coeffs = (c0, 0.0, 2.5, 0.0, -1.25, 0.0)
-    z = np.concatenate([_interior(30), 0.999 * np.exp(1j * np.array([1.0, 3.0]))])
-    want = np.full(z.shape, complex(c0))
-    for a, c in zip(points, coeffs[1:]):
-        zk = np.exp(1j * a)
-        want = want + c * 1j * (zk + z) / (zk - z)
-    got = herglotz_term(points, coeffs, z)
-    assert np.max(np.abs(got - want)) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -517,10 +497,11 @@ def test_winding_property(w, cut, a, b, s, jumps, levels, amp):
     assert err <= 1e-3
 
 
-@pytest.mark.parametrize("w", [1, 2, 3])
-def test_homogeneous_family_for_positive_winding(w):
-    # the first member is the cut dipole; every member has a vanishing
-    # boundary pairing and the k + 1 members are independent
+@pytest.mark.parametrize("w", range(-2, 4))
+def test_homogeneous_family_for_every_winding(w):
+    # the first member is the constant for w <= 0 and the cut dipole for
+    # w >= 1; every member has a vanishing boundary pairing and the k + 1
+    # members are independent
     N = 1024
     expr, nu_of = _tilted_nu(w)
     points = (0.7, 2.0, 3.5, 5.0)
@@ -536,6 +517,73 @@ def test_homogeneous_family_for_positive_winding(w):
     rows = [(lambda m: (lambda z: m.f(z).real))(m) for m in members]
     cert = R.dimension_certificate(rows)
     assert cert.rank == len(members) and cert.sigma_min > 1e-3
+
+
+# ----------------------------------------------------------------------
+# the pole sum: Herglotz and index poles as 2 beta zeta^-m / (1 - z/zeta)
+# ----------------------------------------------------------------------
+
+POLE_POINTS = (0.3, 1.7, 2.9, 4.4, 5.5)
+POLE_COEFFS = {"sparse": (1.5, 0.0, 2.5, 0.0, -1.25, 0.0),
+               "dense": (1.5, 0.5, 2.5, -0.7, -1.25, 0.3)}
+
+
+@pytest.mark.parametrize("w", [-1, 0])
+def test_index_coeffs_empty_without_index_poles(w):
+    sol = solve_rh(R.DirectionField.from_angle(f"{w}*t + 0.3 + 0.2*cos(t)", 64),
+                   R.build_boundary_function("cos(t)", 64))
+    assert sol.index == w and sol.index_coeffs.shape == (0,)
+
+
+@pytest.mark.parametrize("coeffs", sorted(POLE_COEFFS))
+@pytest.mark.parametrize("w", [-2, -1, 0])
+def test_pole_sum_matches_the_herglotz_form(w, coeffs):
+    # dense reference f = z^k exp(-i A) (T + i p), w = -k, with
+    # p = c_0 + sum_j c_j i (zeta_j + z)/(zeta_j - z) summed over every j
+    N = 1024
+    expr, _ = _tilted_nu(w)
+    c = POLE_COEFFS[coeffs]
+    sol = solve_rh(R.DirectionField.from_angle(expr, N),
+                   R.build_boundary_function("cos(2*t) + 0.3", N),
+                   SolverParams(hom_points=POLE_POINTS, hom_coeffs=c))
+
+    def want(z):
+        p = np.full(z.shape, complex(c[0]))
+        for a, cj in zip(POLE_POINTS, c[1:]):
+            zeta = np.exp(1j * a)
+            p = p + cj * 1j * (zeta + z) / (zeta - z)
+        return np.exp(-1j * sol.A(z)) * (sol.g(z) + z ** -w * 1j * p)
+
+    # on a pole's ray at 0.999 both forms round 1 - z/zeta to about
+    # eps / 1e-3 relative, so the pole rays are probed at 0.99
+    z = np.concatenate([_interior(40), 0.99 * np.exp(1j * np.array(POLE_POINTS)),
+                        0.999 * np.exp(2j * np.pi * np.arange(97) / 97)])
+    ref = want(z)
+    assert np.max(np.abs(sol.f(z) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+    scales = np.array([0.4, 0.9 * np.exp(0.1j), 0.999])
+    V = 64
+    zs = scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)[None, :]
+    ref = want(zs)
+    got = sol.f_on_scales(scales, V)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
+
+
+@pytest.mark.parametrize("w", [-1, 0, 1, 2])
+def test_pole_sum_is_linear_in_the_coefficients(w):
+    # f of the full coefficient vector is sum_j c_j f_j over the family
+    # members, which skip their zero terms
+    N = 1024
+    c = POLE_COEFFS["dense"]
+    expr, _ = _tilted_nu(w)
+    nu = R.DirectionField.from_angle(expr, N)
+    zero = R.BoundaryFunction(samples=np.zeros(N), kind="real")
+    full = solve_rh(nu, zero, SolverParams(hom_points=POLE_POINTS, hom_coeffs=c))
+    members = homogeneous_family(nu, POLE_POINTS)
+    z = np.concatenate([_interior(40),
+                        0.999 * np.exp(1j * np.array(POLE_POINTS))])
+    want = sum(cj * m.f(z) for cj, m in zip(c, members))
+    got = full.f(z)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
 
 
 # ----------------------------------------------------------------------
