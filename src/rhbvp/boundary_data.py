@@ -1,9 +1,10 @@
 """Boundary data on the unit circle.
 
 A BoundaryFunction is a 2pi-periodic function known exactly (piecewise
-expressions) or through uniform samples.  Sample grids have N a power of
-two, N >= 16, nodes theta_j = 2*pi*j/N.  At a junction between pieces
-the stored value follows the right piece (right-continuous convention).
+expressions) or through uniform samples, which are read on uniform grids
+only.  Sample grids have N a power of two, N >= 16, nodes
+theta_j = 2*pi*j/N.  At a junction between pieces the stored value
+follows the right piece (right-continuous convention).
 
 A DirectionField is a unit-modulus complex boundary function;
 measurable_arg reduces its index, nu = zeta^w * nu0 with integer winding
@@ -24,7 +25,6 @@ from .expressions import parse_expression
 
 TWO_PI = 2.0 * np.pi
 _EDGE_EPS = 1e-12  # queries within this of a junction resolve to the right piece
-_BLOCK_TERMS = 1 << 16  # phase-matrix entries per _interp block: 1 MiB
 
 
 def _check_grid_size(N: int) -> None:
@@ -122,25 +122,35 @@ class BoundaryFunction:
     def theta(self) -> np.ndarray:
         return grid_nodes(self.N)
 
-    # -- internal helpers -------------------------------------------------
+    def evaluate(self, theta) -> np.ndarray:
+        """Exact value of piecewise data at arbitrary angles, in the shape
+        of theta (a scalar for a scalar).  Right-piece convention at
+        junctions; pieces see the angles stably sorted, and the values go
+        back.  Sampled data are read on uniform grids only."""
+        if self.pieces is None:
+            raise DataError("sampled boundary data have no values off a "
+                            "uniform grid; read them with on_uniform_grid")
+        shape = np.shape(theta)
+        t = np.mod(np.asarray(theta, dtype=float), TWO_PI).ravel()
+        order = np.argsort(t, kind="stable")
+        vals = _piece_values(self.pieces, t[order], self.kind)
+        out = np.empty_like(vals)
+        out[order] = vals
+        return out.reshape(shape)[()]
 
-    def _interp(self, theta: np.ndarray) -> np.ndarray:
-        """Band-limited trigonometric interpolant of the samples.
+    def on_uniform_grid(self, V: int) -> np.ndarray:
+        """Values at theta_v = 2*pi*v/V, v = 0..V-1 (any V >= 1).
 
-        The phase matrix is built in row blocks of at most _BLOCK_TERMS
-        entries, so memory stays bounded whatever len(theta) is.
+        Piecewise data is evaluated exactly.  Sampled data take their
+        band-limited interpolant, frequencies -N/2..N/2 with the Nyquist
+        term halved: on the V-grid exp(i*k*theta_v) depends only on
+        k mod V, so the spectrum folds into V bins and one inverse FFT
+        gives every value, O(N + V log V).  The fold of a real spectrum is
+        Hermitian, so real data fold only into bins 0..V/2 and take a real
+        inverse FFT.
         """
-        coeff = self._spectrum()
-        freqs = np.arange(-(self.N // 2), self.N // 2 + 1)
-        rows = max(1, _BLOCK_TERMS // len(freqs))
-        vals = np.empty(len(theta), dtype=complex)
-        for lo in range(0, len(theta), rows):
-            t = theta[lo:lo + rows]
-            vals[lo:lo + rows] = np.exp(1j * np.multiply.outer(t, freqs)) @ coeff
-        return vals.real if self.kind == "real" else vals
-
-    def _spectrum(self) -> np.ndarray:
-        """Interpolant coefficients at frequencies -N/2..N/2 (Nyquist halved)."""
+        if self.pieces is not None:
+            return _piece_values(self.pieces, grid_nodes(V), self.kind)
         N = self.N
         if self.kind == "real":  # frequency -n is the conjugate of n
             F = np.fft.rfft(self.samples) / N
@@ -150,70 +160,28 @@ class BoundaryFunction:
             coeff = np.concatenate([F[N // 2:], F[:N // 2 + 1]])
         coeff[0] *= 0.5
         coeff[-1] *= 0.5
-        return coeff
-
-    # -- public API --------------------------------------------------------
-
-    def evaluate(self, theta) -> np.ndarray:
-        """Value at arbitrary angles: exact for piecewise data, band-limited
-        interpolation otherwise, in the shape of theta (a scalar for a
-        scalar).  Right-piece convention at junctions; pieces see the
-        angles stably sorted, and the values go back."""
-        shape = np.shape(theta)
-        t = np.mod(np.asarray(theta, dtype=float), TWO_PI).ravel()
-        if self.pieces is None:
-            out = self._interp(t)
-        else:
-            order = np.argsort(t, kind="stable")
-            vals = _piece_values(self.pieces, t[order], self.kind)
-            out = np.empty_like(vals)
-            out[order] = vals
-        return out.reshape(shape)[()]
-
-    def on_uniform_grid(self, V: int) -> np.ndarray:
-        """Values at theta_v = 2*pi*v/V, v = 0..V-1 (any V >= 1).
-
-        Equal to evaluate(grid_nodes(V)) at O(N + V log V) cost: on the
-        V-grid exp(i*k*theta_v) depends only on k mod V, so the
-        interpolant's spectrum folds into V bins and one inverse FFT
-        gives every value.  Piecewise data is evaluated exactly.
-        """
-        if self.pieces is not None:
-            return _piece_values(self.pieces, grid_nodes(V), self.kind)
-        coeff = self._spectrum()
-        bins = np.arange(-(self.N // 2), self.N // 2 + 1) % V
-        folded = (np.bincount(bins, coeff.real, minlength=V)
-                  + 1j * np.bincount(bins, coeff.imag, minlength=V))
-        vals = np.fft.ifft(folded) * V
-        return vals.real if self.kind == "real" else vals
+        n = V // 2 + 1 if self.kind == "real" else V
+        bins = np.arange(-(N // 2), N // 2 + 1) % V
+        keep = bins < n
+        folded = (np.bincount(bins[keep], coeff.real[keep], minlength=n)
+                  + 1j * np.bincount(bins[keep], coeff.imag[keep], minlength=n))
+        if self.kind == "real":
+            return np.fft.irfft(folded, V) * V
+        return np.fft.ifft(folded) * V
 
     def resample(self, L: int) -> "BoundaryFunction":
-        """Same function on an L-node grid (L a power of two >= N).
-
-        Piecewise data keeps its pieces and jumps and is evaluated exactly
-        on the L-grid; sampled data is resampled band-limitedly, which is
-        exact for trigonometric polynomials of degree < N/2.
-        """
+        """Same function on an L-node grid (L a power of two >= N), with
+        its pieces and jumps: on_uniform_grid(L) of sampled data, which
+        is exact for trigonometric polynomials of degree < N/2, and an
+        exact evaluation of piecewise data."""
         _check_grid_size(L)
         if L == self.N:
             return self
         if L < self.N:
             raise ConfigurationError(f"resample target {L} is below current N={self.N}")
-        if self.pieces is not None:
-            return replace(self, samples=_grid_values(self.pieces, L, self.kind))
-        half = self.N // 2
-        if self.kind == "real":
-            G = np.zeros(L // 2 + 1, dtype=complex)
-            G[:half + 1] = np.fft.rfft(self.samples)
-            G[half] *= 0.5  # irfft supplies the other half of the Nyquist term
-            return replace(self, samples=np.fft.irfft(G, L) * (L / self.N))
-        F = np.fft.fft(self.samples)
-        G = np.zeros(L, dtype=complex)
-        G[:half] = F[:half]
-        G[L - half + 1:] = F[half + 1:]
-        G[half] = 0.5 * F[half]
-        G[L - half] = 0.5 * F[half]
-        return replace(self, samples=np.fft.ifft(G) * (L / self.N))
+        if self.pieces is None:
+            return replace(self, samples=self.on_uniform_grid(L))
+        return replace(self, samples=_grid_values(self.pieces, L, self.kind))
 
 
 def _piece(item) -> Piece:

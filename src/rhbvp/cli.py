@@ -6,7 +6,8 @@ Subcommands:
   family   homogeneous family for the configured points + rank certificate
   map      Theodorsen map for a star-like domain, correspondence table
 
-One JSON config drives everything.  load_config checks it against
+One JSON config drives everything.  load_config refuses the non-finite
+numbers that Python's json module accepts, and checks the config against
 _SCHEMA in one walk: unknown keys, values of the wrong JSON type and
 values out of range are errors naming their paths.  A key the config
 leaves out takes the default of the library call it feeds (SolverParams,
@@ -110,10 +111,19 @@ def _check(cfg: dict) -> None:
         raise ConfigurationError("; ".join(bad))
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float.  NaN, Infinity and literals beyond float
+    range, such as 1e999, are no JSON numbers (RFC 8259, section 6)."""
+    val = float(text)
+    if not np.isfinite(val):
+        raise ConfigurationError(f"config holds the non-finite number {text}")
+    return val
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

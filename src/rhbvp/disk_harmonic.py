@@ -63,10 +63,8 @@ class SeriesEvaluator:
         return SeriesEvaluator(np.concatenate([[0.0], c / n]))
 
     def eval_on_circle(self, rho: float, M: int) -> np.ndarray:
-        """Values at z = rho*exp(2*pi*i*k/M), k = 0..M-1, via FFT."""
-        c = self.coefficients
-        scaled = c * rho ** np.arange(len(c))
-        return np.fft.ifft(_blocks(scaled, M).sum(axis=0)) * M
+        """Values at z = rho*exp(2*pi*i*k/M), k = 0..M-1: one ray scale."""
+        return self.eval_on_rays(np.array([rho]), M)[0]
 
     def eval_on_rays(self, scales: np.ndarray, V: int) -> np.ndarray:
         """Values at z = s * exp(2*pi*i*v/V) for each complex scale s.
@@ -91,7 +89,10 @@ class SeriesEvaluator:
         same process about tenfold.
         """
         s = np.asarray(scales, dtype=complex).reshape(-1, 1)
-        blocks = _blocks(self.coefficients, V).view(float)
+        c = self.coefficients
+        blocks = np.zeros(-(-len(c) // V) * V, dtype=complex)  # c zero-padded
+        blocks[:len(c)] = c
+        blocks = blocks.reshape(-1, V).view(float)
         out = np.empty((len(s), V), dtype=complex)
         for i in range(0, len(s), RAY_CHUNK):
             sc, acc = s[i:i + RAY_CHUNK], out[i:i + RAY_CHUNK]
@@ -111,15 +112,6 @@ def _running_powers(x: np.ndarray, n: int) -> np.ndarray:
     p[:, 0] = 1.0
     p[:, 1:] = x
     return np.cumprod(p, axis=1, out=p)
-
-
-def _blocks(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """c_n zero-padded to q*M terms as a (q, M) array; row k holds n = kM + m."""
-    L = len(coeffs)
-    q = -(-L // M)
-    buf = np.zeros(q * M, dtype=complex)
-    buf[:L] = coeffs
-    return buf.reshape(q, M)
 
 
 # ----------------------------------------------------------------------
@@ -149,20 +141,19 @@ def schwarz_integral(bf: BoundaryFunction) -> SeriesEvaluator:
 
 def conjugate_boundary(bf: BoundaryFunction, L: int | None = None) -> BoundaryFunction:
     """Boundary values of the harmonic conjugate (conjugate vanishing at 0)
-    on L uniform nodes, by band-limited interpolation of bf: one real
+    on L >= N uniform nodes, by band-limited interpolation of bf: one real
     inverse FFT, since Im(c_n e^{in theta}) = Re(-i c_n e^{in theta})."""
     if bf.kind != "real":
         raise DataError("conjugate_boundary requires real-valued boundary data")
-    c = analytic_coefficients(bf.samples)
     L = L or bf.N
-    if len(c) > L:
+    if L < bf.N:
         raise ConfigurationError(
-            f"target grid L={L} is below the series length {len(c)}")
-    M = max(L, bf.N)  # every term below M/2: no aliasing, then subsample
-    buf = np.zeros(M // 2 + 1, dtype=complex)
-    buf[:len(c)] = -0.5j * M * c
-    H = np.ascontiguousarray(np.fft.irfft(buf, M)[::M // L])
-    return BoundaryFunction(samples=H, kind="real", jumps=bf.jumps)
+            f"target grid L={L} is below N={bf.N}")
+    c = analytic_coefficients(bf.samples)
+    buf = np.zeros(L // 2 + 1, dtype=complex)
+    buf[:len(c)] = -0.5j * L * c
+    return BoundaryFunction(samples=np.fft.irfft(buf, L), kind="real",
+                            jumps=bf.jumps)
 
 
 # ----------------------------------------------------------------------

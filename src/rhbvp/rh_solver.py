@@ -33,6 +33,7 @@ admissible; the verifier is the contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -52,17 +53,22 @@ REFINE = 8  # psi is formed on REFINE * N nodes; g keeps REFINE * N / 2 terms
 
 
 def _real(value) -> float:
-    """float(value) for a number; a bool or a string is a TypeError."""
+    """float(value) for a finite number; a bool or a string is a
+    TypeError, and a non-finite number a ValueError."""
     if isinstance(value, (bool, np.bool_, str)):
         raise TypeError(f"not a number: {value!r}")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"not finite: {value!r}")
+    return x
 
 
 @dataclass
 class SolverParams:
     """Construction parameters shared by the solvers (the grid size is the
-    data's).  cut and d0 take a number, hom_points and hom_coeffs numbers;
-    anything else, a bool or a string included, is a ConfigurationError."""
+    data's).  cut and d0 take a finite number, hom_points and hom_coeffs
+    finite numbers; anything else, a bool, a string or a NaN included, is
+    a ConfigurationError."""
 
     cut: float = 0.0
     d0: float = 0.0
@@ -77,9 +83,12 @@ class SolverParams:
             value = getattr(self, name)
             try:
                 setattr(self, name, kind(value))
-            except (TypeError, ValueError):
+            except TypeError:
                 raise ConfigurationError(
                     f"params.{name} has the wrong type: {value!r}") from None
+            except (ValueError, OverflowError):
+                raise ConfigurationError(
+                    f"params.{name} must be finite, got {value!r}") from None
         a = np.sort(self.hom_points)
         close = np.diff(a, append=a[:1] + TWO_PI) < 1e-12  # with the wrap gap
         if np.any(close):
@@ -222,11 +231,13 @@ class AnalyticSolution:
         return -(zn * r).sum(axis=1).real / (2 * w - 1)
 
     def f(self, z):
+        """f at the points z, in the shape of z (a scalar for a scalar)."""
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("solution evaluation requires |z| < 1")
-        return self._assemble(np.exp(-1j * self.A._horner(z)),
-                              self.g._horner(z), z)
+        zs = np.atleast_1d(z)  # the pole terms work in place
+        return self._assemble(np.exp(-1j * self.A._horner(zs)),
+                              self.g._horner(zs), zs).reshape(z.shape)[()]
 
     __call__ = f
 

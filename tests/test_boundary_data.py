@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,11 +98,16 @@ def test_evaluate_matches_pieces_exactly():
 
 
 def test_evaluate_band_limited_from_samples():
-    t = grid_nodes(64)
-    bf = build_boundary_function(np.cos(3 * t) + 0.5 * np.sin(t), 64)
-    q = np.linspace(0.1, 6.0, 11)
-    np.testing.assert_allclose(bf.evaluate(q), np.cos(3 * q) + 0.5 * np.sin(q),
-                               atol=1e-12)
+    # sampled data are read on uniform grids only; the Nyquist samples
+    # (-1)^j interpolate as cos(32 theta)
+    def u(q):
+        return np.cos(3 * q) + 0.5 * np.sin(q) + 0.25 * np.cos(32 * q)
+    bf = build_boundary_function(u(grid_nodes(64)), 64)
+    with pytest.raises(DataError, match="on_uniform_grid"):
+        bf.evaluate(np.linspace(0.1, 6.0, 11))
+    for q, vals in ((grid_nodes(500), bf.on_uniform_grid(500)),
+                    (grid_nodes(256), bf.resample(256).samples)):
+        np.testing.assert_allclose(vals, u(q), atol=1e-12)
 
 
 def test_resample_refines_exactly():
@@ -288,19 +291,22 @@ def test_measurable_arg_idempotent_representation():
 
 
 def test_winding_boundary_function_evaluate():
-    # the argument of a winding field's nu0 is smooth periodic data, so
-    # evaluation and resampling are plain band-limited interpolation
+    # the argument of a winding field's nu0 is periodic data, so its
+    # values on any uniform grid are plain band-limited interpolation,
+    # its Nyquist samples (-1)^j included
+    def beta(q):
+        return 0.3 * np.sin(2 * q) + 0.1 * np.cos(256 * q)
     t = grid_nodes(512)
-    nu = DirectionField.from_samples(-np.exp(1j * (t + 0.3 * np.sin(2 * t))))
+    nu = DirectionField.from_samples(-np.exp(1j * (t + beta(t))))
     w, alpha0 = measurable_arg(nu)
     assert w == 1
-    c = alpha0.samples[0]  # pi up to a full turn
-    q = np.array([0.5, 2.0, 4.0, 6.0])
-    np.testing.assert_allclose(alpha0.evaluate(q), c + 0.3 * np.sin(2 * q),
+    c = alpha0.samples[0] - beta(0.0)  # pi up to a full turn
+    q = grid_nodes(700)
+    np.testing.assert_allclose(alpha0.on_uniform_grid(700), c + beta(q),
                                atol=1e-10)
     up = alpha0.resample(1024)
-    np.testing.assert_allclose(up.samples,
-                               c + 0.3 * np.sin(2 * grid_nodes(1024)), atol=1e-10)
+    np.testing.assert_allclose(up.samples, c + beta(grid_nodes(1024)),
+                               atol=1e-10)
 
 
 def test_complex_kind_required_for_direction():
@@ -309,20 +315,40 @@ def test_complex_kind_required_for_direction():
 
 
 # ----------------------------------------------------------------------
-# values on a uniform grid, chunked interpolation
+# values on a uniform grid
 # ----------------------------------------------------------------------
+
+def _dense_interpolant(s, V):
+    """The band-limited interpolant of the N samples s at 2*pi*v/V, summed
+    term by term: F_k = (1/N) sum_j s_j exp(-2*pi*i*j*k/N) at k = -N/2..N/2
+    with the two Nyquist terms halved, every angle reduced exactly as an
+    integer mod N or V, and no BLAS product."""
+    N = len(s)
+    k = np.arange(-(N // 2), N // 2 + 1)
+    F = (np.exp(-2j * np.pi * (np.multiply.outer(k, np.arange(N)) % N) / N)
+         * s).sum(axis=1) / N
+    F[[0, -1]] *= 0.5
+    vals = np.empty(V, dtype=complex)
+    for lo in range(0, V, 1024):
+        v = np.arange(lo, min(lo + 1024, V))
+        vals[lo:lo + len(v)] = (np.exp(2j * np.pi * (np.multiply.outer(v, k) % V)
+                                       / V) * F).sum(axis=1)
+    return vals.real if np.isrealobj(s) else vals
+
 
 def _grid_case(name, N):
     t = grid_nodes(N)
     if name == "real_sampled":
         return build_boundary_function(
             np.random.default_rng(7).normal(size=N), N)
+    # the sampled cases carry Nyquist content, (-1)^j at the nodes
     if name == "complex_nu":
         return DirectionField.from_angle(
-            "0.3*sin(theta) + 0.2*cos(3*theta)", N).base
+            f"0.3*sin(theta) + 0.2*cos(3*theta) + 0.1*cos({N // 2}*theta)",
+            N).base
     if name == "winding_alpha":
-        nu = DirectionField.from_samples(
-            -np.exp(1j * (t + 0.3 * np.sin(2 * t))))
+        nu = DirectionField.from_samples(-np.exp(
+            1j * (t + 0.3 * np.sin(2 * t) + 0.1 * np.cos(N // 2 * t))))
         w, alpha0 = measurable_arg(nu)
         assert w == 1
         return alpha0
@@ -333,18 +359,45 @@ def _grid_case(name, N):
 @pytest.mark.parametrize("name", ["real_sampled", "complex_nu",
                                   "winding_alpha", "piecewise"])
 def test_on_uniform_grid_matches_evaluate(name):
+    # exact evaluation of pieces, the dense interpolant of samples
     N = 256
     bf = _grid_case(name, N)
     scale = 1.0 + np.max(np.abs(bf.samples))
     for V in (8, 500, N, 4 * N, 5000):
         vals = bf.on_uniform_grid(V)
-        ref = bf.evaluate(grid_nodes(V))
+        ref = (bf.evaluate(grid_nodes(V)) if bf.pieces is not None
+               else _dense_interpolant(bf.samples, V))
         assert vals.dtype == ref.dtype and vals.shape == (V,)
         assert np.max(np.abs(vals - ref)) <= 1e-12 * scale
 
 
+def test_real_on_uniform_grid_is_a_contiguous_real_array():
+    N = 256
+    bf = _grid_case("real_sampled", N)
+    scale = 1.0 + np.max(np.abs(bf.samples))
+    for V in (1, 3, 500, N, 8 * N):
+        vals = bf.on_uniform_grid(V)
+        assert vals.dtype == float and vals.flags.c_contiguous
+        assert np.max(np.abs(vals - _dense_interpolant(bf.samples, V))) \
+            <= 1e-13 * scale
+
+
+def test_complex_resample_keeps_the_nyquist_term():
+    N = 64
+    t = grid_nodes(N)
+    rng = np.random.default_rng(8)
+    s = (rng.normal(size=N) + 1j * rng.normal(size=N)
+         + (0.75 - 0.5j) * np.cos(N // 2 * t))
+    bf = BoundaryFunction(samples=s, kind="complex", jumps=(2.0,))
+    for L in (N, 2 * N, 8 * N):
+        up = bf.resample(L)
+        assert up.kind == "complex" and up.jumps == (2.0,)
+        assert up.samples.dtype == complex and up.samples.flags.c_contiguous
+        assert np.max(np.abs(up.samples - _dense_interpolant(s, L))) <= 1e-13
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (0,), ()])
-@pytest.mark.parametrize("name", ["expression", "piecewise", "real_sampled"])
+@pytest.mark.parametrize("name", ["expression", "piecewise"])
 def test_evaluate_keeps_the_shape_of_the_angles(name, shape):
     N = 64
     bf = (build_boundary_function("cos(theta) + 0.5", N)
@@ -361,25 +414,3 @@ def test_on_uniform_grid_reproduces_samples():
     np.testing.assert_allclose(bf.on_uniform_grid(64), bf.samples, atol=1e-13)
     np.testing.assert_allclose(bf.on_uniform_grid(16), bf.samples[::4],
                                atol=1e-13)
-
-
-def test_evaluate_chunked_matches_dense_reference():
-    N = 1024
-    bf = _grid_case("complex_nu", N)
-    q = np.random.default_rng(11).uniform(0.0, TWO_PI, 2000)
-    # dense reference: the full len(q) x N phase matrix, Nyquist bin as cosine
-    F = np.fft.fft(bf.samples) / N
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    k[N // 2] = 0.0
-    F_ny, F = F[N // 2], F.copy()
-    F[N // 2] = 0.0
-    ref = np.exp(1j * np.multiply.outer(q, k)) @ F + F_ny * np.cos(N // 2 * q)
-    tracemalloc.start()
-    try:
-        vals = bf.evaluate(q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.max(np.abs(vals - ref)) <= 1e-12
-    # the dense phase matrix alone would take len(q) * N * 16 B = 31 MiB
-    assert peak < 8 * 2 ** 20

@@ -361,6 +361,30 @@ def test_malformed_config_exits_1_without_traceback(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("fields, literal", [
+    ('"phi": "cos(theta)", "params": {"d0": NaN}', "NaN"),
+    ('"phi": "cos(theta)", "verify": {"tol": NaN}', "NaN"),
+    ('"phi": "cos(theta)", "verify": {"apertures": [NaN]}', "NaN"),
+    ('"phi": [[0, 3, 1], [3, NaN, 0]]', "NaN"),
+    ('"phi": "cos(theta)", "params": {"cut": Infinity}', "Infinity"),
+    ('"phi": "cos(theta)", "params": {"hom_points": [1e999]}', "1e999"),
+], ids=["d0_nan", "tol_nan", "apertures_nan", "phi_piece_nan", "cut_infinity",
+        "hom_points_1e999"])
+def test_non_finite_config_numbers_exit_1(tmp_path, capsys, monkeypatch,
+                                          fields, literal):
+    # NaN, Infinity and 1e999 are no JSON numbers, though Python's json
+    # reads them; each is refused before the solve, which would raise here
+    monkeypatch.setattr("rhbvp.cli.solve_neumann", None)
+    outputs = json.dumps(_base_cfg(tmp_path)["outputs"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{{fields}, "outputs": {outputs}}}')
+    assert main(["verify", "--config", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"non-finite number {literal}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_unexpected_exception_releases_locks_and_outputs(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

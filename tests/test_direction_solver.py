@@ -94,6 +94,35 @@ def test_dir_deriv_and_unit_check():
         hs.dir_deriv(z, 2.0 + 0j)
 
 
+def _scalar_case(name, request):
+    """A solution whose f has pole terms: Neumann step data, windings 0
+    and -1 with Herglotz poles, and the ellipse transplant."""
+    if name == "step":
+        return request.getfixturevalue("neumann_step")
+    if name == "ellipse":
+        return R.transplant_neumann(request.getfixturevalue("ellipse_map"),
+                                    R.build_boundary_function("cos(t)", 1024))
+    N = 256
+    angle = {"w0_hom": "0.3 + 0.2*cos(t)", "wm1": "-t + 0.3 + 0.2*cos(t)"}[name]
+    return solve_directional(
+        R.DirectionField.from_angle(angle, N),
+        R.build_boundary_function("cos(theta)", N),
+        SolverParams(hom_points=(1.0, 4.0), hom_coeffs=(0.5, 1.0, -1.0)))
+
+
+@pytest.mark.parametrize("name", ["step", "w0_hom", "wm1", "ellipse"])
+def test_scalar_point_equals_a_one_element_array(name, request):
+    hs = _scalar_case(name, request)
+    z0, one = 0.3 - 0.2j, np.array([0.3 - 0.2j])
+    f0 = hs.f(z0)
+    assert np.ndim(f0) == 0 and f0 == hs.f(one)[0]
+    assert hs.f_source.f(z0) == hs.f_source.f(one)[0]
+    assert [np.ndim(g) for g in hs.grad(z0)] == [0, 0]
+    assert hs.grad(z0) == tuple(g[0] for g in hs.grad(one))
+    d0 = hs.dir_deriv(z0, 1j)
+    assert np.ndim(d0) == 0 and d0 == hs.dir_deriv(one, 1j)[0]
+
+
 def test_gradient_matches_finite_differences(neumann_cos):
     rng = np.random.default_rng(7)
     z = 0.5 * np.exp(2j * np.pi * rng.uniform(0, 1, 12))

@@ -175,12 +175,15 @@ def test_series_eval_and_calculus():
 
 
 def test_series_eval_on_circle_matches_horner():
+    # M = 16 < len(c) folds the series; on rho = 1 nothing damps the tail
     rng = np.random.default_rng(1)
     c = rng.normal(size=40) + 1j * rng.normal(size=40)
     s = SeriesEvaluator(c)
-    vals = s.eval_on_circle(0.5, 64)
-    z = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
-    np.testing.assert_allclose(vals, s(z), atol=1e-12)
+    for rho, M in ((0.5, 64), (1.0, 64), (0.5, 16), (1.0, 16)):
+        vals = s.eval_on_circle(rho, M)
+        z = rho * np.exp(2j * np.pi * np.arange(M) / M)
+        assert vals.shape == (M,)
+        np.testing.assert_allclose(vals, s._horner(z), rtol=0, atol=1e-12)
 
 
 def test_series_eval_on_rays_matches_horner():

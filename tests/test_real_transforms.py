@@ -73,15 +73,6 @@ def test_conjugate_boundary_matches_dense_series(N, factor):
     assert np.max(np.abs(H - _dense_series(_coefficients(N), L).imag)) <= TOL
 
 
-@pytest.mark.parametrize("N", [64, 1024])
-def test_conjugate_boundary_below_data_grid_matches_dense_series(N):
-    # L = N/2 holds the N/2 terms only by aliasing; the values are the
-    # series' own at the coarse nodes
-    s = _data(N)[0]
-    H = conjugate_boundary(BoundaryFunction(samples=s), L=N // 2).samples
-    assert np.max(np.abs(H - _dense_series(_coefficients(N), N // 2).imag)) <= TOL
-
-
 @pytest.mark.parametrize("L", [64, 512])
 @pytest.mark.parametrize("k", [1, 5, 31])
 def test_conjugate_of_cos_k_is_sin_k(k, L):
@@ -91,9 +82,12 @@ def test_conjugate_of_cos_k_is_sin_k(k, L):
 
 
 def test_conjugate_boundary_rejects_grid_below_series_length():
+    # L = 32 would hold the 32 terms, but every grid below the data's is
+    # refused
     bf = BoundaryFunction(samples=_data(64)[0])
-    with pytest.raises(ConfigurationError, match="below the series length"):
-        conjugate_boundary(bf, L=16)
+    for L in (16, 32):
+        with pytest.raises(ConfigurationError, match="below N=64"):
+            conjugate_boundary(bf, L=L)
 
 
 @pytest.mark.parametrize("N", DENSE_N)

@@ -356,6 +356,15 @@ def test_rejects_wrong_types(name, value):
         SolverParams(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("d0", float("nan")), ("cut", float("inf")), ("d0", 10 ** 400),
+    ("hom_points", [1.0, -float("inf")]), ("hom_coeffs", [0.0, float("nan")])],
+    ids=["d0_nan", "cut_inf", "d0_huge_int", "hom_points_inf", "hom_coeffs_nan"])
+def test_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ConfigurationError, match=f"params.{name} must be finite"):
+        SolverParams(**{name: value})
+
+
 def test_converts_values_to_field_types():
     p = SolverParams(cut=1, d0=np.float32(2.5), hom_points=[np.int64(7)],
                      hom_coeffs=(0, np.float64(1)))
