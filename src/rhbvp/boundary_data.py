@@ -65,6 +65,47 @@ def _piece_values(pieces: Sequence[Piece], t: np.ndarray,
     return out
 
 
+def jump_sawtooths(N: int, c: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """sum_j J_j (pi - (theta - c_j) mod 2*pi)/(2*pi) on the N-node grid:
+    jumps J_j at the angles c_j in [0, 2*pi).  A node takes the right value
+    from _EDGE_EPS below c_j on, as _piece_values gives it to the right
+    piece; the nodes before that are (theta - c_j) + 2*pi from c_j."""
+    theta = grid_nodes(N)
+    out = (np.dot(J, np.pi + c) - np.sum(J) * theta) / TWO_PI
+    for cut, Jj in zip(np.searchsorted(theta + _EDGE_EPS, c, side="left"), J):
+        out[:cut] -= Jj
+    return out
+
+
+def jump_limits(pieces: Sequence[Piece], samples: np.ndarray,
+                inside: Sequence[float] = ()):
+    """Where sorted pieces jump by more than 1e-10 * (1 + max |samples|):
+    the angles mod 2*pi and the left and right values there, as three
+    arrays.  At a
+    junction lo_k (k = 0 is where the last piece wraps round) these are
+    the left piece's value at its hi and the right piece's at lo_k; at an
+    angle of inside off the junctions, its piece's values at the float
+    just below the angle and at the angle."""
+    sides = [(p.lo % TWO_PI, pieces[k - 1], pieces[k - 1].hi,
+              p, p.lo if k else 0.0) for k, p in enumerate(pieces)]
+    los = np.array([p.lo for p in pieces])
+    a = np.asarray(inside, dtype=float)
+    off = np.abs(wrap_angle(a[:, None] - los)).min(axis=1, initial=np.inf) > _EDGE_EPS
+    for c in a[off]:
+        p = pieces[np.searchsorted(los, c, side="right") - 1]
+        sides.append((c, p, np.nextafter(c, -np.inf), p, c))
+    scale = 1.0 + float(np.max(np.abs(samples)))
+    at, lefts, rights = [], [], []
+    for c, left, left_at, right, right_at in sides:
+        left_val = np.asarray(left.fn(np.array([left_at])))[0]
+        right_val = np.asarray(right.fn(np.array([right_at])))[0]
+        if abs(right_val - left_val) > 1e-10 * scale:
+            at.append(c)
+            lefts.append(left_val)
+            rights.append(right_val)
+    return np.array(at), np.array(lefts), np.array(rights)
+
+
 def _grid_values(pieces: Sequence[Piece], N: int, kind: str) -> np.ndarray:
     """_piece_values on the N-node grid; a non-finite value is a DataError."""
     samples = _piece_values(pieces, grid_nodes(N), kind)
@@ -236,16 +277,9 @@ def build_boundary_function(spec, N: int, kind: str = "real",
             raise ConfigurationError(
                 f"boundary pieces do not form a partition near angle {a.hi:.6g}")
     samples = _grid_values(pieces, N, kind)
-    # junction angles where left limit and right value disagree are jumps
-    scale = 1.0 + float(np.max(np.abs(samples)))
-    detected = []
-    for k, p in enumerate(pieces):
-        left = pieces[k - 1]
-        right_val = np.asarray(p.fn(np.array([p.lo if k else 0.0])))[0]
-        left_val = np.asarray(left.fn(np.array([left.hi])))[0]
-        if abs(right_val - left_val) > 1e-10 * scale:
-            detected.append(p.lo % TWO_PI)
-    all_jumps = sorted(set(float(j) % TWO_PI for j in jumps) | set(detected))
+    detected = jump_limits(pieces, samples)[0]
+    all_jumps = sorted(set(float(j) % TWO_PI for j in jumps)
+                       | set(detected.tolist()))
     return BoundaryFunction(samples=samples, kind=kind,
                             jumps=tuple(all_jumps), pieces=tuple(pieces))
 

@@ -34,7 +34,7 @@ from .direction_solver import HarmonicSolution, solve_directional
 from .errors import ConfigurationError, NumericalError, RHBVPError
 from .jordan_domain import theodorsen_map, transplant_neumann, transplant_solve
 from .neumann import disk_inner_normal, solve_neumann
-from .rh_solver import REFINE, SolverParams, homogeneous_family
+from .rh_solver import SolverParams, homogeneous_family
 from .verify import dimension_certificate, verify_solution
 
 DEFAULT_N = 1024  # grid size when neither params.N nor --n sets it
@@ -196,7 +196,7 @@ def _solve(cfg: dict, N: int, trace):
         hs = solve_directional(nu or disk_inner_normal(N).field, phi, params)
     else:  # nu None is the image inner normal
         hs = transplant_solve(cmap, phi, params, nu=nu)
-    trace(f"solve: N={N} refine={REFINE} "
+    trace(f"solve: N={N} g_terms={len(hs.f_source.g.coefficients)} "
           f"winding={hs.f_source.index} "
           f"series_terms={len(hs.F.coefficients)} d0={params.d0:g}")
     for note in hs.notes:

@@ -9,6 +9,7 @@ because measurable_arg reduces it before conjugation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,30 @@ def analytic_coefficients(samples: np.ndarray) -> np.ndarray:
     c = np.fft.rfft(s)[:N // 2] / N
     c[1:] *= 2.0
     return c
+
+
+def unit_powers(c, n: int) -> np.ndarray:
+    """e^{i k c} for k < n, one row per angle c.  With k = a*m + b and
+    m = ceil(sqrt(n)) it is the outer product of e^{i a m c} and e^{i b c},
+    so each angle takes 2m exponentials."""
+    c = np.asarray(c, dtype=float).reshape(-1, 1, 1)
+    m = math.isqrt(n - 1) + 1
+    k = np.arange(m)
+    rows = np.exp(1j * m * c * k[:, None]) * np.exp(1j * c * k)
+    return rows.reshape(len(c), -1)[:, :n]
+
+
+def sawtooth_coefficients(c: np.ndarray, J: np.ndarray, L: int) -> np.ndarray:
+    """The first L Taylor coefficients of sum_j (i J_j/pi) log(1 - z/zeta_j),
+    zeta_j = e^{i c_j}, the analytic completion of the jumps
+    sum_j J_j (pi - (theta - c_j) mod 2 pi)/(2 pi) (Eckhoff, Math. Comp.
+    64, 1995): 0, then -i J e^{-i n c}/(pi n)."""
+    t = np.zeros(L, dtype=complex)
+    for cj, Jj in zip(c, J):
+        t += Jj * unit_powers(-cj, L)[0]
+    t[0] = 0.0
+    t[1:] *= -1j / (np.pi * np.arange(1, L))
+    return t
 
 
 def schwarz_integral(bf: BoundaryFunction) -> SeriesEvaluator:

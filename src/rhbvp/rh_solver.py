@@ -24,11 +24,15 @@ of 2 beta zeta^-m / (1 - z/zeta), m = max(w, 0), for every winding.
 solve_rh runs two stages: reduce_field does what depends on nu alone
 (w, alpha0, A, H) into a frozen ReducedField, and ReducedField.solve forms
 psi, T and g for one phi, so a caller with many data reduces nu once.
-psi is formed on an internally refined grid (REFINE * N nodes, exact
-piece evaluation) and the solution series keeps REFINE*N/2 coefficients;
-this lowers the representation floor near jumps of phi without changing
-the contract.  Any construction satisfying the boundary verifier is
-admissible; the verifier is the contract.
+psi is formed on the N nodes, and g keeps REFINE * N / 2 terms.  A jump
+J of piecewise phi at an angle c (a junction, or declared inside a
+piece) is a jump J exp(-H(c)) of psi, the boundary real part of
+(i J exp(-H(c))/pi) log(1 - z e^{-ic}), whose series is exact (Eckhoff,
+Math. Comp. 64, 1995); the continuous rest of psi gives the first N/2
+terms.  Only a field whose alpha0 has jumps,
+where exp(-H) has power singularities, forms psi on REFINE * N nodes
+from phi's exact values there.  Any construction satisfying the boundary
+verifier is admissible; the verifier is the contract.
 """
 
 from __future__ import annotations
@@ -42,14 +46,15 @@ from typing import Sequence
 import numpy as np
 
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
-                            measurable_arg)
+                            jump_sawtooths, jump_limits, measurable_arg)
 from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
-                            conjugate_boundary, schwarz_integral)
+                            conjugate_boundary, sawtooth_coefficients,
+                            schwarz_integral, unit_powers)
 from .errors import (ConfigurationError, DataError, DomainError,
                      NumericalRangeError)
 
 CLAMP_LOG = float(np.log(1e12))  # exp(H) confined to [1e-12, 1e12]
-REFINE = 8  # psi is formed on REFINE * N nodes; g keeps REFINE * N / 2 terms
+REFINE = 8  # g keeps REFINE * N / 2 terms; alpha jumps: psi on REFINE * N nodes
 
 
 def _real(value) -> float:
@@ -110,8 +115,9 @@ def index_poles(w: int, cut: float) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ReducedField:
     """What the construction takes from nu alone, made by reduce_field:
-    the winding index, alpha = arg nu0, A = S[alpha], H = H[alpha] on the
-    REFINE * N grid clamped to CLAMP_LOG, and the clamp note.  Its arrays
+    the winding index, alpha = arg nu0, A = S[alpha], H = H[alpha] clamped
+    to CLAMP_LOG on the N nodes (on REFINE * N nodes when alpha has
+    jumps), and the clamp note.  Its arrays
     are read-only, so solutions and callers may share one reduction."""
 
     field: DirectionField
@@ -133,7 +139,14 @@ class ReducedField:
 
     def solve(self, phi: BoundaryFunction,
               params: SolverParams | None = None) -> "AnalyticSolution":
-        """The phi stage: psi = phi * exp(-H), T = S[psi] and g from T."""
+        """The phi stage: psi = phi * exp(-H), T = S[psi] and g from T.
+
+        On H's grid of N nodes, each jump J of piecewise phi at an angle
+        c, a junction or a jump declared inside a piece, enters T as its
+        exact series, J exp(-H(c)) times a sawtooth's, up to
+        REFINE * N / 2 terms; the continuous rest of psi gives the first
+        N/2 terms.  With H on the refined grid (alpha has jumps)
+        psi is formed on it from phi's values there."""
         N = self.field.N
         params = params or SolverParams()
         if phi.kind != "real":
@@ -141,16 +154,27 @@ class ReducedField:
         if N != phi.N:
             raise ConfigurationError(
                 f"nu and phi live on different grids (N={N} vs {phi.N})")
-        phi_L = phi.resample(REFINE * N).samples
-        psi_L = phi_L * np.exp(-self.H)
-        if not np.all(np.isfinite(psi_L)):
-            bad = int(np.flatnonzero(~np.isfinite(psi_L))[0])
-            raise NumericalRangeError(
-                f"psi non-finite at refined node {bad} despite clamping")
-        T = analytic_coefficients(psi_L)
+        psi = phi.resample(len(self.H)).samples * np.exp(-self.H)
+        if not np.all(np.isfinite(psi)):
+            bad = int(np.flatnonzero(~np.isfinite(psi))[0])
+            raise NumericalRangeError(f"psi non-finite at node {bad} of "
+                                      f"{len(psi)} despite clamping")
+        if len(psi) > N:
+            T = analytic_coefficients(psi)
+            psi = psi[::REFINE].copy()
+        else:
+            rest, T = psi, np.zeros(REFINE * N // 2, dtype=complex)
+            if phi.pieces is not None and phi.jumps:
+                c, left, right = jump_limits(phi.pieces, phi.samples, phi.jumps)
+                H_c = (unit_powers(c, len(self.A.coefficients))  # Im A(e^{ic})
+                       * self.A.coefficients).sum(axis=1).imag
+                J = (right - left) * np.exp(-np.clip(H_c, -CLAMP_LOG, CLAMP_LOG))
+                rest = psi - jump_sawtooths(N, c, J)
+                T = sawtooth_coefficients(c, J, len(T))
+            T[:N // 2] += analytic_coefficients(rest)
         w = self.index
         g = SeriesEvaluator(np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
-        psi = BoundaryFunction(samples=psi_L[::REFINE], kind="real",
+        psi = BoundaryFunction(samples=psi, kind="real",
                                jumps=set(phi.jumps) | set(self.alpha.jumps))
         return AnalyticSolution(reduced=self, phi=phi, psi=psi, g=g,
                                 head=T[:max(w, 0)], params=params,
@@ -159,17 +183,19 @@ class ReducedField:
 
 def reduce_field(nu: DirectionField) -> ReducedField:
     """The nu stage: index reduction, A = S[alpha0] and the clamped
-    conjugate H = H[alpha0] on the refined grid."""
+    conjugate H = H[alpha0] on the N nodes, or on REFINE * N nodes when
+    alpha0 has jumps."""
     w, alpha = measurable_arg(nu)
     A = schwarz_integral(alpha)
-    L = REFINE * nu.N
+    L = REFINE * nu.N if alpha.jumps else nu.N
     H = conjugate_boundary(alpha, L).samples
     n_clamped = int(np.sum(np.abs(H) > CLAMP_LOG))
-    notes = (f"conjugate clamped at {n_clamped} of {L} refined nodes "
+    nodes = "refined nodes" if L > nu.N else "nodes"
+    notes = (f"conjugate clamped at {n_clamped} of {L} {nodes} "
              f"(|H| limited to {CLAMP_LOG:.2f})",) if n_clamped else ()
     Hc = np.clip(H, -CLAMP_LOG, CLAMP_LOG)
     wb = BoundaryFunction(samples=np.exp(-1j * (alpha.samples + w * nu.theta)
-                                         + Hc[::REFINE]),
+                                         + Hc[::L // nu.N]),
                           kind="complex", jumps=alpha.jumps)
     for a in (alpha.samples, A.coefficients, Hc, wb.samples):
         a.flags.writeable = False

@@ -174,6 +174,9 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
         raise ConfigurationError(f"V must be at least 8, got {V}")
     if len(apertures) == 0:
         raise ConfigurationError(f"apertures must be non-empty, got {apertures!r}")
+    for name, val in (("tol", tol), ("delta", delta), ("apertures", apertures)):
+        if not np.all(np.isfinite(np.asarray(val, dtype=float))):
+            raise ConfigurationError(f"{name} must be finite, got {val!r}")
     src = hsol.f_source
 
     angles = TWO_PI * np.arange(V) / V

@@ -7,7 +7,6 @@ from rhbvp.boundary_data import (_EDGE_EPS, BoundaryFunction, DirectionField,
                                  TWO_PI, as_function, build_boundary_function,
                                  grid_nodes, measurable_arg)
 from rhbvp.errors import (ConfigurationError, DataError, InvariantViolation)
-from rhbvp.rh_solver import REFINE
 
 SQ2 = np.sqrt(2) / 2
 
@@ -193,15 +192,31 @@ def test_pieces_see_read_only_angles():
         build_boundary_function([(0.0, 1.0, scribble), (1.0, TWO_PI, "0")], 32)
 
 
-def test_data_singular_at_a_refined_node_fail_in_the_solve():
+@pytest.mark.parametrize("solve", [
+    R.solve_neumann,
+    lambda phi: R.solve_rh(DirectionField.from_angle(
+        "t + pi + 0.3*sin(t - 1)", phi.N), phi)], ids=["normal", "oblique"])
+def test_phi_stage_reads_pieces_on_the_nodes_and_at_the_junctions(solve):
+    # under a smooth field psi is formed on the N nodes: no piece is
+    # evaluated anywhere else but at the junctions, for the jump sizes
     N = 64
-    c = grid_nodes(REFINE * N)[1]
-    with np.errstate(divide="ignore"):
-        phi = build_boundary_function(lambda t: 1.0 / (t - c), N)
-        assert np.all(np.isfinite(phi.samples))
-        with pytest.raises(DataError,
-                           match=f"non-finite at node 1 of N={REFINE * N} "):
-            R.solve_neumann(phi)
+    seen = []
+
+    def recorded(fn):
+        def piece(t):
+            seen.append(np.array(t))
+            return fn(t)
+        return piece
+
+    spec = [(0.0, 1.3, recorded(np.cos)),
+            (1.3, 4.0, recorded(lambda t: 0.5 + np.sin(2 * t))),
+            (4.0, TWO_PI, recorded(lambda t: np.full(np.shape(t), -0.25)))]
+    phi = build_boundary_function(spec, N)
+    assert phi.jumps == (0.0, 1.3, 4.0)
+    seen.clear()
+    solve(phi)
+    read = set(np.concatenate(seen).tolist())
+    assert {1.3, 4.0} <= read <= set(grid_nodes(N).tolist()) | {0.0, 1.3, 4.0, TWO_PI}
 
 
 def test_direction_field_unit_modulus_enforced():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rhbvp as R
-from rhbvp.boundary_data import grid_nodes, measurable_arg
-from rhbvp.disk_harmonic import SeriesEvaluator
+from rhbvp.boundary_data import TWO_PI, grid_nodes, measurable_arg
+from rhbvp.disk_harmonic import (SeriesEvaluator, analytic_coefficients,
+                                 conjugate_boundary)
 from rhbvp.errors import ConfigurationError, DataError, DomainError, RHBVPError
 from rhbvp.jordan_domain import image_inner_normal
 import rhbvp.rh_solver as rh_solver
@@ -661,3 +662,91 @@ def test_one_reduction_serves_a_family_and_neumann_solves(monkeypatch):
     for k in range(32):
         R.solve_neumann(R.build_boundary_function(f"cos({k}*t + 0.1)", N))
     assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# the phi stage on N nodes: jumps of phi as closed-form sawtooth series
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("declared", [False, True], ids=["pieces", "declared"])
+def test_piecewise_constant_g_is_the_series_of_its_jumps(declared):
+    # psi = phi on the disk normal; minus its sawtooths it is the constant
+    # mean, so T = mean + sum_c -i J_c e^{-inc}/(pi n) and g = T[1:].  The
+    # jumps are junctions of pieces, or declared inside one callable.
+    N = 256
+    edges = [0.0, 0.9, 2.5, 4.1, TWO_PI]
+    levels = [1.0, -0.5, 0.25, 2.0]
+    phi = (R.build_boundary_function(
+        lambda t: np.take(levels, np.searchsorted(edges[1:-1], t, "right")),
+        N, jumps=edges[1:-1]) if declared else
+        R.build_boundary_function(list(zip(edges, edges[1:], levels)), N))
+    assert phi.jumps == tuple(edges[:-1])
+    sol = R.solve_neumann(phi).f_source
+    n = np.arange(1, rh_solver.REFINE * N // 2)
+    want = sum(-1j * (v - u) * np.exp(-1j * n * c) / (np.pi * n)
+               for c, u, v in zip(edges, np.roll(levels, 1), levels))
+    np.testing.assert_allclose(sol.g.coefficients, want, rtol=0, atol=1e-14)
+    mean = np.dot(levels, np.diff(edges)) / TWO_PI
+    assert abs(sol.head[0] - mean) <= 1e-14
+
+
+def test_three_piece_data_off_the_nodes_against_a_fine_reference():
+    # junctions at 1.0 and 3.7, neither on a node; phi is C^1 across the
+    # wrap at 0.  nu = 1, so g = T = S[phi].
+    spec = [(0.0, 1.0, "cos(t) + 0.5"), (1.0, 3.7, "-0.3*sin(3*t)"),
+            (3.7, TWO_PI, "1 + 0.5*cos(2*t)")]
+    N, V, r = 1024, 256, 1.0 - 2.0 ** -7
+    phi = R.build_boundary_function(spec, N)
+    assert phi.jumps == (1.0, 3.7)
+    sol = solve_rh(_const_nu(N), phi)
+    ref = SeriesEvaluator(analytic_coefficients(
+        R.build_boundary_function(spec, 2 ** 18).samples))
+    theta = TWO_PI * np.arange(V) / V
+    gap = np.abs(np.angle(np.exp(1j * (theta[:, None] - np.array(phi.jumps)))))
+    keep = np.all(gap >= 1e-2, axis=1)
+    err = np.abs(sol.g.eval_on_circle(r, V).real - ref.eval_on_circle(r, V).real)
+    assert np.max(err[keep]) <= 1e-4, np.max(err[keep])
+
+
+def test_jumps_under_a_tilted_field_take_exp_minus_H_at_the_jump():
+    # psi jumps by J exp(-H(c)); with any other size the rest keeps a jump
+    # and f converges like 1/N (1.6e-3 here on the 8N grid), not 1/N^2
+    spec = [(0.0, 1.0, "cos(t) + 0.5"), (1.0, 3.7, "-0.3*sin(3*t)"),
+            (3.7, TWO_PI, "1 + 0.5*cos(2*t)")]
+    z = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)
+    f = [solve_rh(R.DirectionField.from_angle("t + pi + 0.3*sin(t - 1)", N),
+                  R.build_boundary_function(spec, N)).f(z) for N in (1024, 16384)]
+    assert np.max(np.abs(f[0] - f[1])) <= 1e-4
+
+
+def test_field_with_alpha_jumps_keeps_the_refined_construction():
+    # winding one; alpha jumps by 0.8 at 2.0 and back at 0, both declared
+    N, L = 256, rh_solver.REFINE * 256
+    theta = grid_nodes(N)
+    beta = theta + np.where(theta < 2.0, 0.3, 1.1)
+    red = rh_solver.reduce_field(R.DirectionField.from_samples(
+        np.exp(1j * beta), jumps=(0.0, 2.0)))
+    assert red.alpha.jumps == (0.0, 2.0) and len(red.H) == L
+    phi = R.build_boundary_function(STEP, N)
+    sol = red.solve(phi)
+    H = np.clip(conjugate_boundary(red.alpha, L).samples,
+                -rh_solver.CLAMP_LOG, rh_solver.CLAMP_LOG)
+    psi = phi.resample(L).samples * np.exp(-H)
+    np.testing.assert_array_equal(sol.g.coefficients,
+                                  analytic_coefficients(psi)[sol.index:])
+    np.testing.assert_array_equal(sol.psi.samples, psi[::rh_solver.REFINE])
+    assert sol.psi.samples.base is None  # a copy, not a view of psi
+
+
+@pytest.mark.parametrize("make_nu", [
+    lambda N: R.disk_inner_normal(N).field,
+    lambda N: R.DirectionField.from_angle("t + pi + 0.3*sin(t - 1)", N),
+    lambda N: R.DirectionField.from_angle(_tilted_nu(-1)[0], N)],
+    ids=["normal", "oblique", "winding_-1"])
+def test_smooth_field_keeps_H_on_the_nodes(make_nu):
+    N = 256
+    red = rh_solver.reduce_field(make_nu(N))
+    assert red.alpha.jumps == () and len(red.H) == N
+    sol = red.solve(R.build_boundary_function(STEP, N))
+    assert len(sol.psi.samples) == N
+    assert len(sol.g.coefficients) == rh_solver.REFINE * N // 2 - red.index

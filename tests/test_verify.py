@@ -117,6 +117,15 @@ def test_verify_rejects_empty_apertures(neumann_cos, apertures):
         verify_solution(neumann_cos, V=50, apertures=apertures)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", float("nan")), ("delta", float("nan")),
+    ("apertures", (0.0, float("nan"))), ("apertures", [float("inf")])],
+    ids=["tol", "delta", "apertures_nan", "apertures_inf"])
+def test_verify_rejects_non_finite_settings(neumann_cos, name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        verify_solution(neumann_cos, V=50, **{name: value})
+
+
 def test_verify_requires_target():
     # phi defaults to f_source's, so the target is missing only when the
     # solution was built without one
