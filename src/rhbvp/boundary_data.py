@@ -81,29 +81,31 @@ def jump_limits(pieces: Sequence[Piece], samples: np.ndarray,
                 inside: Sequence[float] = ()):
     """Where sorted pieces jump by more than 1e-10 * (1 + max |samples|):
     the angles mod 2*pi and the left and right values there, as three
-    arrays.  At a
-    junction lo_k (k = 0 is where the last piece wraps round) these are
-    the left piece's value at its hi and the right piece's at lo_k; at an
-    angle of inside off the junctions, its piece's values at the float
-    just below the angle and at the angle."""
-    sides = [(p.lo % TWO_PI, pieces[k - 1], pieces[k - 1].hi,
-              p, p.lo if k else 0.0) for k, p in enumerate(pieces)]
+    arrays.  At a junction lo_k (k = 0 is where the last piece wraps
+    round) these are the left piece's value at its hi and the right
+    piece's at lo_k; at an angle of inside off the junctions, the values
+    at the floats just below and just above it, so that a piece may take
+    either side at the angle itself.  A piece may be infinite at its
+    end (log(2 - t) at 2): such a value is returned, without a warning."""
+    def at(p, t):
+        return np.asarray(p.fn(np.array([t])))[0]
+
+    c = [p.lo % TWO_PI for p in pieces]
+    a = np.unique(np.mod(np.asarray(inside, dtype=float), TWO_PI))
     los = np.array([p.lo for p in pieces])
-    a = np.asarray(inside, dtype=float)
-    off = np.abs(wrap_angle(a[:, None] - los)).min(axis=1, initial=np.inf) > _EDGE_EPS
-    for c in a[off]:
-        p = pieces[np.searchsorted(los, c, side="right") - 1]
-        sides.append((c, p, np.nextafter(c, -np.inf), p, c))
-    scale = 1.0 + float(np.max(np.abs(samples)))
-    at, lefts, rights = [], [], []
-    for c, left, left_at, right, right_at in sides:
-        left_val = np.asarray(left.fn(np.array([left_at])))[0]
-        right_val = np.asarray(right.fn(np.array([right_at])))[0]
-        if abs(right_val - left_val) > 1e-10 * scale:
-            at.append(c)
-            lefts.append(left_val)
-            rights.append(right_val)
-    return np.array(at), np.array(lefts), np.array(rights)
+    a = a[np.abs(wrap_angle(a[:, None] - los)).min(axis=1, initial=np.inf)
+          > _EDGE_EPS]
+    t = np.stack([np.nextafter(a, -np.inf), np.nextafter(a, np.inf)], axis=1)
+    kind = "complex" if np.iscomplexobj(samples) else "real"
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sides = [(at(pieces[k - 1], pieces[k - 1].hi), at(p, p.lo if k else 0.0))
+                 for k, p in enumerate(pieces)]
+        left, right = np.concatenate(
+            [np.array(sides).reshape(-1, 2),
+             _piece_values(pieces, t.ravel(), kind).reshape(-1, 2)]).T
+        jump = np.abs(right - left) > 1e-10 * (1.0 + np.max(np.abs(samples)))
+    c = np.concatenate([c, a])
+    return c[jump], left[jump], right[jump]
 
 
 def _grid_values(pieces: Sequence[Piece], N: int, kind: str) -> np.ndarray:

@@ -141,7 +141,7 @@ def unit_powers(c, n: int) -> np.ndarray:
     m = math.isqrt(n - 1) + 1
     k = np.arange(m)
     rows = np.exp(1j * m * c * k[:, None]) * np.exp(1j * c * k)
-    return rows.reshape(len(c), -1)[:, :n]
+    return rows.reshape(len(c), m * m)[:, :n]
 
 
 def sawtooth_coefficients(c: np.ndarray, J: np.ndarray, L: int) -> np.ndarray:

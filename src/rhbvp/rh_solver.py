@@ -144,9 +144,10 @@ class ReducedField:
         On H's grid of N nodes, each jump J of piecewise phi at an angle
         c, a junction or a jump declared inside a piece, enters T as its
         exact series, J exp(-H(c)) times a sawtooth's, up to
-        REFINE * N / 2 terms; the continuous rest of psi gives the first
-        N/2 terms.  With H on the refined grid (alpha has jumps)
-        psi is formed on it from phi's values there."""
+        REFINE * N / 2 terms; the rest of psi, with any jump whose
+        one-sided limit is infinite, gives the first N/2 terms.  With H
+        on the refined grid (alpha has jumps) psi is formed on it from
+        phi's values there."""
         N = self.field.N
         params = params or SolverParams()
         if phi.kind != "real":
@@ -169,6 +170,7 @@ class ReducedField:
                 H_c = (unit_powers(c, len(self.A.coefficients))  # Im A(e^{ic})
                        * self.A.coefficients).sum(axis=1).imag
                 J = (right - left) * np.exp(-np.clip(H_c, -CLAMP_LOG, CLAMP_LOG))
+                c, J = c[np.isfinite(J)], J[np.isfinite(J)]  # inf stays in rest
                 rest = psi - jump_sawtooths(N, c, J)
                 T = sawtooth_coefficients(c, J, len(T))
             T[:N // 2] += analytic_coefficients(rest)

@@ -668,16 +668,18 @@ def test_one_reduction_serves_a_family_and_neumann_solves(monkeypatch):
 # the phi stage on N nodes: jumps of phi as closed-form sawtooth series
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("declared", [False, True], ids=["pieces", "declared"])
+@pytest.mark.parametrize("declared", [None, "right", "left"],
+                         ids=["pieces", "declared", "declared_left"])
 def test_piecewise_constant_g_is_the_series_of_its_jumps(declared):
     # psi = phi on the disk normal; minus its sawtooths it is the constant
     # mean, so T = mean + sum_c -i J_c e^{-inc}/(pi n) and g = T[1:].  The
-    # jumps are junctions of pieces, or declared inside one callable.
+    # jumps are junctions of pieces, or declared inside one callable that
+    # takes the right or the left value at the jump itself.
     N = 256
     edges = [0.0, 0.9, 2.5, 4.1, TWO_PI]
     levels = [1.0, -0.5, 0.25, 2.0]
     phi = (R.build_boundary_function(
-        lambda t: np.take(levels, np.searchsorted(edges[1:-1], t, "right")),
+        lambda t: np.take(levels, np.searchsorted(edges[1:-1], t, declared)),
         N, jumps=edges[1:-1]) if declared else
         R.build_boundary_function(list(zip(edges, edges[1:], levels)), N))
     assert phi.jumps == tuple(edges[:-1])
@@ -706,6 +708,36 @@ def test_three_piece_data_off_the_nodes_against_a_fine_reference():
     keep = np.all(gap >= 1e-2, axis=1)
     err = np.abs(sol.g.eval_on_circle(r, V).real - ref.eval_on_circle(r, V).real)
     assert np.max(err[keep]) <= 1e-4, np.max(err[keep])
+
+
+def test_a_declared_jump_with_no_jump_solves_as_the_same_data():
+    N = 64
+    phi = R.build_boundary_function("cos(t)", N, jumps=(1.0,))
+    assert phi.jumps == (1.0,)
+    plain = R.build_boundary_function("cos(t)", N)
+    for nu in (_normal_nu(N), _const_nu(N)):
+        np.testing.assert_array_equal(solve_rh(nu, phi).g.coefficients,
+                                      solve_rh(nu, plain).g.coefficients)
+
+
+def test_an_infinite_limit_at_a_junction_stays_in_the_sampled_rest():
+    # log(2 - t) is finite at every node but -inf at the junction 2: that
+    # jump is left to the N samples, as a jump of sampled data is, and the
+    # wrap's jump log(2) at 0 keeps its series.  Against 2^18 samples the
+    # first 16 terms are off by 2.3e-3 (3.5e-3 on the refined grid).
+    N = 256
+    spec = [(0.0, 2.0, "log(2 - t)"), (2.0, TWO_PI, "0")]
+    with np.errstate(divide="ignore"):
+        phi = R.build_boundary_function(spec, N)
+        ref = analytic_coefficients(
+            R.build_boundary_function(spec, 2 ** 18).samples)
+    assert phi.jumps == (0.0, 2.0)
+    g = solve_rh(_const_nu(N), phi).g.coefficients
+    assert np.all(np.isfinite(g))
+    n = np.arange(N // 2, rh_solver.REFINE * N // 2)
+    np.testing.assert_allclose(g[N // 2:], -1j * np.log(2.0) / (np.pi * n),
+                               rtol=0, atol=1e-15)
+    assert np.max(np.abs(g[:16] - ref[:16])) <= 3e-3
 
 
 def test_jumps_under_a_tilted_field_take_exp_minus_H_at_the_jump():
