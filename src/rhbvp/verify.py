@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boundary_data import BoundaryFunction, TWO_PI, wrap_angle
-from .disk_harmonic import StolzPath, converged_sequence, default_j_max
+from .disk_harmonic import (RAY_CHUNK, StolzPath, converged_sequence,
+                            default_j_max)
 from .errors import ConfigurationError, DataError, DomainError
 from .rh_solver import AnalyticSolution
 
@@ -80,6 +81,20 @@ def _exclusions(angles: np.ndarray, delta: float,
         excluded |= hit
         reasons[hit] = name
     return excluded, reasons, budget
+
+
+def _check_settings(V, **finite) -> None:
+    """ConfigurationError unless V is an integer of at least 8 (a bool,
+    0 or 1, fails the bound) and every named setting is finite."""
+    if not isinstance(V, (int, np.integer)) or V < 8:
+        raise ConfigurationError(f"V must be an integer of at least 8, got {V!r}")
+    for name, val in finite.items():
+        try:
+            ok = np.all(np.isfinite(np.asarray(val, dtype=float)))
+        except (TypeError, ValueError):  # not a number
+            ok = False
+        if not ok:
+            raise ConfigurationError(f"{name} must be finite, got {val!r}")
 
 
 def _solution_specials(src: AnalyticSolution, target_jumps: Sequence[float]):
@@ -170,13 +185,9 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
     target = target if target is not None else hsol.phi
     if target is None:
         raise ConfigurationError("verification requires a boundary target")
-    if V < 8:
-        raise ConfigurationError(f"V must be at least 8, got {V}")
+    _check_settings(V, tol=tol, delta=delta, apertures=apertures)
     if len(apertures) == 0:
         raise ConfigurationError(f"apertures must be non-empty, got {apertures!r}")
-    for name, val in (("tol", tol), ("delta", delta), ("apertures", apertures)):
-        if not np.all(np.isfinite(np.asarray(val, dtype=float))):
-            raise ConfigurationError(f"{name} must be finite, got {val!r}")
     src = hsol.f_source
 
     angles = TWO_PI * np.arange(V) / V
@@ -213,7 +224,7 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
                      "pass_fraction reported as 0")
 
     settings = {
-        "V": V, "tol": tol, "delta": delta,
+        "V": int(V), "tol": tol, "delta": delta,
         "apertures": list(map(float, apertures)),
         "N": int(N), "j_max": int(j_max),
         "excluded_count": int(excluded.sum()),
@@ -281,22 +292,31 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     values converge even when f is unbounded at the rim (integrable
     singularities).  edges[j] = 1 - 2^-j for 3 <= j <= J_DEEP; the
     convergence flags read levels J_FLAG, the quotient level J_QUOT.
+    f is evaluated and integrated RAY_CHUNK // 12 panels at a time (one
+    matrix block of eval_on_rays), so the table needs O(RAY_CHUNK * V)
+    memory rather than O(12 * P * V) for its P panels.
     """
     if hsol.conformal_map is not None:
         raise ConfigurationError("radial tables are disk-native; verify "
                                  "transplanted solutions via the pairing")
+    _check_settings(V, tol=tol, delta=delta)
     angles = TWO_PI * np.arange(V) / V
     edges = np.concatenate([[0.0, 0.5, 0.75],
                             1.0 - 2.0 ** (-np.arange(3, J_DEEP + 1, dtype=float))])
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]).ravel()
+    nodes = mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]  # (P, 12)
 
-    fvals = hsol.f_source.f_on_scales(nodes, V)  # (P*12, V)
     phase = np.exp(1j * angles)[None, :]
-    integrand = (phase * fvals).real
     P = len(mids)
-    panel_int = (integrand.reshape(P, 12, V) * _GAUSS_W[None, :, None]).sum(axis=1)
+    panel_int = np.empty((P, V))
+    step = RAY_CHUNK // 12
+    for i in range(0, P, step):
+        integrand = (phase * hsol.f_source.f_on_scales(
+            nodes[i:i + step].ravel(), V)).real
+        panel_int[i:i + step] = (integrand.reshape(-1, 12, V)
+                                 * _GAUSS_W[None, :, None]).sum(axis=1)
+        del integrand  # and its complex base, before the next chunk
     panel_int *= halfs[:, None]
     u_edges = np.concatenate([np.zeros((1, V)), np.cumsum(panel_int, axis=0)])
     u_edges += hsol.d0

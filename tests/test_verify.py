@@ -42,17 +42,35 @@ def test_verify_smooth_solution_passes(neumann_cos):
     assert rep.residual_stats[0] < 1e-6
 
 
-def test_verify_memory_is_independent_of_V_times_N():
-    # a dense V x N interpolation matrix alone would take 125 MiB here
-    hs = R.solve_neumann(_step(16384))
+@pytest.fixture(scope="module")
+def neumann_step_16384():
+    return R.solve_neumann(_step(16384))
+
+
+def _verify_peak(hs, **kw):
+    """(report, tracemalloc peak in bytes) of one verify_solution call."""
     tracemalloc.start()
     try:
-        rep = verify_solution(hs, V=500, tol=1e-2)
+        rep = verify_solution(hs, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return rep, peak
+
+
+def test_verify_memory_is_independent_of_V_times_N(neumann_step_16384):
+    # a dense V x N interpolation matrix alone would take 125 MiB here
+    rep, peak = _verify_peak(neumann_step_16384, V=500, tol=1e-2)
     assert rep.pass_fraction > 0.9
     assert peak < 32 * 2 ** 20
+
+
+def test_verify_peak_memory_is_one_chunk(neumann_step_16384):
+    # f on all 408 radii of the table takes 3.1 MiB at V = 500, and its
+    # complex temporaries held 16.3 MiB at once; in chunks of 60 radii
+    # the peak is 3.4 MiB
+    _, peak = _verify_peak(neumann_step_16384, V=500, tol=1e-2)
+    assert peak < 8 * 2 ** 20
 
 
 def test_verify_wrong_target_fails(neumann_cos):
@@ -108,6 +126,33 @@ def test_verify_exclusion_budget_guard(neumann_step):
 def test_verify_rejects_tiny_vertex_count(neumann_cos):
     with pytest.raises(ConfigurationError, match="at least 8"):
         verify_solution(neumann_cos, V=4)
+
+
+@pytest.mark.parametrize("check, kw, match", [
+    (radial_u_table, {"V": 0}, "V must be an integer"),
+    (radial_u_table, {"V": 500.0}, "V must be an integer"),
+    (verify_solution, {"V": 500.0}, "V must be an integer"),
+    (radial_u_table, {"V": True}, "V must be an integer"),
+    (verify_solution, {"V": True}, "V must be an integer"),
+    (radial_u_table, {"tol": float("nan")}, "tol must be finite"),
+    (radial_u_table, {"delta": float("inf")}, "delta must be finite"),
+    (verify_solution, {"tol": "x"}, "tol must be finite"),
+    (verify_solution, {"apertures": ["a"]}, "apertures must be finite"),
+], ids=["table_V_zero", "table_V_float", "verify_V_float", "table_V_bool",
+        "verify_V_bool", "table_tol_nan", "table_delta_inf", "verify_tol_str",
+        "verify_apertures_str"])
+def test_settings_errors_are_typed(neumann_cos, check, kw, match):
+    with pytest.raises(ConfigurationError, match=match):
+        check(neumann_cos, **kw)
+
+
+def test_numpy_integer_vertex_count_is_accepted(neumann_cos):
+    # the report's settings line is JSON, which takes no numpy integer
+    V = np.int64(64)
+    assert (verify_solution(neumann_cos, V=V).serialize()
+            == verify_solution(neumann_cos, V=64).serialize())
+    assert np.array_equal(radial_u_table(neumann_cos, V=V).u_edges,
+                          radial_u_table(neumann_cos, V=64).u_edges)
 
 
 @pytest.mark.parametrize("apertures", [[], (), np.array([])],
@@ -252,6 +297,47 @@ def test_radial_table_shapes(neumann_cos):
     assert not ok[0] and ok.sum() >= 98
     np.testing.assert_allclose(t.u_boundary[ok], -np.cos(t.angles[ok]),
                                atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def oblique_cos(phi_cos_1024):
+    return R.solve_directional(
+        R.DirectionField.from_angle("t + pi + 0.3*sin(t - 1)", 1024),
+        phi_cos_1024)
+
+
+@pytest.mark.parametrize("V", [8, 64, 500])
+@pytest.mark.parametrize("case", ["step", "oblique"])
+def test_radial_table_equals_the_whole_fan(request, case, V):
+    # 34 panels go in chunks of 5, 5, 5, 5, 5, 5, 4; the whole fan
+    # evaluates all 408 radii in one f_on_scales call
+    hs = request.getfixturevalue({"step": "neumann_step",
+                                  "oblique": "oblique_cos"}[case])
+    table = radial_u_table(hs, V=V)
+    edges = table.edges
+    x, w = np.polynomial.legendre.leggauss(12)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
+    fvals = hs.f_source.f_on_scales(nodes, V)
+    integrand = (np.exp(1j * table.angles)[None, :] * fvals).real
+    panel_int = (integrand.reshape(len(mids), 12, V)
+                 * w[None, :, None]).sum(axis=1)
+    panel_int *= halfs[:, None]
+    want = np.concatenate([np.zeros((1, V)), np.cumsum(panel_int, axis=0)])
+    want += hs.d0
+    assert len(mids) == 34
+    assert np.array_equal(table.u_edges, want)
+
+
+def test_verify_reads_the_radial_table(neumann_step):
+    # away from the defaults, each of tol and delta moves flag_fraction
+    # here (0.99 at the defaults, 0.49 with tol alone, 1.0 with delta alone)
+    rep = verify_solution(neumann_step, V=200, tol=1e-5, delta=4e-2)
+    table = radial_u_table(neumann_step, V=200, tol=1e-5, delta=4e-2)
+    assert rep.settings["radial_flag_fraction"] == table.flag_fraction
+    assert rep.settings["u_boundary_range"] == [
+        float(np.min(table.u_boundary)), float(np.max(table.u_boundary))]
 
 
 def test_radial_table_rejects_transplants():
