@@ -26,7 +26,14 @@ RAY_CHUNK = 64  # scales per real matrix product in eval_on_rays
 
 @dataclass
 class SeriesEvaluator:
-    """Truncated power series sum c_n z^n, evaluated on the open unit disk."""
+    """Truncated power series sum c_n z^n, evaluated on the open unit disk.
+
+    Trailing exact-zero coefficients are dropped, at least one term kept;
+    a series that drops some copies what it keeps, so the tail's buffer
+    is freed, and any other keeps its array.
+    No value changes: Horner's steps over top zero coefficients give
+    exact zeros, and a matrix product over all-zero blocks adds zeros.
+    """
 
     coefficients: np.ndarray
 
@@ -34,7 +41,9 @@ class SeriesEvaluator:
         c = np.asarray(self.coefficients, dtype=complex)
         if c.ndim != 1 or len(c) == 0:
             raise DataError("series coefficients must be a nonempty 1-d array")
-        self.coefficients = c
+        nonzero = np.flatnonzero(c)
+        n = nonzero[-1] + 1 if len(nonzero) else 1
+        self.coefficients = c[:n].copy() if n < len(c) else c
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -151,7 +160,9 @@ def sawtooth_coefficients(c: np.ndarray, J: np.ndarray, L: int) -> np.ndarray:
     64, 1995): 0, then -i J e^{-i n c}/(pi n)."""
     t = np.zeros(L, dtype=complex)
     for cj, Jj in zip(c, J):
-        t += Jj * unit_powers(-cj, L)[0]
+        row = unit_powers(-cj, L)[0]
+        row *= Jj
+        t += row
     t[0] = 0.0
     t[1:] *= -1j / (np.pi * np.arange(1, L))
     return t

@@ -24,7 +24,8 @@ of 2 beta zeta^-m / (1 - z/zeta), m = max(w, 0), for every winding.
 solve_rh runs two stages: reduce_field does what depends on nu alone
 (w, alpha0, A, H) into a frozen ReducedField, and ReducedField.solve forms
 psi, T and g for one phi, so a caller with many data reduces nu once.
-psi is formed on the N nodes, and g keeps REFINE * N / 2 terms.  A jump
+psi is formed on the N nodes, and g keeps at most REFINE * N / 2
+terms, exact zeros at the top dropped.  A jump
 J of piecewise phi at an angle c (a junction, or declared inside a
 piece) is a jump J exp(-H(c)) of psi, the boundary real part of
 (i J exp(-H(c))/pi) log(1 - z e^{-ic}), whose series is exact (Eckhoff,
@@ -54,7 +55,7 @@ from .errors import (ConfigurationError, DataError, DomainError,
                      NumericalRangeError)
 
 CLAMP_LOG = float(np.log(1e12))  # exp(H) confined to [1e-12, 1e12]
-REFINE = 8  # g keeps REFINE * N / 2 terms; alpha jumps: psi on REFINE * N nodes
+REFINE = 8  # g: at most REFINE * N / 2 terms; alpha jumps: psi on REFINE * N nodes
 
 
 def _real(value) -> float:
@@ -145,7 +146,9 @@ class ReducedField:
         c, a junction or a jump declared inside a piece, enters T as its
         exact series, J exp(-H(c)) times a sawtooth's, up to
         REFINE * N / 2 terms; the rest of psi, with any jump whose
-        one-sided limit is infinite, gives the first N/2 terms.  With H
+        one-sided limit is infinite, gives the first N/2 terms.  g keeps
+        at most REFINE * N / 2 terms: the exact zeros at the top, all
+        above N/2 for data without jumps, are dropped.  With H
         on the refined grid (alpha has jumps) psi is formed on it from
         phi's values there."""
         N = self.field.N
@@ -259,12 +262,16 @@ class AnalyticSolution:
         return -(zn * r).sum(axis=1).real / (2 * w - 1)
 
     def f(self, z):
-        """f at the points z, in the shape of z (a scalar for a scalar)."""
+        """f at the points z, in the shape of z (a scalar for a scalar).
+
+        Both series by Horner; when A is one constant term (the disk
+        normal's), exp(-i A) is the scalar exp(-i A_0) and A is not
+        evaluated."""
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("solution evaluation requires |z| < 1")
         zs = np.atleast_1d(z)  # the pole terms work in place
-        return self._assemble(np.exp(-1j * self.A._horner(zs)),
+        return self._assemble(self._weight(lambda: self.A._horner(zs)),
                               self.g._horner(zs), zs).reshape(z.shape)[()]
 
     __call__ = f
@@ -273,18 +280,26 @@ class AnalyticSolution:
         """f at z = s * exp(2*pi*i*v/V) for each scale s, shape (len(s), V).
 
         FFT-folded evaluation of both series; the pole terms are applied
-        pointwise.  A family member evaluates exp(-i A), g and z once per
+        pointwise.  When A is one constant term (the disk normal's),
+        exp(-i A) is the scalar exp(-i A_0): no fan of A and no exponential
+        per point.  A family member evaluates exp(-i A), g and z once per
         (scales, V) for the whole family and assembles from a copy of g.
         """
         scales = np.asarray(scales, dtype=complex)
         fans = {} if self._fans is None else self._fans
         key = (scales.tobytes(), V)
         if key not in fans:
-            fans[key] = (np.exp(-1j * self.A.eval_on_rays(scales, V)),
+            fans[key] = (self._weight(lambda: self.A.eval_on_rays(scales, V)),
                          self.g.eval_on_rays(scales, V),
                          scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V))
         ea, gv, z = fans[key]
         return self._assemble(ea, gv if self._fans is None else gv.copy(), z)
+
+    def _weight(self, A_values):
+        """exp(-i A) from A's values, A_values(), or the scalar
+        exp(-i A_0), without calling A_values, when A is one term."""
+        c = self.A.coefficients
+        return np.exp(-1j * (c[0] if len(c) == 1 else A_values()))
 
     def _assemble(self, ea, acc, z):
         """exp(-i A) * (g + pole terms) at z from ea = exp(-i A) and acc,
@@ -312,7 +327,8 @@ class AnalyticSolution:
                            [-x for x in c[1:]] + self.index_coeffs.tolist()):
             if beta != 0.0:
                 q = z * np.exp(-1j * a)
-                part += 2.0 * beta * np.exp(-1j * m * a) / np.subtract(1.0, q, out=q)
+                np.subtract(1.0, q, out=q)
+                part += np.divide(2.0 * beta * np.exp(-1j * m * a), q, out=q)
         if w <= 0:
             acc += part if w == 0 else z ** -w * part
         elif c[0]:

@@ -19,6 +19,7 @@ its directional derivative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -83,18 +84,39 @@ def _exclusions(angles: np.ndarray, delta: float,
     return excluded, reasons, budget
 
 
-def _check_settings(V, **finite) -> None:
+def _finite_real(x) -> bool:
+    """True for a finite int, float or numpy real; a bool, a string, a
+    sequence or an int beyond float range is not one."""
+    if isinstance(x, bool) or not isinstance(
+            x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _check_settings(V, apertures=None, **scalars) -> None:
     """ConfigurationError unless V is an integer of at least 8 (a bool,
-    0 or 1, fails the bound) and every named setting is finite."""
+    0 or 1, fails the bound), every named scalar setting is a finite real
+    number and apertures, when given, a sequence (or 1-d array) of them."""
     if not isinstance(V, (int, np.integer)) or V < 8:
         raise ConfigurationError(f"V must be an integer of at least 8, got {V!r}")
-    for name, val in finite.items():
-        try:
-            ok = np.all(np.isfinite(np.asarray(val, dtype=float)))
-        except (TypeError, ValueError):  # not a number
-            ok = False
-        if not ok:
-            raise ConfigurationError(f"{name} must be finite, got {val!r}")
+    for name, val in scalars.items():
+        if not _finite_real(val):
+            raise ConfigurationError(
+                f"{name} must be finite and a real number (not a bool, a "
+                f"string or a sequence), got {val!r}")
+    if apertures is None:
+        return
+    seq = apertures  # a 1-d array counts as the sequence of its elements
+    if isinstance(apertures, np.ndarray) and apertures.ndim == 1:
+        seq = list(apertures)
+    if (isinstance(seq, (str, bytes)) or not isinstance(seq, Sequence)
+            or not all(map(_finite_real, seq))):
+        raise ConfigurationError(
+            f"apertures must be finite and a sequence of real numbers, "
+            f"got {apertures!r}")
 
 
 def _solution_specials(src: AnalyticSolution, target_jumps: Sequence[float]):
@@ -224,7 +246,7 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
                      "pass_fraction reported as 0")
 
     settings = {
-        "V": int(V), "tol": tol, "delta": delta,
+        "V": int(V), "tol": float(tol), "delta": float(delta),
         "apertures": list(map(float, apertures)),
         "N": int(N), "j_max": int(j_max),
         "excluded_count": int(excluded.sum()),

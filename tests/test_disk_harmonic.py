@@ -6,7 +6,8 @@ from rhbvp.boundary_data import BoundaryFunction, grid_nodes
 from rhbvp.disk_harmonic import (RAY_CHUNK, SeriesEvaluator, StolzPath,
                                  analytic_coefficients, conjugate_boundary,
                                  converged_sequence, default_j_max,
-                                 schwarz_integral)
+                                 sawtooth_coefficients, schwarz_integral,
+                                 unit_powers)
 from rhbvp.errors import ConfigurationError, DataError, DomainError
 from rhbvp.verify import J_DEEP, radial_u_table
 
@@ -195,6 +196,61 @@ def test_series_eval_on_rays_matches_horner():
     ang = np.exp(2j * np.pi * np.arange(16) / 16)
     for i, sc in enumerate(scales):
         np.testing.assert_allclose(vals[i], s(sc * ang), atol=1e-10)
+
+
+def _untrimmed(c):
+    """A series that keeps all of c, exact-zero tail included."""
+    s = SeriesEvaluator(c[:1])
+    s.coefficients = np.asarray(c, dtype=complex)
+    return s
+
+
+@pytest.mark.parametrize("V", [8, 500])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_series_drops_its_exact_zero_tail_bit_for_bit(V, kind):
+    rng = np.random.default_rng(V)
+    head = (rng.normal(size=300) + 1j * rng.normal(size=300)) / (1.0 + np.arange(300))
+    head[[0, 7, -2]] = 0.0  # inner zeros stay
+    c = np.concatenate([head, np.zeros(4000)])
+    s = SeriesEvaluator(c)
+    assert len(s.coefficients) == len(head)
+    assert np.array_equal(s.coefficients, head)
+    assert s.coefficients.flags.owndata  # the dropped tail's buffer is freed
+    full = _untrimmed(c)
+    sc = _radial_nodes()[-70:] if kind == "real" else _stolz_scales()
+    assert np.array_equal(s.eval_on_rays(sc, V), full.eval_on_rays(sc, V))
+    z = sc[:, None] * np.exp(2j * np.pi * np.arange(V) / V)
+    assert np.array_equal(s._horner(z), full._horner(z))
+
+
+def test_series_of_zeros_keeps_one_term():
+    s = SeriesEvaluator(np.zeros(64))
+    assert np.array_equal(s.coefficients, [0.0])
+    assert s.coefficients.flags.owndata
+    assert np.array_equal(s.eval_on_rays(np.array([0.5, 0.9j]), 8), np.zeros((2, 8)))
+    # nothing to drop: the array is kept as it is, not copied
+    c = np.arange(5.0) + 1j
+    assert SeriesEvaluator(c).coefficients is c
+
+
+def _sawtooth_per_jump(c, J, L):
+    """sawtooth_coefficients with one full-length temporary per jump."""
+    t = np.zeros(L, dtype=complex)
+    for cj, Jj in zip(c, J):
+        t += Jj * unit_powers(-cj, L)[0]
+    t[0] = 0.0
+    t[1:] *= -1j / (np.pi * np.arange(1, L))
+    return t
+
+
+@pytest.mark.parametrize("L", [16, 4096, 65536])
+@pytest.mark.parametrize("jumps", [1, 2, 3, 4, 5])
+def test_sawtooth_coefficients_scale_each_jump_in_place(L, jumps):
+    rng = np.random.default_rng(L + jumps)
+    c = rng.uniform(0.0, 2 * np.pi, size=jumps)
+    J = rng.normal(size=jumps) * np.exp(rng.normal(size=jumps))
+    assert np.array_equal(sawtooth_coefficients(c, J, L),
+                          _sawtooth_per_jump(c, J, L))
 
 
 def _stolz_scales():

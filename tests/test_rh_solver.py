@@ -232,7 +232,7 @@ def test_homogeneous_family_equals_one_solve_per_member(case, monkeypatch):
     got = homogeneous_family(nu, points, params)
     assert len(calls) == 1
     assert len(got) == len(want)
-    assert len(got[0].g.coefficients) == refine * nu.N // 2 - 1
+    assert np.array_equal(got[0].g.coefficients, want[0].g.coefficients)
 
     z = _interior(40)
     scales = np.array([0.5, 0.9 * np.exp(0.1j), 0.99])
@@ -271,7 +271,7 @@ def test_family_members_share_one_fan(monkeypatch):
 
     monkeypatch.setattr(SeriesEvaluator, "eval_on_rays", counting_eval)
     Fs = [R.antiderivative(m) for m in members]
-    assert len(calls) == 2  # exp(-i A) and g, once for all 33 members
+    assert len(calls) == 1  # g once for all 33 members; the normal's A is constant
 
     # members in interleaved order on two fans of the same scales, and on
     # other scales: a shared g modified in place or a key that ignored V
@@ -287,6 +287,65 @@ def test_family_members_share_one_fan(monkeypatch):
     for j in (0, 5):
         F = R.antiderivative(want[j])
         assert np.max(np.abs(Fs[j].coefficients - F.coefficients)) == 0.0
+
+    # a field whose alpha0 is not constant fans exp(-i A) too, once
+    t = grid_nodes(N)
+    wavy = R.DirectionField.from_samples(np.exp(1j * (t + np.pi + 0.3 * np.sin(t))))
+    calls.clear()
+    for m in homogeneous_family(wavy, points):
+        R.antiderivative(m)
+    assert len(calls) == 2  # exp(-i A) and g, once for all 33 members
+
+
+def _full_A(sol):
+    """The solution's A with all of S[alpha0]'s coefficients, its
+    exact-zero tail included."""
+    A = SeriesEvaluator(sol.A.coefficients)
+    A.coefficients = analytic_coefficients(sol.alpha.samples)
+    return A
+
+
+def _f_by_A_values(sol, A_values, g_values, z):
+    """exp(-i A) * (g + pole terms) from A's and g's values at z, with
+    each pole's 2 beta zeta^-1/(1 - z/zeta) formed as a temporary;
+    winding one and no cut dipole (c_0 = 0)."""
+    assert sol.index == 1 and not (sol.hom_coeffs and sol.hom_coeffs[0])
+    acc = g_values
+    for a, beta in zip(sol.hom_points + sol.index_poles,
+                       [-x for x in sol.hom_coeffs[1:]] + sol.index_coeffs.tolist()):
+        if beta != 0.0:
+            acc += 2.0 * beta * np.exp(-1j * 1 * a) / (1.0 - z * np.exp(-1j * a))
+    return np.exp(-1j * A_values) * acc
+
+
+@pytest.fixture(params=["step", "family_member"])
+def normal_solution(request, neumann_step, hom_family_cos):
+    return {"step": neumann_step.f_source,
+            "family_member": hom_family_cos[3]}[request.param]
+
+
+def test_normal_f_is_the_A_horner_path_bit_for_bit(normal_solution):
+    sol = normal_solution
+    A = _full_A(sol)
+    assert len(sol.A.coefficients) == 1 < len(A.coefficients)
+    z = np.concatenate([_interior(200), [0.0, 0.999 * np.exp(0.3j)]])
+    want = _f_by_A_values(sol, A._horner(z), sol.g._horner(z), z)
+    assert np.array_equal(sol.f(z), want)
+    assert sol.f(z[5]) == want[5]
+
+
+def test_normal_f_on_scales_is_the_A_fan_path(normal_solution):
+    sol = normal_solution
+    A = _full_A(sol)
+    r = 1.0 - 2.0 ** -np.arange(1, 20, dtype=float)
+    scales = np.concatenate([r, r * np.exp(0.5j * (1.0 - r))])
+    V = 500
+    z = scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)
+    want = _f_by_A_values(sol, A.eval_on_rays(scales, V),
+                          sol.g.eval_on_rays(scales, V), z)
+    got = sol.f_on_scales(scales, V)
+    ulp = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 4 * ulp * np.maximum(1.0, np.abs(want)))
 
 
 def test_only_family_members_hold_a_fan_store(neumann_step):

@@ -138,9 +138,29 @@ def test_verify_rejects_tiny_vertex_count(neumann_cos):
     (radial_u_table, {"delta": float("inf")}, "delta must be finite"),
     (verify_solution, {"tol": "x"}, "tol must be finite"),
     (verify_solution, {"apertures": ["a"]}, "apertures must be finite"),
+    (verify_solution, {"tol": [1e-3]}, "tol must be finite"),
+    (verify_solution, {"tol": "1e-3"}, "tol must be finite"),
+    (radial_u_table, {"tol": "1e-3"}, "tol must be finite"),
+    (verify_solution, {"tol": True}, "tol must be finite"),
+    (radial_u_table, {"tol": np.True_}, "tol must be finite"),
+    (verify_solution, {"delta": "0.01"}, "delta must be finite"),
+    (radial_u_table, {"delta": [0.01]}, "delta must be finite"),
+    (verify_solution, {"delta": np.array(0.01)}, "delta must be finite"),
+    (verify_solution, {"apertures": ["0.5"]}, "apertures must be finite"),
+    (verify_solution, {"apertures": "0.5"}, "apertures must be finite"),
+    (verify_solution, {"apertures": 0.5}, "apertures must be finite"),
+    (verify_solution, {"apertures": [0.0, True]}, "apertures must be finite"),
+    (verify_solution, {"apertures": [[0.0, 0.5]]}, "apertures must be finite"),
+    (verify_solution, {"apertures": np.array([[0.0, 0.5]])},
+     "apertures must be finite"),
 ], ids=["table_V_zero", "table_V_float", "verify_V_float", "table_V_bool",
         "verify_V_bool", "table_tol_nan", "table_delta_inf", "verify_tol_str",
-        "verify_apertures_str"])
+        "verify_apertures_str", "verify_tol_list", "verify_tol_numeric_str",
+        "table_tol_numeric_str", "verify_tol_bool", "table_tol_numpy_bool",
+        "verify_delta_numeric_str", "table_delta_list", "verify_delta_0d_array",
+        "verify_apertures_numeric_str", "verify_apertures_str_whole",
+        "verify_apertures_scalar", "verify_apertures_bool",
+        "verify_apertures_nested", "verify_apertures_2d_array"])
 def test_settings_errors_are_typed(neumann_cos, check, kw, match):
     with pytest.raises(ConfigurationError, match=match):
         check(neumann_cos, **kw)
@@ -153,6 +173,15 @@ def test_numpy_integer_vertex_count_is_accepted(neumann_cos):
             == verify_solution(neumann_cos, V=64).serialize())
     assert np.array_equal(radial_u_table(neumann_cos, V=V).u_edges,
                           radial_u_table(neumann_cos, V=64).u_edges)
+
+
+def test_numpy_and_integer_settings_are_accepted(neumann_cos):
+    # the report's settings line is JSON, which takes no float32 or int64
+    got = verify_solution(neumann_cos, V=64, tol=np.float32(0.5),
+                          delta=np.int64(0), apertures=np.array([0.0, 0.5]))
+    want = verify_solution(neumann_cos, V=64, tol=0.5, delta=0.0,
+                           apertures=[0.0, 0.5])
+    assert got.serialize() == want.serialize()
 
 
 @pytest.mark.parametrize("apertures", [[], (), np.array([])],
