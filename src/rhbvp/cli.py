@@ -39,6 +39,7 @@ from .verify import dimension_certificate, verify_solution
 
 DEFAULT_N = 1024  # grid size when neither params.N nor --n sets it
 DEFAULT_GRID = {"nx": 101, "ny": 101, "half_width": 0.95}
+MAP_BLOCK_ROWS = 128  # rows of the map table formatted per write
 
 # Each key's accepted JSON value: a dict is a section (an object, or null
 # for absent), a type or [type] a leaf's, and None leaves the value to the
@@ -210,18 +211,22 @@ def _grid_spec(cfg: dict):
 
 
 def _write_field_csv(path: str, hs: HarmonicSolution, nx, ny, hw, trace):
+    """The in-domain rows x,y,u of the nx x ny grid on [-hw, hw]^2, each
+    number as %.17g (an exact float round-trip).  Each x-row is one %
+    over a template of its in-domain y columns, written on its own: a
+    whole-file string would make memory grow with the grid."""
     xs = np.linspace(-hw, hw, nx)
     ys = np.linspace(-hw, hw, ny)
     U, mask = hs.on_grid(xs, ys)
-    ycols = [f",{y:.17g}," for y in ys.tolist()]
+    ycols = [f",{y:.17g},%.17g\n" for y in ys.tolist()]
     with open(path, "w") as fh:
         fh.write("x,y,u\n")
-        # one join per x-row: a whole-file string would raise peak memory
         for x, row, keep in zip(xs.tolist(), U, mask):
             js = np.flatnonzero(keep)
-            x = f"{x:.17g}"
-            fh.write("".join([f"{x}{ycols[j]}{u:.17g}\n"
-                              for j, u in zip(js.tolist(), row[js].tolist())]))
+            if js.size:
+                x = f"{x:.17g}"
+                fh.write((x + x.join([ycols[j] for j in js.tolist()]))
+                         % tuple(row[js].tolist()))
     trace(f"field: {int(mask.sum())} in-domain points -> {path}")
 
 
@@ -360,10 +365,13 @@ def _run_map(cfg: dict, N: int, field_path, report_path, trace):
     wb = cmap.boundary_nodes()
     node_res = np.abs(np.abs(wb) - np.asarray(cmap.rho(np.angle(wb)), float))
     cols = (grid_nodes(N), cmap.correspondence, wb.real, wb.imag, node_res)
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
     with open(field_path, "w") as fh:
         fh.write("t,sigma,re_w,im_w,residual\n")
-        fh.writelines(f"{t:.17g},{s:.17g},{x:.17g},{y:.17g},{r:.17g}\n"
-                      for t, s, x, y, r in zip(*(c.tolist() for c in cols)))
+        # one % per block of rows: a whole-table string would raise peak memory
+        for k in range(0, N, MAP_BLOCK_ROWS):
+            block = np.column_stack([c[k:k + MAP_BLOCK_ROWS] for c in cols])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
     if report_path is not None:
         with open(report_path, "w") as fh:
             fh.write(json.dumps({

@@ -72,23 +72,36 @@ class ConformalMap:
             * (1.0 - 1e-12)
 
     def invert(self, w) -> np.ndarray:
-        """Newton inversion of omega; point queries that fail raise."""
+        """Newton inversion of omega, in the shape of w; point queries that
+        fail raise PointQueryError.
+
+        Each Newton step evaluates omega and omega' only at the points
+        still moving: a point leaves once its own step is below
+        INVERT_TOL * (1 + max |w|), so a step costs per coefficient and
+        per point still moving.  The final residual check covers every
+        point."""
         w = np.asarray(w, dtype=complex)
-        flat = np.atleast_1d(w).astype(complex)
+        flat = w.ravel()
         if flat.size == 0:
             return flat.reshape(w.shape)
         z = flat / np.maximum(np.asarray(self.rho(np.angle(flat)), float), 1e-12)
         z *= 0.99
+        tol = INVERT_TOL * (1.0 + np.max(np.abs(flat)))
+        active = np.arange(flat.size)  # flat indices of the moving points
         for _ in range(INVERT_MAX_ITER):
-            fz = self.omega._horner(z) - flat
-            step = fz / self.omega_prime._horner(z)
-            z = z - step
+            za = z[active]
+            step = self.omega._horner(za)
+            step -= flat[active]
+            step /= self.omega_prime._horner(za)
+            za -= step
             # keep iterates inside the closed disk
-            r = np.abs(z)
+            r = np.abs(za)
             bad = r >= 1.0
             if np.any(bad):
-                z[bad] = z[bad] / r[bad] * (1.0 - 1e-9)
-            if np.max(np.abs(step)) < INVERT_TOL * (1.0 + np.max(np.abs(flat))):
+                za[bad] = za[bad] / r[bad] * (1.0 - 1e-9)
+            z[active] = za
+            active = active[np.abs(step) >= tol]
+            if active.size == 0:
                 break
         resid = np.abs(self.omega._horner(z) - flat)
         ok = resid < 1e-9 * (1.0 + np.abs(flat))

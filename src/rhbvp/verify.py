@@ -132,6 +132,7 @@ def _solution_specials(src: AnalyticSolution, target_jumps: Sequence[float]):
 
 REPORT_COLUMNS = ("angle", "target", "estimate", "error",
                   "converged", "excluded", "reason")
+_REPORT_ROW = "%.17g,%.17g,%.17g,%.17g,%d,%d,%s"  # one line per vertex
 
 
 @dataclass
@@ -157,9 +158,8 @@ class VerificationReport:
         lines.append(",".join(REPORT_COLUMNS))
         cols = (self.angles, self.target, self.estimate, self.error,
                 self.converged, self.excluded, self.reasons)
-        lines.extend(f"{a:.17g},{t:.17g},{e:.17g},{r:.17g},{c:d},{x:d},{why}"
-                     for a, t, e, r, c, x, why
-                     in zip(*(col.tolist() for col in cols)))
+        lines.extend(map(_REPORT_ROW.__mod__,
+                         zip(*(col.tolist() for col in cols))))
         lines.append(f"# pass_fraction = {self.pass_fraction:.17g}")
         lines.append(f"# certified_fraction = {self.certified_fraction:.17g}")
         lines.append(f"# residual_max = {self.residual_stats[0]:.17g}")

@@ -9,7 +9,7 @@ import pytest
 
 import rhbvp as R
 import rhbvp.rh_solver as rh_solver
-from rhbvp.cli import _write_field_csv, main
+from rhbvp.cli import MAP_BLOCK_ROWS, _write_field_csv, main
 from rhbvp.verify import parse_report
 
 ELLIPSE_RHO = "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"
@@ -478,20 +478,24 @@ def test_map_command(tmp_path, capsys):
 
 
 def test_map_csv_matches_per_row_writer(tmp_path):
-    cfg = {"domain": {"starlike": {"rho": "1 + 0.2*cos(3*a)"}},
-           "params": {"N": 256},
-           "outputs": {"field_csv": str(tmp_path / "map.csv")}}
-    assert main(["map", "--config", _write_cfg(tmp_path, cfg), "--quiet"]) == 0
-    cmap = R.theodorsen_map("1 + 0.2*cos(3*a)", N=256)
-    t = 2 * np.pi * np.arange(cmap.N) / cmap.N
-    sig = cmap.correspondence
-    wb = cmap.boundary_nodes()
-    res = np.abs(np.abs(wb) - np.asarray(cmap.rho(np.angle(wb)), float))
-    ref = ["t,sigma,re_w,im_w,residual\n"] + [
-        f"{t[k]:.17g},{sig[k]:.17g},{wb[k].real:.17g},"
-        f"{wb[k].imag:.17g},{res[k]:.17g}\n" for k in range(cmap.N)]
-    with open(tmp_path / "map.csv", newline="") as fh:
-        assert fh.readlines() == ref
+    # N = 64 fills part of one block of rows, N = 4096 writes several
+    assert 64 < MAP_BLOCK_ROWS < 4096
+    for N in (64, 256, 4096):
+        cfg = {"domain": {"starlike": {"rho": "1 + 0.2*cos(3*a)"}},
+               "params": {"N": N},
+               "outputs": {"field_csv": str(tmp_path / f"map{N}.csv")}}
+        assert main(["map", "--config", _write_cfg(tmp_path, cfg),
+                     "--quiet"]) == 0
+        cmap = R.theodorsen_map("1 + 0.2*cos(3*a)", N=N)
+        t = 2 * np.pi * np.arange(cmap.N) / cmap.N
+        sig = cmap.correspondence
+        wb = cmap.boundary_nodes()
+        res = np.abs(np.abs(wb) - np.asarray(cmap.rho(np.angle(wb)), float))
+        ref = ["t,sigma,re_w,im_w,residual\n"] + [
+            f"{t[k]:.17g},{sig[k]:.17g},{wb[k].real:.17g},"
+            f"{wb[k].imag:.17g},{res[k]:.17g}\n" for k in range(cmap.N)]
+        with open(tmp_path / f"map{N}.csv", newline="") as fh:
+            assert fh.readlines() == ref
 
 
 def test_family_command(tmp_path, capsys):

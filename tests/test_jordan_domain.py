@@ -183,6 +183,63 @@ def test_invert_exterior_point_raises(ellipse_map):
         ellipse_map.invert(np.array([2.0 + 2.0j]))
 
 
+def test_invert_mixed_input_names_the_failing_count(ellipse_map):
+    with pytest.raises(PointQueryError, match=r" at 1 of 2 points"):
+        ellipse_map.invert([0.1, 2.0 + 2.0j])
+    z = ellipse_map.invert([0.1])
+    assert abs(ellipse_map.omega(z)[0] - 0.1) < 1e-13
+
+
+def _all_points_newton(cmap, w):
+    """Newton inversion that steps every point until the largest step
+    is below tolerance."""
+    z = w / np.maximum(np.asarray(cmap.rho(np.angle(w)), float), 1e-12)
+    z *= 0.99
+    for _ in range(jordan_domain.INVERT_MAX_ITER):
+        step = (cmap.omega._horner(z) - w) / cmap.omega_prime._horner(z)
+        z = z - step
+        r = np.abs(z)
+        bad = r >= 1.0
+        z[bad] = z[bad] / r[bad] * (1.0 - 1e-9)
+        if np.max(np.abs(step)) < jordan_domain.INVERT_TOL * (
+                1.0 + np.max(np.abs(w))):
+            break
+    return z
+
+
+@pytest.fixture(scope="module")
+def star3_grid():
+    """star3's map and the in-domain points of the CLI's 101 x 101 grid."""
+    cmap = theodorsen_map(STAR3_RHO, N=1024)
+    xs = np.linspace(-0.95, 0.95, 101)
+    W = xs[:, None] + 1j * xs[None, :]
+    return cmap, W[cmap.contains(W)]
+
+
+def test_invert_steps_only_the_points_still_moving(star3_grid, monkeypatch):
+    cmap, w = star3_grid
+    sizes = []
+    horner = cmap.omega._horner
+    monkeypatch.setattr(cmap.omega, "_horner",
+                        lambda z: sizes.append(np.size(z)) or horner(z))
+    z = cmap.invert(w)
+    newton, check = sizes[:-1], sizes[-1]  # the last call is the residual check
+    assert check == w.size == newton[0]
+    assert all(b <= a for a, b in zip(newton, newton[1:]))
+    assert newton[-1] < 0.1 * w.size
+    monkeypatch.undo()
+    assert np.max(np.abs(z - _all_points_newton(cmap, w))) <= 1e-15
+
+
+def test_invert_keeps_the_shape_of_2d_input(star3_grid):
+    cmap, w = star3_grid
+    W = w[:7 * 9].reshape(7, 9)
+    for grid in (W, W.T):  # W.T is not C-contiguous
+        z = cmap.invert(grid)
+        assert z.shape == grid.shape
+        assert np.array_equal(z, cmap.invert(grid.ravel()).reshape(grid.shape))
+
+
 # ----------------------------------------------------------------------
 # transplanted solutions
 # ----------------------------------------------------------------------

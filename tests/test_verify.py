@@ -310,6 +310,28 @@ def test_serialize_matches_per_row_reference(neumann_step):
     assert rep.converged.any() and not rep.converged.all()
     assert rep.serialize() == _reference_serialize(rep)
 
+    # a mapped domain has no Laplacian residual: residual_max is nan
+    cmap = R.theodorsen_map("1 + 0.2*cos(3*a)", N=256)
+    mapped = verify_solution(
+        R.transplant_neumann(cmap, R.build_boundary_function("cos(t)", 256)),
+        V=64, tol=1e-2)
+    assert np.isnan(mapped.residual_stats[0])
+    assert mapped.serialize() == _reference_serialize(mapped)
+    assert "# residual_max = nan\n" in mapped.serialize()
+
+    # jumps at 2.5 and 5, the index pole at 0 and homogeneous poles at 1, 4
+    phi = R.build_boundary_function(
+        [[0, 2.5, "cos(t)"], [2.5, 5.0, "cos(t) + 0.5"],
+         [5.0, 2 * np.pi, "cos(t)"]], 1024)
+    hs = R.solve_directional(
+        R.DirectionField.from_angle("t + pi + 0.3*sin(t)", 1024), phi,
+        R.SolverParams(hom_points=[1.0, 4.0], hom_coeffs=[0.5, 1.0, -1.0]))
+    rep = verify_solution(hs, V=500, tol=1e-2)
+    assert set(rep.reasons.tolist()) == {"-", "jump-neighborhood",
+                                         "cut-neighborhood",
+                                         "hom-pole-neighborhood"}
+    assert rep.serialize() == _reference_serialize(rep)
+
 
 # ----------------------------------------------------------------------
 # radial tables
