@@ -76,7 +76,18 @@ class SeriesEvaluator:
         """Values at z = rho*exp(2*pi*i*k/M), k = 0..M-1: one ray scale."""
         return self.eval_on_rays(np.array([rho]), M)[0]
 
-    def eval_on_rays(self, scales: np.ndarray, V: int) -> np.ndarray:
+    def fold(self, V: int) -> np.ndarray:
+        """The coefficients zero-padded to q = ceil(L/V) blocks of V, as
+        the read-only (q, 2V) float view that eval_on_rays multiplies."""
+        c = self.coefficients
+        blocks = np.zeros(-(-len(c) // V) * V, dtype=complex)
+        blocks[:len(c)] = c
+        blocks = blocks.reshape(-1, V).view(float)
+        blocks.flags.writeable = False
+        return blocks
+
+    def eval_on_rays(self, scales: np.ndarray, V: int,
+                     blocks: np.ndarray | None = None) -> np.ndarray:
         """Values at z = s * exp(2*pi*i*v/V) for each complex scale s.
 
         Returns an array of shape (len(scales), V).  Used for fast fans
@@ -93,16 +104,14 @@ class SeriesEvaluator:
         preallocated output, each finished by its s^m factor and an
         inverse FFT copied back into its rows, so the peak is the output
         plus one chunk.  (ifft's ``out=`` would save that copy but needs
-        NumPy 2.)
+        NumPy 2.)  blocks, fold(V) when given, spares calls on the same V
+        their own padded copy of the coefficients.
         No complex product: a complex BLAS call here (OpenBLAS zgemm)
         was seen to slow later complex powers and exponentials in the
         same process about tenfold.
         """
         s = np.asarray(scales, dtype=complex).reshape(-1, 1)
-        c = self.coefficients
-        blocks = np.zeros(-(-len(c) // V) * V, dtype=complex)  # c zero-padded
-        blocks[:len(c)] = c
-        blocks = blocks.reshape(-1, V).view(float)
+        blocks = self.fold(V) if blocks is None else blocks
         out = np.empty((len(s), V), dtype=complex)
         for i in range(0, len(s), RAY_CHUNK):
             sc, acc = s[i:i + RAY_CHUNK], out[i:i + RAY_CHUNK]

@@ -75,8 +75,9 @@ class ConformalMap:
         """Newton inversion of omega, in the shape of w; point queries that
         fail raise PointQueryError.
 
-        Each Newton step evaluates omega and omega' only at the points
-        still moving: a point leaves once its own step is below
+        Points that contains() rejects fail before any Newton step.  Each
+        step evaluates omega and omega' only at the points still moving:
+        a point leaves once its own step is below
         INVERT_TOL * (1 + max |w|), so a step costs per coefficient and
         per point still moving.  The final residual check covers every
         point."""
@@ -84,6 +85,11 @@ class ConformalMap:
         flat = w.ravel()
         if flat.size == 0:
             return flat.reshape(w.shape)
+        outside = int(np.sum(~self.contains(flat)))
+        if outside:
+            raise PointQueryError(
+                f"map inversion failed at {outside} of {flat.size} points "
+                f"(outside the domain)")
         z = flat / np.maximum(np.asarray(self.rho(np.angle(flat)), float), 1e-12)
         z *= 0.99
         tol = INVERT_TOL * (1.0 + np.max(np.abs(flat)))

@@ -276,7 +276,8 @@ class AnalyticSolution:
 
     __call__ = f
 
-    def f_on_scales(self, scales: np.ndarray, V: int) -> np.ndarray:
+    def f_on_scales(self, scales: np.ndarray, V: int,
+                    folds: tuple | None = None) -> np.ndarray:
         """f at z = s * exp(2*pi*i*v/V) for each scale s, shape (len(s), V).
 
         FFT-folded evaluation of both series; the pole terms are applied
@@ -284,16 +285,23 @@ class AnalyticSolution:
         exp(-i A) is the scalar exp(-i A_0): no fan of A and no exponential
         per point.  A family member evaluates exp(-i A), g and z once per
         (scales, V) for the whole family and assembles from a copy of g.
+        folds, self.folds(V) when given, lends the series' padded
+        coefficient blocks to calls on the same V.
         """
         scales = np.asarray(scales, dtype=complex)
+        fold_A, fold_g = folds or (None, None)
         fans = {} if self._fans is None else self._fans
         key = (scales.tobytes(), V)
         if key not in fans:
-            fans[key] = (self._weight(lambda: self.A.eval_on_rays(scales, V)),
-                         self.g.eval_on_rays(scales, V),
+            ea = self._weight(lambda: self.A.eval_on_rays(scales, V, fold_A))
+            fans[key] = (ea, self.g.eval_on_rays(scales, V, fold_g),
                          scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V))
         ea, gv, z = fans[key]
         return self._assemble(ea, gv if self._fans is None else gv.copy(), z)
+
+    def folds(self, V: int) -> tuple:
+        """(A.fold(V), g.fold(V)), to lend to f_on_scales."""
+        return self.A.fold(V), self.g.fold(V)
 
     def _weight(self, A_values):
         """exp(-i A) from A's values, A_values(), or the scalar

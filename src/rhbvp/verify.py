@@ -18,8 +18,11 @@ its directional derivative.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -306,6 +309,48 @@ class RadialTable:
         return (~self.excluded) & self.flags
 
 
+def _worker_count() -> int:
+    """Cores in this process's affinity mask (all cores where the
+    platform keeps no mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_chunks(chunk: Callable[[int], None], starts: Sequence[int],
+                workers: int) -> None:
+    """chunk(i) for every i in starts, on `workers` threads: the caller
+    and workers - 1 threads started here, each in a copy of the caller's
+    context, which pull the next start until none is left.  Every thread
+    is joined before this returns; then the first exception a chunk
+    raised is raised again, and no chunk starts after it."""
+    todo = iter(starts)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work():
+        try:
+            while not errors:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                chunk(i)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work,)) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
                    delta: float = 1e-2) -> RadialTable:
     """Integrate du/dr = Re(e^{i theta} f) along V rays with Gauss panels.
@@ -314,9 +359,16 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     values converge even when f is unbounded at the rim (integrable
     singularities).  edges[j] = 1 - 2^-j for 3 <= j <= J_DEEP; the
     convergence flags read levels J_FLAG, the quotient level J_QUOT.
-    f is evaluated and integrated RAY_CHUNK // 12 panels at a time (one
-    matrix block of eval_on_rays), so the table needs O(RAY_CHUNK * V)
-    memory rather than O(12 * P * V) for its P panels.
+
+    f is evaluated and integrated a few panels at a time.  The chunks run
+    on one worker per core in the process's affinity mask, at most
+    RAY_CHUNK // 12, the calling thread among them (`taskset -c 0 ...`
+    keeps a process on one core).  Each chunk writes only its own rows,
+    so the table does not depend on the number of workers.  The chunks
+    in flight hold about RAY_CHUNK // 12 panels together (one matrix
+    block of eval_on_rays) and share one padded copy of each series, so
+    the table needs O(RAY_CHUNK * V) memory rather than O(12 * P * V) for
+    its P panels.
     """
     if hsol.conformal_map is not None:
         raise ConfigurationError("radial tables are disk-native; verify "
@@ -329,16 +381,23 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     halfs = 0.5 * (edges[1:] - edges[:-1])
     nodes = mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]  # (P, 12)
 
+    src = hsol.f_source
+    src.index_coeffs  # a cached_property: fill it before the workers read it
+    folds = src.folds(V)  # one padded copy of A and g for every chunk
     phase = np.exp(1j * angles)[None, :]
     P = len(mids)
     panel_int = np.empty((P, V))
     step = RAY_CHUNK // 12
-    for i in range(0, P, step):
-        integrand = (phase * hsol.f_source.f_on_scales(
-            nodes[i:i + step].ravel(), V)).real
-        panel_int[i:i + step] = (integrand.reshape(-1, 12, V)
-                                 * _GAUSS_W[None, :, None]).sum(axis=1)
-        del integrand  # and its complex base, before the next chunk
+    workers = min(_worker_count(), step)
+    per = -(-step // workers)  # panels per chunk
+
+    def chunk(i):
+        integrand = (phase * src.f_on_scales(nodes[i:i + per].ravel(), V,
+                                                  folds)).real
+        panel_int[i:i + per] = (integrand.reshape(-1, 12, V)
+                                * _GAUSS_W[None, :, None]).sum(axis=1)
+
+    _run_chunks(chunk, range(0, P, per), workers)
     panel_int *= halfs[:, None]
     u_edges = np.concatenate([np.zeros((1, V)), np.cumsum(panel_int, axis=0)])
     u_edges += hsol.d0
@@ -347,7 +406,7 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     lo, hi = J_FLAG
     flags = converged_sequence(u_edges[lo:hi + 1].T, tol)
 
-    jumps, cuts, poles = _solution_specials(hsol.f_source, ())
+    jumps, cuts, poles = _solution_specials(src, ())
     excluded, _, _ = _exclusions(angles, delta, jumps, cuts, poles)
 
     quotient_est = (u_edges[J_QUOT] - u_boundary) * 2.0 ** J_QUOT

@@ -190,6 +190,19 @@ def test_invert_mixed_input_names_the_failing_count(ellipse_map):
     assert abs(ellipse_map.omega(z)[0] - 0.1) < 1e-13
 
 
+def test_invert_refuses_exterior_points_before_newton(ellipse_map,
+                                                      monkeypatch):
+    # Newton steps on 2 + 2j never stop moving: stepped along with 0.1
+    # it took all 60 steps (61 omega evaluations with the residual check)
+    calls = []
+    horner = ellipse_map.omega._horner
+    monkeypatch.setattr(ellipse_map.omega, "_horner",
+                        lambda z: calls.append(np.size(z)) or horner(z))
+    with pytest.raises(PointQueryError, match=r" at 1 of 2 points"):
+        ellipse_map.invert([0.1, 2.0 + 2.0j])
+    assert len(calls) <= 7
+
+
 def _all_points_newton(cmap, w):
     """Newton inversion that steps every point until the largest step
     is below tolerance."""

@@ -265,9 +265,9 @@ def test_family_members_share_one_fan(monkeypatch):
     calls = []
     real_eval = SeriesEvaluator.eval_on_rays
 
-    def counting_eval(self, scales, V):
+    def counting_eval(self, scales, V, *blocks):
         calls.append(V)
-        return real_eval(self, scales, V)
+        return real_eval(self, scales, V, *blocks)
 
     monkeypatch.setattr(SeriesEvaluator, "eval_on_rays", counting_eval)
     Fs = [R.antiderivative(m) for m in members]

@@ -2,13 +2,18 @@
 
 import dataclasses
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import rhbvp as R
-from rhbvp.errors import ConfigurationError, DataError, DomainError
+from rhbvp import verify
+from rhbvp.errors import (ConfigurationError, DataError, DomainError,
+                          NumericalRangeError)
+from rhbvp.rh_solver import AnalyticSolution
 from rhbvp.verify import (REPORT_COLUMNS, certificate_points, chord_recovery,
                           dimension_certificate, disk_grid,
                           laplacian_residual, parse_report, radial_u_table,
@@ -360,8 +365,9 @@ def oblique_cos(phi_cos_1024):
 @pytest.mark.parametrize("V", [8, 64, 500])
 @pytest.mark.parametrize("case", ["step", "oblique"])
 def test_radial_table_equals_the_whole_fan(request, case, V):
-    # 34 panels go in chunks of 5, 5, 5, 5, 5, 5, 4; the whole fan
-    # evaluates all 408 radii in one f_on_scales call
+    # 34 panels go in chunks of 5 panels on one core (3 on two, 2 on
+    # three or four, 1 on five or more); the whole fan evaluates all 408
+    # radii in one f_on_scales call
     hs = request.getfixturevalue({"step": "neumann_step",
                                   "oblique": "oblique_cos"}[case])
     table = radial_u_table(hs, V=V)
@@ -397,6 +403,98 @@ def test_radial_table_rejects_transplants():
     hs = R.transplant_neumann(cmap, phi)
     with pytest.raises(ConfigurationError, match="disk-native"):
         radial_u_table(hs, V=50)
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("case", ["step", "oblique"])
+def test_worker_count_changes_no_output(request, case, monkeypatch):
+    # workers - 1 threads run chunks of 5, 3, 2 and 1 panels beside the
+    # caller; every chunk writes only its own rows of the table
+    hs = request.getfixturevalue({"step": "neumann_step",
+                                  "oblique": "oblique_cos"}[case])
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    outputs = []
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+        _CountedThread.started = 0
+        table = radial_u_table(hs, V=500)
+        assert _CountedThread.started == workers - 1
+        outputs.append((table.u_edges.tobytes(), table.flags.tobytes(),
+                        verify_solution(hs).serialize()))
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_run_chunks_runs_every_start_once():
+    # more workers than cores and a short switch interval: a start that
+    # two workers took, or that none did, shows in the sorted list
+    done = []
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        verify._run_chunks(done.append, range(2000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == list(range(2000))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers, error", [
+    (2, NumericalRangeError), (5, RuntimeWarning)])
+def test_chunk_failures_reach_the_caller(neumann_step, monkeypatch,
+                                         workers, error):
+    # a typed error on the fourth chunk, wherever it runs; an overflow
+    # warning, which the test settings make an error, on the first chunk
+    # that runs off the caller's thread
+    caller = threading.current_thread()
+    lock = threading.Lock()
+    calls = []
+    f_on_scales = AnalyticSolution.f_on_scales
+
+    def failing(self, scales, V, *folds):
+        me = threading.current_thread()
+        with lock:
+            calls.append(me)
+            n = len(calls)
+        if error is NumericalRangeError and n == 4:
+            raise NumericalRangeError("planted on the fourth chunk")
+        if error is RuntimeWarning and me is not caller:
+            np.exp(np.float64(1000.0))
+        return f_on_scales(self, scales, V, *folds)
+
+    monkeypatch.setattr(AnalyticSolution, "f_on_scales", failing)
+    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
+    before = threading.active_count()
+    with pytest.raises(error):
+        radial_u_table(neumann_step, V=64)
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="np.errstate is per thread before NumPy 2")
+def test_chunks_run_under_the_callers_errstate(neumann_step, monkeypatch):
+    # np.errstate is a context variable, which every worker copies: an
+    # overflow the caller ignores raises no warning in a worker either
+    f_on_scales = AnalyticSolution.f_on_scales
+
+    def overflowing(self, scales, V, *folds):
+        np.exp(np.float64(1000.0))
+        return f_on_scales(self, scales, V, *folds)
+
+    monkeypatch.setattr(AnalyticSolution, "f_on_scales", overflowing)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 5)
+    with np.errstate(over="ignore"):
+        table = radial_u_table(neumann_step, V=64)
+    monkeypatch.undo()
+    assert np.array_equal(table.u_edges,
+                          radial_u_table(neumann_step, V=64).u_edges)
 
 
 # ----------------------------------------------------------------------
