@@ -6,12 +6,15 @@ antiderivative of f (F' = f, F(0) = 0).  Then (u_x, u_y) = (Re f, -Im f)
 and the directional derivative along a unit direction e (as a complex
 number) is Re(e * f).
 
-HarmonicSolution builds F with antiderivative, the one place that
-samples f for it (times omega' on a mapped domain).  f is sampled at
-SAMPLES points of the circle of radius RHO_SAMPLE, whatever N is, the
-power series coefficients are read off the FFT, those below DROP_TOL
-times the largest are dropped, and the series is integrated termwise.  Non-decaying recovered coefficients mean
-f is no power series at this radius and raise RepresentationError.
+HarmonicSolution builds F with antiderivative.  F keeps f's Taylor
+terms n < SAMPLES/2 with |f_n| RHO_SAMPLE^n at least DROP_TOL times
+the largest, whatever N is, integrated termwise.  When exp(-i A) is a
+scalar (A is one term) and there is no map, f_n are read off f's exact
+series (AnalyticSolution.taylor_coefficients).  Otherwise f, times
+omega' on a mapped domain, is sampled at SAMPLES points of the circle
+of radius RHO_SAMPLE and f_n are read off the FFT; non-decaying
+recovered coefficients mean f is no power series at this radius and
+raise RepresentationError.
 """
 
 from __future__ import annotations
@@ -39,13 +42,43 @@ def antiderivative(sol: AnalyticSolution, M: int = SAMPLES,
     """Antiderivative F with F(0) = 0 of f, or of f * omega' for the
     ConformalMap cmap, as a power series.
 
-    f is sampled at M points of the circle of radius RHO_SAMPLE;
-    coefficients n >= M/2 are not recovered.
+    The terms kept are those n < M/2 with |f_n| RHO_SAMPLE^n at least
+    DROP_TOL times the largest.  When exp(-i A) is the scalar
+    exp(-i A_0) (A is one term) and there is no map, f_n are read off
+    f's exact series; otherwise f is sampled at M points of the circle
+    of radius RHO_SAMPLE and f_n recovered by FFT.  M is an integer of
+    at least 8, or a ConfigurationError.
     """
+    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 8:
+        raise ConfigurationError(f"M must be an integer of at least 8, got {M!r}")
+    if cmap is None and len(sol.A.coefficients) == 1:
+        return _exact_antiderivative(sol, M // 2)
     vals = sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0]
     if cmap is not None:
         vals = vals * cmap.omega_prime.eval_on_circle(RHO_SAMPLE, M)
     return antiderivative_from_circle(vals)
+
+
+def _exact_antiderivative(sol: AnalyticSolution, half: int) -> SeriesEvaluator:
+    """F from f's exact Taylor coefficients, keeping the terms n < half
+    that the sampled construction keeps.
+
+    With |f_n| <= a + b n, the bound (a + b n) RHO_SAMPLE^n does not
+    increase for n >= RHO_SAMPLE / (1 - RHO_SAMPLE), so once it is below
+    DROP_TOL times the largest |f_n| RHO_SAMPLE^n of n < K, no n >= K is
+    kept nor larger: forming f_n for n < K alone keeps the same terms.
+    K starts where RHO_SAMPLE^n is DROP_TOL^2 and doubles, up to half,
+    until that holds.  The coefficients are exact, so the sampled
+    construction's non-decay check has nothing to detect.
+    """
+    K = min(half, int(np.ceil(2 * np.log(DROP_TOL) / np.log(RHO_SAMPLE))))
+    while True:
+        f_n, a, b = sol.taylor_coefficients(K)
+        d = f_n * RHO_SAMPLE ** np.arange(K, dtype=float)
+        top = float(np.max(np.abs(d)))
+        if K == half or (a + b * K) * RHO_SAMPLE ** K < DROP_TOL * top:
+            return _kept_integral(d, top)
+        K = min(half, 2 * K)
 
 
 def antiderivative_from_circle(vals: np.ndarray) -> SeriesEvaluator:
@@ -54,11 +87,9 @@ def antiderivative_from_circle(vals: np.ndarray) -> SeriesEvaluator:
     M = len(vals)
     if not np.all(np.isfinite(vals)):
         raise RepresentationError("f is non-finite on the sampling circle")
-    d = np.fft.fft(vals) / M
-    mag = np.abs(d[:M // 2])
+    d = np.fft.fft(vals)[:M // 2] / M
+    mag = np.abs(d)
     top = float(np.max(mag))
-    if top == 0.0:
-        return SeriesEvaluator(np.zeros(1))
     # non-decaying |d_n| = |c_n| * rho^n means no convergent series here
     mid = float(np.max(mag[M // 8:M // 4]))
     last = float(np.max(mag[7 * M // 16:M // 2]))
@@ -67,10 +98,19 @@ def antiderivative_from_circle(vals: np.ndarray) -> SeriesEvaluator:
             "recovered coefficients do not decay "
             f"(|c_n| rho^n ~ {last:.2e} at the tail vs {mid:.2e} mid-band); "
             "reduce RHO_SAMPLE or check analyticity")
-    c = d[:M // 2].copy()
-    c[mag < DROP_TOL * top] = 0.0
+    return _kept_integral(d, top)
+
+
+def _kept_integral(d: np.ndarray, top: float) -> SeriesEvaluator:
+    """F from d_n = f_n RHO_SAMPLE^n whose largest modulus is top: the
+    terms below DROP_TOL * top are dropped, the rest rescaled by
+    RHO_SAMPLE^-n and integrated termwise."""
+    if top == 0.0:
+        return SeriesEvaluator(np.zeros(1))
+    c = d.copy()
+    c[np.abs(d) < DROP_TOL * top] = 0.0
     nz = np.flatnonzero(np.abs(c))
-    c = c[:nz[-1] + 1] if len(nz) else c[:1]
+    c = c[:nz[-1] + 1]
     c *= RHO_SAMPLE ** -np.arange(len(c), dtype=float)
     return SeriesEvaluator(c).integrate()
 

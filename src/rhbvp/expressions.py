@@ -2,14 +2,20 @@
 
 Grammar: numeric literals, one free variable, ``pi``, the functions
 ``cos sin exp log abs sqrt``, arithmetic ``+ - * /`` and powers written
-either ``^`` or ``**``.  Compiled through the ``ast`` module against a
-whitelist; anything outside the grammar raises ConfigurationError naming
-the offending token.  Compiled callables are numpy-vectorized.
+either ``^`` or ``**``, with Python's precedence: a power binds tighter
+than a sign on its left and groups to the right.  The text compiles to a
+postfix program that one loop runs.  Chains of ``+ -``, of ``* /`` and of
+signs are read by loops and run left to right, so their length is not
+limited; parentheses, function arguments and exponents may nest
+MAX_DEPTH deep.  Anything outside the grammar, or nested deeper, raises
+ConfigurationError naming the offending token.  Compiled callables are
+numpy-vectorized.
 """
 
 from __future__ import annotations
 
-import ast
+import operator
+import re
 from typing import Callable
 
 import numpy as np
@@ -25,58 +31,152 @@ _FUNCS = {
     "sqrt": np.sqrt,
 }
 
-_ALLOWED_BIN = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.BitXor)
-_ALLOWED_UNARY = (ast.UAdd, ast.USub)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "**": operator.pow}
+
+MAX_DEPTH = 100  # nested parentheses, function arguments and exponents
+
+# a number, a name or an operator, after optional white space
+_TOKEN = re.compile(r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|([A-Za-z_]\w*)|(\*\*|[-+*/^(),]))")
 
 
-def _compile_node(node: ast.AST, var: str) -> Callable:
-    if isinstance(node, ast.Expression):
-        return _compile_node(node.body, var)
-    if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ConfigurationError(
-                f"expression literal {node.value!r} is not numeric")
-        val = float(node.value)
-        return lambda x: val
-    if isinstance(node, ast.Name):
-        if node.id == var:
-            return lambda x: x
-        if node.id == "pi":
-            return lambda x: np.pi
+def _quote(text: str) -> str:
+    """repr of text, cut to its first 60 characters."""
+    return repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
+
+
+def _tokens(text: str) -> list[tuple[str, str]]:
+    """(kind, token) pairs, kind "num", "name" or "op"; ^ reads as **."""
+    out, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ConfigurationError(f"cannot parse expression {_quote(text)}: "
+                                     f"unexpected {text[pos:].lstrip()[:1]!r}")
+        num, name, op = m.groups()
+        out.append(("num", num) if num else ("name", name) if name
+                   else ("op", "**" if op == "^" else op))
+        pos = m.end()
+    return out
+
+
+class _Compiler:
+    """Recursive descent over the tokens into a postfix program of
+    (arity, fn) steps: arity 0 pushes fn(x), 1 applies fn to the top of
+    the stack, 2 to the two topmost values."""
+
+    def __init__(self, text: str, var: str):
+        self.text = text
+        self.toks = _tokens(text)
+        self.i = 0
+        self.depth = 0
+        self.var = var
+        self.names = {var, "t"} if var == "theta" else {var}
+        self.code: list[tuple[int, Callable]] = []
+
+    def fail(self, what: str):
         raise ConfigurationError(
-            f"unknown name {node.id!r} in expression (variable is {var!r})")
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_UNARY):
-        inner = _compile_node(node.operand, var)
-        if isinstance(node.op, ast.USub):
-            return lambda x: -inner(x)
-        return inner
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BIN):
-        left = _compile_node(node.left, var)
-        right = _compile_node(node.right, var)
-        op = node.op
-        if isinstance(op, ast.Add):
-            return lambda x: left(x) + right(x)
-        if isinstance(op, ast.Sub):
-            return lambda x: left(x) - right(x)
-        if isinstance(op, ast.Mult):
-            return lambda x: left(x) * right(x)
-        if isinstance(op, ast.Div):
-            return lambda x: left(x) / right(x)
-        # ^ and ** both mean power
-        return lambda x: left(x) ** right(x)
-    if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
-            name = getattr(node.func, "id", "<expr>")
+            f"cannot parse expression {_quote(self.text)}: {what}")
+
+    def peek(self) -> str | None:
+        return self.toks[self.i][1] if self.i < len(self.toks) else None
+
+    def take(self) -> tuple[str, str]:
+        if self.i == len(self.toks):
+            self.fail("unexpected end")
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expect(self, tok: str):
+        if self.take()[1] != tok:
+            self.fail(f"unexpected {self.toks[self.i - 1][1]!r}, "
+                      f"expected {tok!r}")
+
+    def nested(self, parse):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
             raise ConfigurationError(
-                f"unknown function {name!r}; allowed: {sorted(_FUNCS)}")
-        if len(node.args) != 1 or node.keywords:
-            raise ConfigurationError(
-                f"function {node.func.id!r} takes exactly one argument")
-        inner = _compile_node(node.args[0], var)
-        fn = _FUNCS[node.func.id]
-        return lambda x: fn(inner(x))
-    raise ConfigurationError(
-        f"unsupported syntax in expression: {ast.dump(node)[:80]}")
+                f"expression nests deeper than {MAX_DEPTH} levels")
+        parse()
+        self.depth -= 1
+
+    def program(self) -> list[tuple[int, Callable]]:
+        self.sum()
+        if self.i < len(self.toks):
+            self.fail(f"unexpected {self.peek()!r}")
+        return self.code
+
+    def chain(self, ops, operand):
+        operand()
+        while self.peek() in ops:
+            op = self.take()[1]
+            operand()
+            self.code.append((2, _BINARY[op]))
+
+    def sum(self):
+        self.chain(("+", "-"), self.term)
+
+    def term(self):
+        self.chain(("*", "/"), self.factor)
+
+    def factor(self):
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.take()[1] == "-"
+        self.primary()
+        if self.peek() == "**":
+            self.take()
+            self.nested(self.factor)
+            self.code.append((2, operator.pow))
+        if negate:
+            self.code.append((1, operator.neg))
+
+    def primary(self):
+        kind, tok = self.take()
+        if kind == "num":
+            val = float(tok)
+            self.code.append((0, lambda x: val))
+        elif kind == "name" and self.peek() == "(":
+            if tok not in _FUNCS:
+                raise ConfigurationError(
+                    f"unknown function {tok!r}; allowed: {sorted(_FUNCS)}")
+            self.take()
+            one_argument = ConfigurationError(
+                f"function {tok!r} takes exactly one argument")
+            if self.peek() == ")":
+                raise one_argument
+            self.nested(self.sum)
+            if self.peek() == ",":
+                raise one_argument
+            self.expect(")")
+            self.code.append((1, _FUNCS[tok]))
+        elif kind == "name":
+            if tok in self.names:
+                self.code.append((0, lambda x: x))
+            elif tok == "pi":
+                self.code.append((0, lambda x: np.pi))
+            else:
+                raise ConfigurationError(f"unknown name {tok!r} in "
+                                         f"expression (variable is {self.var!r})")
+        elif tok == "(":
+            self.nested(self.sum)
+            self.expect(")")
+        else:
+            self.fail(f"unexpected {tok!r}")
+
+
+def _run(code: list[tuple[int, Callable]], x):
+    stack = []
+    for arity, fn in code:
+        if arity == 0:
+            stack.append(fn(x))
+        elif arity == 1:
+            stack[-1] = fn(stack[-1])
+        else:
+            right = stack.pop()
+            stack[-1] = fn(stack[-1], right)
+    return stack[0]
 
 
 def parse_expression(text: str, var: str = "theta") -> Callable:
@@ -87,24 +187,10 @@ def parse_expression(text: str, var: str = "theta") -> Callable:
     """
     if not isinstance(text, str) or not text.strip():
         raise ConfigurationError(f"expression must be a nonempty string, got {text!r}")
-    # '^' means power with mathematical precedence, so rewrite before the
-    # parser can give it Python's (lower) xor precedence
-    source = text.strip().replace("^", "**")
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigurationError(f"cannot parse expression {text!r}: {exc.msg}") from None
-    # accept 'theta' and 't' interchangeably for angle expressions
-    aliases = {var}
-    if var == "theta":
-        aliases.add("t")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in aliases:
-            node.id = var
-    fn = _compile_node(tree, var)
+    code = _Compiler(text.strip(), var).program()
 
     def call(x):
-        out = fn(np.asarray(x, dtype=float))
+        out = _run(code, np.asarray(x, dtype=float))
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy() \
             if np.ndim(out) == 0 and np.ndim(x) > 0 else out
 

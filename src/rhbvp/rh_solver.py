@@ -52,7 +52,7 @@ from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
                             conjugate_boundary, sawtooth_coefficients,
                             schwarz_integral, unit_powers)
 from .errors import (ConfigurationError, DataError, DomainError,
-                     NumericalRangeError)
+                     NumericalRangeError, RepresentationError)
 
 CLAMP_LOG = float(np.log(1e12))  # exp(H) confined to [1e-12, 1e12]
 REFINE = 8  # g: at most REFINE * N / 2 terms; alpha jumps: psi on REFINE * N nodes
@@ -317,6 +317,58 @@ class AnalyticSolution:
         self._add_pole_terms(z, acc)
         return np.multiply(ea, acc, out=acc)
 
+    def taylor_coefficients(self, K: int) -> tuple[np.ndarray, float, float]:
+        """f's first K Taylor coefficients f_n, with (a, b) such that
+        |f_n| <= a + b n for every n, when exp(-i A) is the scalar
+        exp(-i A_0) (A is one term; a RepresentationError otherwise).
+
+        The coefficient form of the pole sum _add_pole_terms adds
+        pointwise: f_n = exp(-i A_0) (g_n + P_n), where each pole adds
+        2 beta zeta^(-m-n) to P_n, m = max(w, 0); for w <= 0, P_0 also
+        takes i c_0 + sum c_j and P is shifted up by -w (the factor
+        z^-w); for w > 0 the cut dipole adds
+        -i c_0 zeta_c^-w (w + n) zeta_c^-n.  g's coefficients are bounded
+        and each pole's term has constant modulus, so only the dipole
+        grows, linearly."""
+        c_A = self.A.coefficients
+        if len(c_A) != 1:
+            raise RepresentationError(
+                "f has a closed-form Taylor series only when A is constant")
+        w = self.index
+        s = max(-w, 0)
+        amp, angles, const, dipole = self._pole_sum()
+        n = np.arange(max(K - s, 0))
+        P = np.exp(-1j * np.multiply.outer(n, angles)) @ amp
+        if w <= 0:
+            P[:1] += const
+        elif dipole:
+            P += dipole * (w + n) * np.exp(-1j * n * self.params.cut)
+        bracket = np.zeros(K, dtype=complex)
+        g = self.g.coefficients[:K]
+        bracket[:len(g)] = g
+        bracket[s:] += P
+        e = np.exp(-1j * c_A[0])
+        a = abs(e) * (np.max(np.abs(self.g.coefficients), initial=0.0)
+                      + np.sum(np.abs(amp)) + abs(const) + abs(dipole) * w)
+        return e * bracket, float(a), float(abs(e) * abs(dipole))
+
+    def _pole_sum(self):
+        """The amplitudes 2 beta zeta^-m and angles of the poles with a
+        nonzero beta, the constant i c_0 + sum c_j (0 for w > 0) and the
+        cut dipole's -i c_0 zeta_c^-w (0 for w <= 0)."""
+        w = self.index
+        m = max(w, 0)
+        c = self.hom_coeffs or (0.0,) * (len(self.hom_points) + 1)
+        angles = np.array(self.hom_points + self.index_poles)
+        beta = np.array([-x for x in c[1:]] + self.index_coeffs.tolist())
+        keep = beta != 0.0
+        angles, beta = angles[keep], beta[keep]
+        amp = 2.0 * beta * np.exp(-1j * m * angles)
+        if w <= 0:
+            return amp, angles, 1j * c[0] + sum(c[1:]), 0.0
+        dipole = -1j * c[0] * np.exp(-1j * w * self.params.cut) if c[0] else 0.0
+        return amp, angles, 0.0, dipole
+
     def _add_pole_terms(self, z, acc):
         """Add the bracket's closed-form part at z to acc.  Each Herglotz
         pole (beta = -c_j) and index pole (beta = b_j) adds
@@ -328,21 +380,17 @@ class AnalyticSolution:
         constant that no real b_j could cancel; over z^k that is
         -i c_0 zeta_c^-k (k - (k-1) q)/(1 - q)^2 with q = z/zeta_c."""
         w = self.index
-        m = max(w, 0)
-        c = self.hom_coeffs or (0.0,) * (len(self.hom_points) + 1)
-        part = acc if w > 0 else np.full(z.shape, 1j * c[0] + sum(c[1:]))
-        for a, beta in zip(self.hom_points + self.index_poles,
-                           [-x for x in c[1:]] + self.index_coeffs.tolist()):
-            if beta != 0.0:
-                q = z * np.exp(-1j * a)
-                np.subtract(1.0, q, out=q)
-                part += np.divide(2.0 * beta * np.exp(-1j * m * a), q, out=q)
+        amp, angles, const, dipole = self._pole_sum()
+        part = acc if w > 0 else np.full(z.shape, const)
+        for a, coef in zip(angles, amp):
+            q = z * np.exp(-1j * a)
+            np.subtract(1.0, q, out=q)
+            part += np.divide(coef, q, out=q)
         if w <= 0:
             acc += part if w == 0 else z ** -w * part
-        elif c[0]:
+        elif dipole:
             q = z * np.exp(-1j * self.params.cut)
-            acc += (-1j * c[0] * np.exp(-1j * w * self.params.cut)
-                    * (w - (w - 1) * q) / (1.0 - q) ** 2)
+            acc += dipole * (w - (w - 1) * q) / (1.0 - q) ** 2
 
 
 def solve_rh(nu: DirectionField, phi: BoundaryFunction,

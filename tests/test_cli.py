@@ -385,6 +385,30 @@ def test_non_finite_config_numbers_exit_1(tmp_path, capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_solve_takes_a_long_fourier_phi(tmp_path, capsys):
+    # 1,199 terms: a sum longer than Python's recursion limit
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1, 1, 600) / np.arange(1, 601) ** 2
+    terms = [repr(float(a[0]))] + [f"{float(a[k])!r}*{fn}({k}*t)"
+                                   for fn in ("cos", "sin")
+                                   for k in range(1, 600)]
+    assert len(terms) == 1199
+    cfg = _base_cfg(tmp_path, phi=" + ".join(terms))
+    assert main(["solve", "--config", _write_cfg(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert (tmp_path / "field.csv").exists()
+
+
+def test_too_deep_phi_exits_1_without_traceback(tmp_path, capsys):
+    cfg = _base_cfg(tmp_path, phi="(" * 500 + "cos(t)" + ")" * 500)
+    assert main(["solve", "--config", _write_cfg(tmp_path, cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nests deeper" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_unexpected_exception_releases_locks_and_outputs(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

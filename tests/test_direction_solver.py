@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import rhbvp as R
 from rhbvp.boundary_data import grid_nodes
-from rhbvp.direction_solver import antiderivative_from_circle, solve_directional
+from rhbvp.direction_solver import (RHO_SAMPLE, SAMPLES,
+                                    antiderivative_from_circle,
+                                    solve_directional)
 from rhbvp.disk_harmonic import SeriesEvaluator
 from rhbvp.errors import (ConfigurationError, DataError, DomainError,
                           RepresentationError)
@@ -205,16 +207,43 @@ def _written_out_F(sol, cmap=None):
     return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
 
 
-@pytest.mark.parametrize("N", [256, 1024])
-def test_harmonic_solution_builds_F_on_the_disk(N):
-    phi = R.build_boundary_function(
+def _written_out_exact_F(sol, M=256):
+    """F by the closed form written out: f's exact coefficients n < M/2,
+    those with |f_n| 0.5^n below 1e-14 of the largest dropped, integrated
+    termwise."""
+    f_n = sol.taylor_coefficients(M // 2)[0]
+    mag = np.abs(f_n) * 0.5 ** np.arange(M // 2)
+    c = np.where(mag < 1e-14 * np.max(mag), 0.0, f_n)
+    c = c[:np.flatnonzero(c)[-1] + 1]
+    return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
+
+
+def _step_phi(N):
+    return R.build_boundary_function(
         [{"from": 0.0, "to": np.pi, "expr": 1.0},
          {"from": np.pi, "to": 2 * np.pi, "expr": 0.0}], N)
-    hs = R.solve_neumann(phi)
-    want = _written_out_F(hs.f_source)
-    assert np.array_equal(hs.F.coefficients, want)
-    assert np.array_equal(
-        R.HarmonicSolution(f_source=hs.f_source).F.coefficients, want)
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_harmonic_solution_builds_F_on_the_disk(N, monkeypatch):
+    # the normal's exp(-i A) is constant: F is read off f's series, and
+    # f is neither sampled nor fanned
+    hs = R.solve_neumann(_step_phi(N))
+    monkeypatch.setattr(SeriesEvaluator, "eval_on_rays", None)
+    F = R.HarmonicSolution(f_source=hs.f_source).F.coefficients
+    assert np.array_equal(F, hs.F.coefficients)
+    want = _written_out_exact_F(hs.f_source)
+    assert len(F) == len(want)
+    np.testing.assert_allclose(F, want, rtol=0, atol=1e-15)
+
+
+def test_oblique_solution_builds_F_from_samples():
+    # a non-constant weight takes the sampled construction, bit for bit
+    N = 256
+    hs = solve_directional(R.DirectionField.from_angle("0.3 + 0.2*cos(t)", N),
+                           _step_phi(N))
+    assert len(hs.f_source.A.coefficients) > 1
+    assert np.array_equal(hs.F.coefficients, _written_out_F(hs.f_source))
 
 
 def test_transplant_solve_builds_F_through_the_map(ellipse_map):
@@ -228,9 +257,79 @@ def test_transplant_solve_builds_F_through_the_map(ellipse_map):
 def test_family_member_F_is_built_from_its_own_f(hom_family_cos):
     for m in (hom_family_cos[0], hom_family_cos[4]):
         F = R.HarmonicSolution(f_source=m).F
-        assert np.array_equal(F.coefficients, _written_out_F(m))
+        want = _written_out_exact_F(m)
+        assert len(F.coefficients) == len(want)
+        np.testing.assert_allclose(F.coefficients, want, rtol=0, atol=1e-15)
         assert np.array_equal(R.antiderivative(m).coefficients,
                               F.coefficients)
+
+
+def _sampled_F(sol, M):
+    """The sampled construction, whatever sol's weight."""
+    return antiderivative_from_circle(
+        sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0])
+
+
+@pytest.fixture(scope="module")
+def constant_weight_cases():
+    """Solutions on the disk normal, whose exp(-i A) is constant."""
+    N = 1024
+    nu = R.disk_inner_normal(N).field
+    family = R.homogeneous_family(nu, 8)
+    three = R.build_boundary_function(
+        [[0, 1.0, "cos(t) + 0.5"], [1.0, 3.7, "-0.3*sin(3*t)"],
+         [3.7, 2 * np.pi, "1 + 0.5*cos(2*t)"]], N)
+    return {"step": R.solve_neumann(_step_phi(N)).f_source,
+            "three_piece": R.solve_neumann(three).f_source,
+            "member0": family[0], "member3": family[3], "member8": family[8]}
+
+
+@pytest.mark.parametrize("name", ["step", "three_piece", "member0", "member3",
+                                  "member8"])
+@pytest.mark.parametrize("M", [SAMPLES, 4096])
+def test_exact_F_matches_the_sampled_construction(constant_weight_cases, name, M):
+    sol = constant_weight_cases[name]
+    F, G = R.antiderivative(sol, M=M), _sampled_F(sol, M)
+    assert len(F.coefficients) == len(G.coefficients)
+    rng = np.random.default_rng(M)
+    z = 0.6 * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 400))
+    z = np.concatenate([z, 0.6 * np.exp(2j * np.pi * np.arange(64) / 64)])
+    assert np.max(np.abs(F._horner(z) - G._horner(z))) < 1e-12
+
+
+def test_exact_F_forms_no_coefficient_it_would_drop(constant_weight_cases,
+                                                    monkeypatch):
+    # f_n formed for every n < M/2 keeps the same terms as the bounded
+    # length the construction forms; faint low terms beside a unit
+    # coefficient at n = 149 make it form more than its first length
+    faint = R.solve_neumann(R.build_boundary_function(
+        "1e-20*cos(t) + cos(150*t)", 1024)).f_source
+    lengths = []
+    real = type(faint).taylor_coefficients
+    monkeypatch.setattr(type(faint), "taylor_coefficients",
+                        lambda self, K: lengths.append(K) or real(self, K))
+    for sol in [*constant_weight_cases.values(), faint]:
+        lengths.clear()
+        F = R.antiderivative(sol, M=16384).coefficients
+        formed = list(lengths)
+        f_n = sol.taylor_coefficients(8192)[0]
+        mag = np.abs(f_n) * 0.5 ** np.arange(8192)
+        kept = np.flatnonzero(mag >= 1e-14 * np.max(mag))
+        assert len(F) == kept[-1] + 2
+        np.testing.assert_array_equal(np.flatnonzero(F[1:]), kept)
+    assert formed == [94, 188]
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 3, 7, -4, 2.5, True, "256", None])
+@pytest.mark.parametrize("weight", ["constant", "oblique"])
+def test_antiderivative_refuses_a_bad_sample_count(M, weight):
+    nu = (R.disk_inner_normal(64).field if weight == "constant" else
+          R.DirectionField.from_angle("0.3 + 0.2*cos(t)", 64))
+    sol = R.solve_rh(nu, R.build_boundary_function("cos(theta)", 64))
+    with pytest.raises(ConfigurationError, match="M must be an integer"):
+        R.antiderivative(sol, M=M)
+    assert len(R.antiderivative(sol, M=np.int64(8)).coefficients) >= 1
 
 
 @pytest.fixture(scope="module")

@@ -68,3 +68,57 @@ def test_affine_matches_numpy(a, b):
     f = parse_expression(f"{a} + {b}*theta")
     t = np.array([0.0, 1.0, 2.5])
     np.testing.assert_allclose(f(t), a + b * t, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("text", [
+    "-2**2", "2**-1", "2^3^2", "-t*t", "2*-t", "t/2/3*4", "1 - t - 2",
+    "--t", "+-+t", "(1 + t)*(t - 2)/3", "exp(-t)*sin(3*t)**2", "-t**0.5",
+    "1e-3*t + .5 - 3.", "cos(t - pi)^2"])
+def test_precedence_and_order_match_python(text):
+    t = np.linspace(0.1, 6.2, 41)
+    want = eval(text.replace("^", "**"), {"t": t, "pi": np.pi, "cos": np.cos,
+                                          "sin": np.sin, "exp": np.exp})
+    np.testing.assert_array_equal(parse_expression(text)(t), want)
+
+
+def test_a_long_sum_is_summed_left_to_right():
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=5000)
+    text = " + ".join(f"{float(x)!r}*cos({k}*t)" for k, x in enumerate(c))
+    t = np.linspace(0, 6, 64)
+    want = c[0] * np.cos(0 * t)
+    for k in range(1, len(c)):
+        want = want + c[k] * np.cos(k * t)
+    np.testing.assert_array_equal(parse_expression(text)(t), want)
+
+
+def test_long_products_and_sign_chains():
+    t = np.array([0.5, 1.0, 1.001])
+    np.testing.assert_array_equal(parse_expression("*".join(["t"] * 3000))(t),
+                                  _left_product(t, 3000))
+    assert parse_expression("-" * 2000 + "t")(2.0) == 2.0
+    assert parse_expression("-" * 2001 + "t")(2.0) == -2.0
+    assert parse_expression("1" + "-1" * 3000)(0.0) == -2999.0
+
+
+def _left_product(t, n):
+    out = t
+    for _ in range(n - 1):
+        out = out * t
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 150 + "t" + ")" * 150,
+    "cos(" * 150 + "t" + ")" * 150,
+    "**".join(["1.0"] * 150),
+    "2^" * 150 + "t",
+])
+def test_too_deep_nesting_is_a_configuration_error(text):
+    with pytest.raises(ConfigurationError, match="nests deeper"):
+        parse_expression(text)
+
+
+def test_nesting_to_the_limit_compiles():
+    text = "(" * 99 + "cos(t)" + ")" * 99
+    assert parse_expression(text)(0.0) == 1.0

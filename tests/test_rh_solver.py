@@ -271,7 +271,7 @@ def test_family_members_share_one_fan(monkeypatch):
 
     monkeypatch.setattr(SeriesEvaluator, "eval_on_rays", counting_eval)
     Fs = [R.antiderivative(m) for m in members]
-    assert len(calls) == 1  # g once for all 33 members; the normal's A is constant
+    assert len(calls) == 0  # the normal's A is constant: F from f's series
 
     # members in interleaved order on two fans of the same scales, and on
     # other scales: a shared g modified in place or a key that ignored V
@@ -653,6 +653,33 @@ def test_pole_sum_is_linear_in_the_coefficients(w):
     want = sum(cj * m.f(z) for cj, m in zip(c, members))
     got = full.f(z)
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
+
+@pytest.mark.parametrize("w", range(-2, 4))
+def test_taylor_coefficients_sum_to_f(w):
+    # a constant direction of winding w, Herglotz poles, c_0 != 0 and a
+    # cut off 0: the series of f's first K coefficients is f at |z| <= 0.45
+    N = 256
+    sol = solve_rh(R.DirectionField.from_angle(f"{w}*t - 1", N),
+                   R.build_boundary_function("cos(t) + 0.3*sin(2*t)", N),
+                   SolverParams(cut=0.4, hom_points=(1.0, 2.5, 4.0),
+                                hom_coeffs=(0.5, 1.0, -0.7, 0.3)))
+    assert sol.index == w and len(sol.A.coefficients) == 1
+    K = 120
+    f_n, a, b = sol.taylor_coefficients(K)
+    z = np.concatenate([0.45 * _interior(200) / 0.92,
+                        0.45 * np.exp(2j * np.pi * np.arange(64) / 64)])
+    got = np.polynomial.polynomial.polyval(z, f_n)
+    assert np.max(np.abs(got - sol.f(z))) <= 1e-14
+    assert np.all(np.abs(f_n) <= a + b * np.arange(K))
+    assert b == (0.0 if w <= 0 else 0.5)
+
+
+def test_taylor_coefficients_need_a_constant_weight():
+    sol = solve_rh(R.DirectionField.from_angle("0.3 + 0.2*cos(t)", 64),
+                   R.build_boundary_function("cos(t)", 64))
+    with pytest.raises(RHBVPError, match="A is constant"):
+        sol.taylor_coefficients(16)
 
 
 # ----------------------------------------------------------------------
