@@ -18,11 +18,8 @@ its directional derivative.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -37,7 +34,7 @@ from .rh_solver import AnalyticSolution
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 
 DEFAULT_APERTURES = (0.0, 0.5, -0.5, 1.0, -1.0)
-J_DEEP = 34  # radial tables integrate out to radius 1 - 2^-J_DEEP
+J_DEEP = 20  # radial tables integrate out to radius 1 - 2^-J_DEEP
 J_FLAG = (3, 12)  # dyadic levels whose u values must converge
 J_QUOT = 16  # dyadic level of the Neumann difference quotient
 LAPLACIAN_H = 1e-3  # radius of the mean-value stencil
@@ -170,28 +167,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    """Inverse of VerificationReport.serialize, for round-trip checks."""
-    settings = {}
-    notes = []
-    rows = []
-    tail = {}
-    for line in text.splitlines():
-        if line.startswith("# settings: "):
-            settings = json.loads(line[len("# settings: "):])
-        elif line.startswith("# note: "):
-            notes.append(line[len("# note: "):])
-        elif line.startswith("# ") and "=" in line:
-            key, val = line[2:].split("=", 1)
-            tail[key.strip()] = float(val)
-        elif line and not line.startswith("#") and not line.startswith("angle,"):
-            parts = line.split(",")
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2]),
-                         float(parts[3]), bool(int(parts[4])),
-                         bool(int(parts[5])), parts[6]))
-    return {"settings": settings, "notes": notes, "rows": rows, **tail}
-
-
 # ----------------------------------------------------------------------
 # the verifier
 # ----------------------------------------------------------------------
@@ -265,8 +240,9 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
         ok = table.valid
         settings["radial_quotient_fraction_1e-2"] = float(np.mean(
             np.abs(table.quotient_est[ok] - targets[ok]) <= 1e-2)) if ok.any() else 0.0
-        settings["u_boundary_range"] = [float(np.min(table.u_boundary)),
-                                        float(np.max(table.u_boundary))]
+        u_kept = table.u_boundary[~table.excluded]
+        settings["u_boundary_range"] = ([float(u_kept.min()), float(u_kept.max())]
+                                        if u_kept.size else [])
         stats = laplacian_residual(hsol.u, disk_grid(21, 0.9))
         residual_stats = (stats.max_residual, stats.mean_residual)
     else:
@@ -289,10 +265,10 @@ class RadialTable:
     """u along rays at dyadic depths, its boundary values, and quotients.
 
     u_edges[k, v] is u at radius edges[k] along the ray of vertex v;
-    u_boundary is the deepest value (radius 1 - 2^-J_DEEP), the numerical
-    nontangential boundary value of u.  quotient_est holds the Neumann
-    difference quotient (u(r_j) - u_boundary)/(1 - r_j) at the deepest
-    quotient level, which attains the boundary data where u does.
+    u_boundary is the numerical nontangential boundary value of u, the
+    limit extrapolated from the three deepest levels.  quotient_est holds
+    the Neumann difference quotient (u(r_j) - u_boundary)/(1 - r_j) at the
+    deepest quotient level, which attains the boundary data where u does.
     """
 
     angles: np.ndarray
@@ -309,48 +285,6 @@ class RadialTable:
         return (~self.excluded) & self.flags
 
 
-def _worker_count() -> int:
-    """Cores in this process's affinity mask (all cores where the
-    platform keeps no mask)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _run_chunks(chunk: Callable[[int], None], starts: Sequence[int],
-                workers: int) -> None:
-    """chunk(i) for every i in starts, on `workers` threads: the caller
-    and workers - 1 threads started here, each in a copy of the caller's
-    context, which pull the next start until none is left.  Every thread
-    is joined before this returns; then the first exception a chunk
-    raised is raised again, and no chunk starts after it."""
-    todo = iter(starts)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work():
-        try:
-            while not errors:
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                chunk(i)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work,)) for _ in range(workers - 1)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-
-
 def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
                    delta: float = 1e-2) -> RadialTable:
     """Integrate du/dr = Re(e^{i theta} f) along V rays with Gauss panels.
@@ -360,15 +294,17 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     singularities).  edges[j] = 1 - 2^-j for 3 <= j <= J_DEEP; the
     convergence flags read levels J_FLAG, the quotient level J_QUOT.
 
-    f is evaluated and integrated a few panels at a time.  The chunks run
-    on one worker per core in the process's affinity mask, at most
-    RAY_CHUNK // 12, the calling thread among them (`taskset -c 0 ...`
-    keeps a process on one core).  Each chunk writes only its own rows,
-    so the table does not depend on the number of workers.  The chunks
-    in flight hold about RAY_CHUNK // 12 panels together (one matrix
-    block of eval_on_rays) and share one padded copy of each series, so
-    the table needs O(RAY_CHUNK * V) memory rather than O(12 * P * V) for
-    its P panels.
+    u_boundary is two Richardson steps over the levels J_DEEP - 2 .. J_DEEP,
+    R_k[j] = (2^k R_{k-1}[j] - R_{k-1}[j-1]) / (2^k - 1), which cancel the
+    2^-j and 4^-j terms of u(1) - u(1 - 2^-j) where u is smooth up to the
+    rim (Sidi, Practical Extrapolation Methods, 2003, ch. 1-2).  On a ray
+    into a jump u grows like log(1 / (1 - r)) and has no boundary value;
+    such vertices are excluded.
+
+    f is evaluated and integrated RAY_CHUNK // 12 panels at a time (one
+    matrix block of eval_on_rays), the chunks sharing one padded copy of
+    each series, so the table needs O(RAY_CHUNK * V) memory rather than
+    O(12 * P * V) for its P panels.
     """
     if hsol.conformal_map is not None:
         raise ConfigurationError("radial tables are disk-native; verify "
@@ -382,27 +318,25 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     nodes = mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]  # (P, 12)
 
     src = hsol.f_source
-    src.index_coeffs  # a cached_property: fill it before the workers read it
-    folds = src.folds(V)  # one padded copy of A and g for every chunk
+    folds = src.folds(V)
     phase = np.exp(1j * angles)[None, :]
     P = len(mids)
     panel_int = np.empty((P, V))
     step = RAY_CHUNK // 12
-    workers = min(_worker_count(), step)
-    per = -(-step // workers)  # panels per chunk
-
-    def chunk(i):
-        integrand = (phase * src.f_on_scales(nodes[i:i + per].ravel(), V,
+    for i in range(0, P, step):
+        integrand = (phase * src.f_on_scales(nodes[i:i + step].ravel(), V,
                                                   folds)).real
-        panel_int[i:i + per] = (integrand.reshape(-1, 12, V)
-                                * _GAUSS_W[None, :, None]).sum(axis=1)
-
-    _run_chunks(chunk, range(0, P, per), workers)
+        panel_int[i:i + step] = (integrand.reshape(-1, 12, V)
+                                 * _GAUSS_W[None, :, None]).sum(axis=1)
+        del integrand  # and its complex base, before the next chunk
     panel_int *= halfs[:, None]
     u_edges = np.concatenate([np.zeros((1, V)), np.cumsum(panel_int, axis=0)])
     u_edges += hsol.d0
 
-    u_boundary = u_edges[-1]
+    rich = u_edges[-3:]
+    for k in (1, 2):
+        rich = (2.0 ** k * rich[1:] - rich[:-1]) / (2.0 ** k - 1)
+    u_boundary = rich[0]
     lo, hi = J_FLAG
     flags = converged_sequence(u_edges[lo:hi + 1].T, tol)
 

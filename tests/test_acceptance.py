@@ -25,8 +25,8 @@ from rhbvp.cli import main as cli_main
 from rhbvp.direction_solver import HarmonicSolution, antiderivative
 from rhbvp.rh_solver import SolverParams
 from rhbvp.verify import (chord_recovery, dimension_certificate, disk_grid,
-                          laplacian_residual, parse_report, radial_u_table,
-                          verify_solution)
+                          laplacian_residual, radial_u_table, verify_solution)
+from report_parser import parse_report
 
 _CACHE = {}
 

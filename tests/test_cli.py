@@ -10,7 +10,7 @@ import pytest
 import rhbvp as R
 import rhbvp.rh_solver as rh_solver
 from rhbvp.cli import MAP_BLOCK_ROWS, _write_field_csv, main
-from rhbvp.verify import parse_report
+from report_parser import parse_report
 
 ELLIPSE_RHO = "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"
 

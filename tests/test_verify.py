@@ -2,22 +2,17 @@
 
 import dataclasses
 import json
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import rhbvp as R
-from rhbvp import verify
-from rhbvp.errors import (ConfigurationError, DataError, DomainError,
-                          NumericalRangeError)
-from rhbvp.rh_solver import AnalyticSolution
+from rhbvp.errors import ConfigurationError, DataError, DomainError
 from rhbvp.verify import (REPORT_COLUMNS, certificate_points, chord_recovery,
                           dimension_certificate, disk_grid,
-                          laplacian_residual, parse_report, radial_u_table,
-                          verify_solution)
+                          laplacian_residual, radial_u_table, verify_solution)
+from report_parser import parse_report
 
 
 def _step(N):
@@ -71,9 +66,8 @@ def test_verify_memory_is_independent_of_V_times_N(neumann_step_16384):
 
 
 def test_verify_peak_memory_is_one_chunk(neumann_step_16384):
-    # f on all 408 radii of the table takes 3.1 MiB at V = 500, and its
-    # complex temporaries held 16.3 MiB at once; in chunks of 60 radii
-    # the peak is 3.4 MiB
+    # f on all 240 radii of the table takes 1.8 MiB at V = 500 before its
+    # complex temporaries; in chunks of 60 radii the peak is 3.2 MiB
     _, peak = _verify_peak(neumann_step_16384, V=500, tol=1e-2)
     assert peak < 8 * 2 ** 20
 
@@ -345,7 +339,7 @@ def test_serialize_matches_per_row_reference(neumann_step):
 def test_radial_table_shapes(neumann_cos):
     t = radial_u_table(neumann_cos, V=100)
     assert t.u_edges.shape == (len(t.edges), 100)
-    assert t.edges[0] == 0.0 and t.edges[-1] == 1 - 2.0 ** -34
+    assert t.edges[0] == 0.0 and t.edges[-1] == 1 - 2.0 ** -20
     assert t.flag_fraction > 0.95
     # u = -cos(theta) * r on each ray: boundary value -cos(theta);
     # the ray through the argument cut at 0 is excluded (clamped node)
@@ -365,8 +359,7 @@ def oblique_cos(phi_cos_1024):
 @pytest.mark.parametrize("V", [8, 64, 500])
 @pytest.mark.parametrize("case", ["step", "oblique"])
 def test_radial_table_equals_the_whole_fan(request, case, V):
-    # 34 panels go in chunks of 5 panels on one core (3 on two, 2 on
-    # three or four, 1 on five or more); the whole fan evaluates all 408
+    # 20 panels go in chunks of 5 panels; the whole fan evaluates all 240
     # radii in one f_on_scales call
     hs = request.getfixturevalue({"step": "neumann_step",
                                   "oblique": "oblique_cos"}[case])
@@ -383,18 +376,79 @@ def test_radial_table_equals_the_whole_fan(request, case, V):
     panel_int *= halfs[:, None]
     want = np.concatenate([np.zeros((1, V)), np.cumsum(panel_int, axis=0)])
     want += hs.d0
-    assert len(mids) == 34
+    assert len(mids) == 20
     assert np.array_equal(table.u_edges, want)
+
+
+def test_radial_table_extrapolates_u_to_the_rim(neumann_cos):
+    # u = -r cos(theta): two Richardson steps over levels 18..20 leave
+    # rounding alone (the partial sum at level 20 is up to 2^-20 short,
+    # at level 34 5.8e-11)
+    t = radial_u_table(neumann_cos, V=500)
+    ok = ~t.excluded
+    assert np.max(np.abs(t.u_boundary[ok] + np.cos(t.angles[ok]))) <= 1e-13
+
+
+def _deep_u_boundary(hs, V):
+    """u's boundary values from 34 dyadic Gauss panels on f by Horner,
+    extrapolated by two Richardson steps over levels 32..34."""
+    edges = np.concatenate([[0.0, 0.5, 0.75],
+                            1.0 - 2.0 ** -np.arange(3, 35, dtype=float)])
+    x, w = np.polynomial.legendre.leggauss(12)
+    mids, halfs = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    r = mids[:, None] + halfs[:, None] * x[None, :]
+    ray = np.exp(2j * np.pi * np.arange(V) / V)
+    f = hs.f_source.f(r[..., None] * ray)  # (panels, 12, V)
+    panels = np.einsum("pkv,k->pv", (ray * f).real, w) * halfs[:, None]
+    u = hs.d0 + np.cumsum(panels, axis=0)
+    rich = u[-3:]
+    for k in (1, 2):
+        rich = (2.0 ** k * rich[1:] - rich[:-1]) / (2.0 ** k - 1)
+    return rich[0]
+
+
+@pytest.mark.parametrize("case", ["step", "three_piece"])
+def test_radial_table_boundary_matches_a_deep_table(request, case):
+    # jump data: u is smooth up to the rim away from the excluded jumps;
+    # 20 levels extrapolated agree with 34 (to 7e-14 here); the raw
+    # partial sum at level 34 is 5.8e-11 (step) and 8.7e-11 away
+    if case == "step":
+        hs = request.getfixturevalue("neumann_step")
+    else:
+        hs = R.solve_neumann(R.build_boundary_function(
+            [[0, 1.0, "cos(t) + 0.5"], [1.0, 3.7, "-0.3*sin(3*t)"],
+             [3.7, 2 * np.pi, "1 + 0.5*cos(2*t)"]], 1024))
+    V = 64
+    t = radial_u_table(hs, V=V)
+    ok = ~t.excluded
+    assert ok.sum() >= 60
+    assert np.max(np.abs(t.u_boundary[ok] - _deep_u_boundary(hs, V)[ok])) <= 1e-12
 
 
 def test_verify_reads_the_radial_table(neumann_step):
     # away from the defaults, each of tol and delta moves flag_fraction
-    # here (0.99 at the defaults, 0.49 with tol alone, 1.0 with delta alone)
+    # here (0.99 at the defaults, 0.49 with tol alone, 1.0 with delta alone);
+    # u_boundary_range leaves out the excluded rays into the jumps, where
+    # u grows like log(1 / (1 - r))
     rep = verify_solution(neumann_step, V=200, tol=1e-5, delta=4e-2)
     table = radial_u_table(neumann_step, V=200, tol=1e-5, delta=4e-2)
     assert rep.settings["radial_flag_fraction"] == table.flag_fraction
-    assert rep.settings["u_boundary_range"] == [
-        float(np.min(table.u_boundary)), float(np.max(table.u_boundary))]
+    kept = table.u_boundary[~table.excluded]
+    assert table.excluded.any()
+    assert rep.settings["u_boundary_range"] == [float(np.min(kept)),
+                                                float(np.max(kept))]
+    assert np.max(table.u_boundary) > np.max(kept)
+
+
+def test_verify_with_every_vertex_excluded_has_no_u_range():
+    # a jump on each of the 8 vertices
+    phi = R.build_boundary_function(
+        [{"from": k * np.pi / 4, "to": (k + 1) * np.pi / 4, "expr": k % 2}
+         for k in range(8)], 1024)
+    rep = verify_solution(R.solve_neumann(phi), V=8, delta=1e-3)
+    assert rep.excluded.all()
+    assert rep.settings["u_boundary_range"] == []
+    assert rep.certified_fraction == 0.0
 
 
 def test_radial_table_rejects_transplants():
@@ -403,98 +457,6 @@ def test_radial_table_rejects_transplants():
     hs = R.transplant_neumann(cmap, phi)
     with pytest.raises(ConfigurationError, match="disk-native"):
         radial_u_table(hs, V=50)
-
-
-class _CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
-
-
-@pytest.mark.parametrize("case", ["step", "oblique"])
-def test_worker_count_changes_no_output(request, case, monkeypatch):
-    # workers - 1 threads run chunks of 5, 3, 2 and 1 panels beside the
-    # caller; every chunk writes only its own rows of the table
-    hs = request.getfixturevalue({"step": "neumann_step",
-                                  "oblique": "oblique_cos"}[case])
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
-    outputs = []
-    for workers in (1, 2, 3, 5):
-        monkeypatch.setattr(verify, "_worker_count", lambda: workers)
-        _CountedThread.started = 0
-        table = radial_u_table(hs, V=500)
-        assert _CountedThread.started == workers - 1
-        outputs.append((table.u_edges.tobytes(), table.flags.tobytes(),
-                        verify_solution(hs).serialize()))
-    assert all(out == outputs[0] for out in outputs[1:])
-
-
-def test_run_chunks_runs_every_start_once():
-    # more workers than cores and a short switch interval: a start that
-    # two workers took, or that none did, shows in the sorted list
-    done = []
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        verify._run_chunks(done.append, range(2000), 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(done) == list(range(2000))
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("workers, error", [
-    (2, NumericalRangeError), (5, RuntimeWarning)])
-def test_chunk_failures_reach_the_caller(neumann_step, monkeypatch,
-                                         workers, error):
-    # a typed error on the fourth chunk, wherever it runs; an overflow
-    # warning, which the test settings make an error, on the first chunk
-    # that runs off the caller's thread
-    caller = threading.current_thread()
-    lock = threading.Lock()
-    calls = []
-    f_on_scales = AnalyticSolution.f_on_scales
-
-    def failing(self, scales, V, *folds):
-        me = threading.current_thread()
-        with lock:
-            calls.append(me)
-            n = len(calls)
-        if error is NumericalRangeError and n == 4:
-            raise NumericalRangeError("planted on the fourth chunk")
-        if error is RuntimeWarning and me is not caller:
-            np.exp(np.float64(1000.0))
-        return f_on_scales(self, scales, V, *folds)
-
-    monkeypatch.setattr(AnalyticSolution, "f_on_scales", failing)
-    monkeypatch.setattr(verify, "_worker_count", lambda: workers)
-    before = threading.active_count()
-    with pytest.raises(error):
-        radial_u_table(neumann_step, V=64)
-    assert threading.active_count() == before
-
-
-@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                    reason="np.errstate is per thread before NumPy 2")
-def test_chunks_run_under_the_callers_errstate(neumann_step, monkeypatch):
-    # np.errstate is a context variable, which every worker copies: an
-    # overflow the caller ignores raises no warning in a worker either
-    f_on_scales = AnalyticSolution.f_on_scales
-
-    def overflowing(self, scales, V, *folds):
-        np.exp(np.float64(1000.0))
-        return f_on_scales(self, scales, V, *folds)
-
-    monkeypatch.setattr(AnalyticSolution, "f_on_scales", overflowing)
-    monkeypatch.setattr(verify, "_worker_count", lambda: 5)
-    with np.errstate(over="ignore"):
-        table = radial_u_table(neumann_step, V=64)
-    monkeypatch.undo()
-    assert np.array_equal(table.u_edges,
-                          radial_u_table(neumann_step, V=64).u_edges)
 
 
 # ----------------------------------------------------------------------
