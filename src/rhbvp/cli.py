@@ -197,7 +197,7 @@ def _solve(cfg: dict, N: int, trace):
         hs = solve_directional(nu or disk_inner_normal(N).field, phi, params)
     else:  # nu None is the image inner normal
         hs = transplant_solve(cmap, phi, params, nu=nu)
-    trace(f"solve: N={N} g_terms={len(hs.f_source.g.coefficients)} "
+    trace(lambda: f"solve: N={N} g_terms={len(hs.f_source.g.coefficients)} "
           f"winding={hs.f_source.index} "
           f"series_terms={len(hs.F.coefficients)} d0={params.d0:g}")
     for note in hs.notes:
@@ -309,9 +309,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help exits 0, bad arguments 1
         return exc.code
 
-    def trace(msg: str):
+    def trace(msg):  # a callable msg is formed only when printed
         if not args.quiet:
-            print(msg)
+            print(msg() if callable(msg) else msg)
 
     guard = _OutputGuard()
     failed = True

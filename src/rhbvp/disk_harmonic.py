@@ -151,29 +151,34 @@ def analytic_coefficients(samples: np.ndarray) -> np.ndarray:
     return c
 
 
-def unit_powers(c, n: int) -> np.ndarray:
-    """e^{i k c} for k < n, one row per angle c.  With k = a*m + b and
-    m = ceil(sqrt(n)) it is the outer product of e^{i a m c} and e^{i b c},
-    so each angle takes 2m exponentials."""
+def unit_powers(c, L: int, n: int | None = None) -> np.ndarray:
+    """e^{i k c} for k < n (default L), one row per angle c.  With k = a*m + b
+    and m = ceil(sqrt(L)) it is the outer product of e^{i a m c} and
+    e^{i b c}, m + ceil(n/m) exponentials per angle; a prefix is bitwise
+    the first n of L."""
     c = np.asarray(c, dtype=float).reshape(-1, 1, 1)
-    m = math.isqrt(n - 1) + 1
-    k = np.arange(m)
-    rows = np.exp(1j * m * c * k[:, None]) * np.exp(1j * c * k)
-    return rows.reshape(len(c), m * m)[:, :n]
+    n = L if n is None else n
+    m = math.isqrt(L - 1) + 1
+    a, b = np.arange(-(-n // m)), np.arange(m)
+    rows = np.exp(1j * m * c * a[:, None]) * np.exp(1j * c * b)
+    return rows.reshape(len(c), len(a) * m)[:, :n]
 
 
-def sawtooth_coefficients(c: np.ndarray, J: np.ndarray, L: int) -> np.ndarray:
-    """The first L Taylor coefficients of sum_j (i J_j/pi) log(1 - z/zeta_j),
-    zeta_j = e^{i c_j}, the analytic completion of the jumps
-    sum_j J_j (pi - (theta - c_j) mod 2 pi)/(2 pi) (Eckhoff, Math. Comp.
-    64, 1995): 0, then -i J e^{-i n c}/(pi n)."""
-    t = np.zeros(L, dtype=complex)
+def sawtooth_coefficients(c: np.ndarray, J: np.ndarray, L: int,
+                          n: int | None = None) -> np.ndarray:
+    """The first n (default L) of the L Taylor coefficients of
+    sum_j (i J_j/pi) log(1 - z/zeta_j), zeta_j = e^{i c_j}, the analytic
+    completion of the jumps sum_j J_j (pi - (theta - c_j) mod 2 pi)/(2 pi)
+    (Eckhoff, Math. Comp. 64, 1995): 0, then -i J e^{-i n c}/(pi n).
+    O(jumps * n), and bitwise the first n of L."""
+    n = L if n is None else n
+    t = np.zeros(n, dtype=complex)
     for cj, Jj in zip(c, J):
-        row = unit_powers(-cj, L)[0]
+        row = unit_powers(-cj, L, n)[0]
         row *= Jj
         t += row
-    t[0] = 0.0
-    t[1:] *= -1j / (np.pi * np.arange(1, L))
+    t[:1] = 0.0
+    t[1:] *= -1j / (np.pi * np.arange(1, n))
     return t
 
 

@@ -23,17 +23,17 @@ of 2 beta zeta^-m / (1 - z/zeta), m = max(w, 0), for every winding.
 
 solve_rh runs two stages: reduce_field does what depends on nu alone
 (w, alpha0, A, H) into a frozen ReducedField, and ReducedField.solve forms
-psi, T and g for one phi, so a caller with many data reduces nu once.
-psi is formed on the N nodes, and g keeps at most REFINE * N / 2
-terms, exact zeros at the top dropped.  A jump
-J of piecewise phi at an angle c (a junction, or declared inside a
-piece) is a jump J exp(-H(c)) of psi, the boundary real part of
-(i J exp(-H(c))/pi) log(1 - z e^{-ic}), whose series is exact (Eckhoff,
-Math. Comp. 64, 1995); the continuous rest of psi gives the first N/2
-terms.  Only a field whose alpha0 has jumps,
-where exp(-H) has power singularities, forms psi on REFINE * N nodes
-from phi's exact values there.  Any construction satisfying the boundary
-verifier is admissible; the verifier is the contract.
+psi and T's parts for one phi, so a caller with many data reduces nu once.
+psi is formed on the N nodes.  A jump J of piecewise phi at an angle c (a
+junction, or declared inside a piece) is a jump J exp(-H(c)) of psi, the
+boundary real part of (i J exp(-H(c))/pi) log(1 - z e^{-ic}), whose
+series is exact (Eckhoff, Math. Comp. 64, 1995); it is kept as an atom
+beside the first N/2 terms of psi's continuous rest.  F reads T's first
+terms, and g, at most REFINE * N / 2 terms, exact zeros at the top
+dropped, is formed where f is first evaluated.  Only a field whose alpha0
+has jumps, where exp(-H) has power singularities, forms psi on REFINE * N
+nodes from phi's exact values there.  Any construction satisfying the
+boundary verifier is admissible; the verifier is the contract.
 """
 
 from __future__ import annotations
@@ -140,17 +140,15 @@ class ReducedField:
 
     def solve(self, phi: BoundaryFunction,
               params: SolverParams | None = None) -> "AnalyticSolution":
-        """The phi stage: psi = phi * exp(-H), T = S[psi] and g from T.
+        """The phi stage: psi = phi * exp(-H) and T = S[psi]'s parts.
 
         On H's grid of N nodes, each jump J of piecewise phi at an angle
-        c, a junction or a jump declared inside a piece, enters T as its
-        exact series, J exp(-H(c)) times a sawtooth's, up to
-        REFINE * N / 2 terms; the rest of psi, with any jump whose
-        one-sided limit is infinite, gives the first N/2 terms.  g keeps
-        at most REFINE * N / 2 terms: the exact zeros at the top, all
-        above N/2 for data without jumps, are dropped.  With H
-        on the refined grid (alpha has jumps) psi is formed on it from
-        phi's values there."""
+        c, a junction or a jump declared inside a piece, is kept as an
+        atom, c and J exp(-H(c)); the rest of psi, with any jump whose
+        one-sided limit is infinite, gives the first N/2 terms.  No
+        series is formed here.  With H on the refined grid (alpha has
+        jumps) psi is formed on it from phi's values there, and the rest
+        is all of T."""
         N = self.field.N
         params = params or SolverParams()
         if phi.kind != "real":
@@ -163,27 +161,22 @@ class ReducedField:
             bad = int(np.flatnonzero(~np.isfinite(psi))[0])
             raise NumericalRangeError(f"psi non-finite at node {bad} of "
                                       f"{len(psi)} despite clamping")
+        c = J = np.zeros(0)
+        rest = psi
         if len(psi) > N:
-            T = analytic_coefficients(psi)
             psi = psi[::REFINE].copy()
-        else:
-            rest, T = psi, np.zeros(REFINE * N // 2, dtype=complex)
-            if phi.pieces is not None and phi.jumps:
-                c, left, right = jump_limits(phi.pieces, phi.samples, phi.jumps)
-                H_c = (unit_powers(c, len(self.A.coefficients))  # Im A(e^{ic})
-                       * self.A.coefficients).sum(axis=1).imag
-                J = (right - left) * np.exp(-np.clip(H_c, -CLAMP_LOG, CLAMP_LOG))
-                c, J = c[np.isfinite(J)], J[np.isfinite(J)]  # inf stays in rest
-                rest = psi - jump_sawtooths(N, c, J)
-                T = sawtooth_coefficients(c, J, len(T))
-            T[:N // 2] += analytic_coefficients(rest)
-        w = self.index
-        g = SeriesEvaluator(np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
+        elif phi.pieces is not None and phi.jumps:
+            c, left, right = jump_limits(phi.pieces, phi.samples, phi.jumps)
+            H_c = (unit_powers(c, len(self.A.coefficients))  # Im A(e^{ic})
+                   * self.A.coefficients).sum(axis=1).imag
+            J = (right - left) * np.exp(-np.clip(H_c, -CLAMP_LOG, CLAMP_LOG))
+            c, J = c[np.isfinite(J)], J[np.isfinite(J)]  # inf stays in rest
+            rest = psi - jump_sawtooths(N, c, J)
         psi = BoundaryFunction(samples=psi, kind="real",
                                jumps=set(phi.jumps) | set(self.alpha.jumps))
-        return AnalyticSolution(reduced=self, phi=phi, psi=psi, g=g,
-                                head=T[:max(w, 0)], params=params,
-                                notes=list(self.notes))
+        return AnalyticSolution(reduced=self, phi=phi, psi=psi, jump_angles=c,
+                                jump_sizes=J, rest=analytic_coefficients(rest),
+                                params=params, notes=list(self.notes))
 
 
 def reduce_field(nu: DirectionField) -> ReducedField:
@@ -213,20 +206,22 @@ class AnalyticSolution:
     """Solution f of the directional boundary value problem on the disk.
 
     nu, index, alpha and A read through to reduced, its ReducedField, and
-    hom_points and hom_coeffs to params.
-    g is z^k * T for w = -k <= 0, and T shifted down by k for w = k > 0,
-    whose first k terms head keeps.
+    hom_points and hom_coeffs to params.  T is kept as its jumps' angles
+    and sizes and its continuous rest's coefficients; g, z^k * T for
+    w = -k <= 0 and T shifted down by k for w = k > 0, is formed from
+    them where f is first evaluated.
     """
 
     reduced: ReducedField
     phi: BoundaryFunction
     psi: BoundaryFunction
-    g: SeriesEvaluator
-    head: np.ndarray
+    jump_angles: np.ndarray
+    jump_sizes: np.ndarray
+    rest: np.ndarray
     params: SolverParams
     notes: list[str] = field(default_factory=list)
-    # fans of exp(-i A), g and z by (scales, V), shared by the members of
-    # one homogeneous family; None (no store) for every other solution
+    # g and the fans of exp(-i A), g and z by (scales, V), shared by the
+    # members of one homogeneous family; None (no store) for every other
     _fans: dict | None = field(default=None, init=False, repr=False,
                                compare=False)
 
@@ -245,6 +240,27 @@ class AnalyticSolution:
     def index_poles(self) -> tuple[float, ...]:
         return index_poles(self.index, self.params.cut)
 
+    def bracket(self, n: int) -> np.ndarray:
+        """T's first n terms, bitwise those of bracket(L): the jumps'
+        series cut at L = REFINE * N / 2 plus the rest's, zeros past L.
+        O(jumps * n); g pays it at L, once per solution whose f is
+        evaluated."""
+        L = REFINE * self.N // 2
+        T = sawtooth_coefficients(self.jump_angles, self.jump_sizes, L,
+                                  min(n, L))
+        T[:min(n, len(self.rest))] += self.rest[:n]
+        return T if n <= L else np.pad(T, (0, n - L))
+
+    @cached_property
+    def g(self) -> SeriesEvaluator:
+        """g from bracket(L), formed once, for a family once in its store."""
+        store = {} if self._fans is None else self._fans
+        if "g" not in store:
+            T, w = self.bracket(REFINE * self.N // 2), self.index
+            store["g"] = SeriesEvaluator(
+                np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
+        return store["g"]
+
     @cached_property
     def index_coeffs(self) -> np.ndarray:
         """The real b_j with which sum_j b_j H_j, H = 1 + 2 sum zeta^-n z^n,
@@ -256,7 +272,7 @@ class AnalyticSolution:
         n = np.arange(w)
         h = 2.0 * np.exp(-1j * np.multiply.outer(n, self.hom_points))
         h[:1] = 1.0
-        r = (self.head - (h * c[1:]).sum(axis=1)
+        r = (self.bracket(max(w, 0)) - (h * c[1:]).sum(axis=1)
              - 1j * c[0] * n * np.exp(-1j * n * self.params.cut))
         zn = np.exp(1j * np.multiply.outer(self.index_poles, n))
         return -(zn * r).sum(axis=1).real / (2 * w - 1)
@@ -327,9 +343,9 @@ class AnalyticSolution:
         2 beta zeta^(-m-n) to P_n, m = max(w, 0); for w <= 0, P_0 also
         takes i c_0 + sum c_j and P is shifted up by -w (the factor
         z^-w); for w > 0 the cut dipole adds
-        -i c_0 zeta_c^-w (w + n) zeta_c^-n.  g's coefficients are bounded
+        -i c_0 zeta_c^-w (w + n) zeta_c^-n.  |g_n| <= max |rest| + sum |J|/pi
         and each pole's term has constant modulus, so only the dipole
-        grows, linearly."""
+        grows, linearly.  Only T's first K + w terms are formed."""
         c_A = self.A.coefficients
         if len(c_A) != 1:
             raise RepresentationError(
@@ -343,14 +359,13 @@ class AnalyticSolution:
             P[:1] += const
         elif dipole:
             P += dipole * (w + n) * np.exp(-1j * n * self.params.cut)
-        bracket = np.zeros(K, dtype=complex)
-        g = self.g.coefficients[:K]
-        bracket[:len(g)] = g
-        bracket[s:] += P
+        t = np.zeros(K, dtype=complex)
+        t[s:] = self.bracket(max(K + w, 0))[max(w, 0):] + P
         e = np.exp(-1j * c_A[0])
-        a = abs(e) * (np.max(np.abs(self.g.coefficients), initial=0.0)
+        a = abs(e) * (np.max(np.abs(self.rest), initial=0.0)
+                      + np.sum(np.abs(self.jump_sizes)) / np.pi
                       + np.sum(np.abs(amp)) + abs(const) + abs(dipole) * w)
-        return e * bracket, float(a), float(abs(e) * abs(dipole))
+        return e * t, float(a), float(abs(e) * abs(dipole))
 
     def _pole_sum(self):
         """The amplitudes 2 beta zeta^-m and angles of the poles with a
@@ -414,9 +429,10 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     coefficients, so one solve with phi = 0, one reduction of nu, serves
     every member; the members are copies of it that differ only in
     params (so in hom_coeffs) and notes, and share its reduced field, psi
-    and g (each member solves its own b_j) and one store of fans, so
-    f_on_scales evaluates A and g once per fan for the whole family.  hom_points and
-    hom_coeffs preset in params are ignored.
+    and T (each member solves its own b_j) and one store of g, formed
+    where f is first evaluated, and of fans, so f_on_scales evaluates A
+    and g once per fan for the whole family.  hom_points and hom_coeffs
+    preset in params are ignored.
     """
     if isinstance(points, int):
         points = default_hom_points(points)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rhbvp as R
+import rhbvp.rh_solver as rh_solver
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +42,18 @@ def ellipse_map():
 @pytest.fixture(scope="session")
 def hom_family_cos(neumann_cos):
     return R.homogeneous_family(neumann_cos.nu, 10)
+
+
+@pytest.fixture
+def sawtooth_lengths(monkeypatch):
+    """The (n, L) of every call of the solver's sawtooth_coefficients,
+    n = L when no prefix is asked for: n = L forms a jump series whole."""
+    calls = []
+    real = rh_solver.sawtooth_coefficients
+
+    def counting(c, J, L, *n):
+        calls.append((n[0] if n else L, L))
+        return real(c, J, L, *n)
+
+    monkeypatch.setattr(rh_solver, "sawtooth_coefficients", counting)
+    return calls

@@ -583,6 +583,22 @@ def test_starlike_transplant_solve(tmp_path):
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
+def test_quiet_solve_forms_no_whole_jump_series(tmp_path, capsys,
+                                                sawtooth_lengths):
+    # F reads the jump series' first terms; only the printed g_terms
+    # line forms it whole
+    path = os.path.join(CONFIGS, "step_neumann.json")
+    (tmp_path / "quiet").mkdir()
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "quiet"),
+                 "--quiet"]) == 0
+    assert sawtooth_lengths and all(n < L for n, L in sawtooth_lengths)
+    assert capsys.readouterr().out == ""
+    sawtooth_lengths.clear()
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    assert "g_terms=4095 " in capsys.readouterr().out
+    assert sum(n == L for n, L in sawtooth_lengths) == 1
+
+
 @pytest.mark.parametrize("name", ["smooth_neumann", "step_neumann",
                                   "homogeneous_family"])
 def test_shipped_configs_clamp_no_conjugate(tmp_path, capsys, name):

@@ -253,6 +253,19 @@ def test_sawtooth_coefficients_scale_each_jump_in_place(L, jumps):
                           _sawtooth_per_jump(c, J, L))
 
 
+@pytest.mark.parametrize("jumps", [0, 1, 3])
+def test_sawtooth_prefix_is_the_first_terms_bit_for_bit(jumps):
+    # the prefix keeps the full length's split of k into a*m + b
+    L = 16384
+    rng = np.random.default_rng(jumps)
+    c = rng.uniform(0.0, 2 * np.pi, size=jumps)
+    J = rng.normal(size=jumps)
+    full = sawtooth_coefficients(c, J, L)
+    for n in (0, 1, 94, L):
+        assert np.array_equal(sawtooth_coefficients(c, J, L, n), full[:n])
+        assert np.array_equal(unit_powers(c, L, n), unit_powers(c, L)[:, :n])
+
+
 def _stolz_scales():
     # dyadic depths down to r = 1 - 2^-34 at two complex apertures
     r = 1.0 - 2.0 ** -np.arange(1, 35, dtype=float)

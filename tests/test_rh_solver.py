@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import rhbvp as R
 from rhbvp.boundary_data import TWO_PI, grid_nodes, measurable_arg
+from rhbvp.boundary_data import jump_limits, jump_sawtooths
 from rhbvp.disk_harmonic import (SeriesEvaluator, analytic_coefficients,
-                                 conjugate_boundary)
+                                 conjugate_boundary, sawtooth_coefficients,
+                                 unit_powers)
 from rhbvp.errors import ConfigurationError, DataError, DomainError, RHBVPError
 from rhbvp.jordan_domain import image_inner_normal
 import rhbvp.rh_solver as rh_solver
@@ -775,7 +777,7 @@ def test_piecewise_constant_g_is_the_series_of_its_jumps(declared):
                for c, u, v in zip(edges, np.roll(levels, 1), levels))
     np.testing.assert_allclose(sol.g.coefficients, want, rtol=0, atol=1e-14)
     mean = np.dot(levels, np.diff(edges)) / TWO_PI
-    assert abs(sol.head[0] - mean) <= 1e-14
+    assert abs(sol.bracket(1)[0] - mean) <= 1e-14
 
 
 def test_three_piece_data_off_the_nodes_against_a_fine_reference():
@@ -868,3 +870,97 @@ def test_smooth_field_keeps_H_on_the_nodes(make_nu):
     sol = red.solve(R.build_boundary_function(STEP, N))
     assert len(sol.psi.samples) == N
     assert len(sol.g.coefficients) == rh_solver.REFINE * N // 2 - red.index
+
+
+# ----------------------------------------------------------------------
+# the jump series is formed where f is first evaluated
+# ----------------------------------------------------------------------
+
+def _eager_T(red, phi):
+    """T = S[psi] formed whole at the solve: the jumps' series out to
+    REFINE * N / 2 terms plus the rest's first N / 2, or psi's
+    coefficients on the refined grid."""
+    N = red.field.N
+    psi = phi.resample(len(red.H)).samples * np.exp(-red.H)
+    if len(psi) > N:
+        return analytic_coefficients(psi)
+    rest, T = psi, np.zeros(rh_solver.REFINE * N // 2, dtype=complex)
+    if phi.pieces is not None and phi.jumps:
+        c, left, right = jump_limits(phi.pieces, phi.samples, phi.jumps)
+        H_c = (unit_powers(c, len(red.A.coefficients))
+               * red.A.coefficients).sum(axis=1).imag
+        clamp = rh_solver.CLAMP_LOG
+        J = (right - left) * np.exp(-np.clip(H_c, -clamp, clamp))
+        c, J = c[np.isfinite(J)], J[np.isfinite(J)]
+        rest = psi - jump_sawtooths(N, c, J)
+        T = sawtooth_coefficients(c, J, len(T))
+    T[:N // 2] += analytic_coefficients(rest)
+    return T
+
+
+def _eager(sol):
+    """A copy of sol whose g and bracket read _eager_T."""
+    T = _eager_T(sol.reduced, sol.phi)
+    w = sol.index
+    ref = replace(sol)
+    ref.__dict__["g"] = SeriesEvaluator(
+        np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
+    ref.bracket = lambda n: np.concatenate([T, np.zeros(max(n - len(T), 0))])[:n]
+    return ref
+
+
+THREE_PIECES = [(0.0, 1.0, "cos(t) + 0.5"), (1.0, 3.7, "-0.3*sin(3*t)"),
+                (3.7, TWO_PI, "1 + 0.5*cos(2*t)")]
+
+
+def _pinned_solutions():
+    N = 256
+    poles = SolverParams(cut=0.4, hom_points=(1.0, 2.5, 4.0),
+                         hom_coeffs=(0.5, 1.0, -0.7, 0.3))
+    phi = R.build_boundary_function(THREE_PIECES, N)
+    for w in (-1, 0, 1, 2):
+        for kind, expr in (("constant", f"{w}*t - 1"),
+                           ("turning", _tilted_nu(w)[0])):
+            yield f"w{w}_{kind}", lambda e=expr: solve_rh(
+                R.DirectionField.from_angle(e, N), phi, poles)
+    theta = grid_nodes(N)
+    beta = theta + np.where(theta < 2.0, 0.3, 1.1)
+    yield "alpha_jumps", lambda: solve_rh(R.DirectionField.from_samples(
+        np.exp(1j * beta), jumps=(0.0, 2.0)), R.build_boundary_function(STEP, N))
+    yield "family_member", lambda: homogeneous_family(_normal_nu(N), 3)[2]
+
+
+PINNED = dict(_pinned_solutions())
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_lazy_g_equals_the_eager_construction_bit_for_bit(case):
+    sol = PINNED[case]()
+    ref = _eager(sol)
+    L = rh_solver.REFINE * sol.N // 2
+    if len(sol.A.coefficients) == 1:
+        for K in (94, 188):
+            assert np.array_equal(sol.taylor_coefficients(K)[0],
+                                  ref.taylor_coefficients(K)[0])
+        assert "g" not in sol.__dict__  # F's terms formed no g
+    for n in (0, 1, 2, 94, L, L + 3):
+        assert np.array_equal(sol.bracket(n), ref.bracket(n))
+    assert np.array_equal(sol.index_coeffs, ref.index_coeffs)
+    z = 0.97 * np.exp(2j * np.pi * np.arange(64) / 64 + 0.1j)
+    assert np.array_equal(sol.f(z), ref.f(z))
+    assert np.array_equal(sol.g.coefficients, ref.g.coefficients)
+    scales = np.array([0.5, 0.9 * np.exp(0.1j), 0.97])
+    assert np.array_equal(sol.f_on_scales(scales, 64),
+                          ref.f_on_scales(scales, 64))
+
+
+def test_the_jump_series_is_formed_whole_once_where_f_is_evaluated(
+        sawtooth_lengths):
+    hs = R.solve_neumann(R.build_boundary_function(STEP, 512))
+    R.HarmonicSolution(f_source=hs.f_source)
+    hs.u(_interior(50))
+    R.dimension_certificate([hs.u, lambda z: z.real])
+    assert sawtooth_lengths and all(n < L for n, L in sawtooth_lengths)
+    sawtooth_lengths.clear()
+    R.verify_solution(hs, V=64)
+    assert sum(n == L for n, L in sawtooth_lengths) == 1
