@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, InvariantViolation
+from .errors import ConfigurationError, DataError, InvariantViolation, real
 from .expressions import parse_expression
 
 TWO_PI = 2.0 * np.pi
@@ -125,7 +125,7 @@ def as_function(obj, var: str = "theta",
     if callable(obj):
         return obj, getattr(obj, "source", getattr(obj, "__name__", "<callable>"))
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        val = float(obj)
+        val = real(obj, what)
         return (lambda t: np.full(np.shape(t), val, dtype=float)), repr(val)
     if isinstance(obj, str):
         return parse_expression(obj, var=var), obj
@@ -155,7 +155,8 @@ class BoundaryFunction:
         else:
             s = np.asarray(s, dtype=complex)
         object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "jumps", tuple(sorted(float(a) % TWO_PI for a in self.jumps)))
+        object.__setattr__(self, "jumps", tuple(sorted(
+            real(a, "jumps") % TWO_PI for a in self.jumps)))
 
     @property
     def N(self) -> int:
@@ -238,11 +239,11 @@ def _piece(item) -> Piece:
         parts = (item.get("from", 0.0), item.get("to", TWO_PI), item.get("expr"))
     try:
         lo, hi, raw = parts
-        lo, hi = float(lo), float(hi)
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"boundary piece {item!r} is neither a (from, to, expr) triple "
             f"nor a {{'from', 'to', 'expr'}} object") from None
+    lo, hi = (real(b, f"a bound of boundary piece {item!r}") for b in (lo, hi))
     fn, src = as_function(raw, what=f"the expr of boundary piece {item!r}")
     return Piece(lo, hi, fn, src)
 
@@ -254,8 +255,9 @@ def build_boundary_function(spec, N: int, kind: str = "real",
     spec may be: a number (constant), an expression string, a callable
     of theta, a list of (lo, hi, expr) triples / {"from","to","expr"}
     dicts forming a partition of [0, 2pi), or a sample array of length N;
-    anything else is a ConfigurationError naming the malformed piece.
-    Junctions where the piece values disagree are recorded as jumps.
+    anything else is a ConfigurationError naming the malformed piece, as
+    is a piece bound or declared jump that errors.real refuses.  Declared
+    jumps and junctions where the pieces disagree are recorded as jumps.
     """
     _check_grid_size(N)
     if isinstance(spec, np.ndarray):
@@ -280,7 +282,7 @@ def build_boundary_function(spec, N: int, kind: str = "real",
                 f"boundary pieces do not form a partition near angle {a.hi:.6g}")
     samples = _grid_values(pieces, N, kind)
     detected = jump_limits(pieces, samples)[0]
-    all_jumps = sorted(set(float(j) % TWO_PI for j in jumps)
+    all_jumps = sorted(set(real(j, "jumps") % TWO_PI for j in jumps)
                        | set(detected.tolist()))
     return BoundaryFunction(samples=samples, kind=kind,
                             jumps=tuple(all_jumps), pieces=tuple(pieces))

@@ -319,7 +319,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         N = _validated_n(cfg, args.n)
         field_path, report_path = _out_paths(cfg, args.out, args.command)
-        for p in (field_path, report_path):
+        # family writes only <base>_memberNN<ext>, each locked where written
+        for p in (None if args.command == "family" else field_path, report_path):
             if p is not None:
                 guard.acquire(p)
         trace(f"config: {json.dumps(cfg, sort_keys=True)}")

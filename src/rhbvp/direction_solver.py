@@ -26,7 +26,7 @@ import numpy as np
 from .boundary_data import BoundaryFunction, DirectionField
 from .disk_harmonic import SeriesEvaluator
 from .errors import (ConfigurationError, DataError, DomainError,
-                     RepresentationError)
+                     RepresentationError, count)
 from .rh_solver import AnalyticSolution, SolverParams, solve_rh
 
 RHO_SAMPLE = 0.5  # radius of the circle f is sampled on
@@ -46,11 +46,10 @@ def antiderivative(sol: AnalyticSolution, M: int = SAMPLES,
     DROP_TOL times the largest.  When exp(-i A) is the scalar
     exp(-i A_0) (A is one term) and there is no map, f_n are read off
     f's exact series; otherwise f is sampled at M points of the circle
-    of radius RHO_SAMPLE and f_n recovered by FFT.  M is an integer of
-    at least 8, or a ConfigurationError.
+    of radius RHO_SAMPLE and f_n recovered by FFT.  M is read by
+    errors.count, at least 8.
     """
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 8:
-        raise ConfigurationError(f"M must be an integer of at least 8, got {M!r}")
+    count(M, "M", 8)
     if cmap is None and len(sol.A.coefficients) == 1:
         return _exact_antiderivative(sol, M // 2)
     vals = sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0]

@@ -1,10 +1,14 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the rule that reads every numeric setting.
 
 Two families, mirrored by the CLI exit codes: usage errors (bad input,
 bad configuration, violated structural preconditions) and numerical
 errors (a computation that started from valid input but left its
-certified range).
+certified range).  real and count read each numeric setting (solver
+parameters, verifier settings, M, constant data, piece bounds, declared
+jumps, family points); anything else is a ConfigurationError naming it.
 """
+
+import numpy as np
 
 
 class RHBVPError(Exception):
@@ -53,3 +57,27 @@ class ConvergenceDomainError(NumericalError):
 
 class PointQueryError(NumericalError):
     """A single-point query (e.g. map inversion) failed to converge."""
+
+
+def real(value, name: str) -> float:
+    """A finite int, float or numpy real, never a bool, as a float; an
+    int beyond float range is not finite."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} has the wrong type: {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = np.inf
+    if not -np.inf < x < np.inf:
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def count(value, name: str, least: int) -> int:
+    """An int or numpy integer, never a bool, of at least least, as an int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ConfigurationError(
+            f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)

@@ -38,7 +38,6 @@ boundary verifier is admissible; the verifier is the contract.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -52,29 +51,18 @@ from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
                             conjugate_boundary, sawtooth_coefficients,
                             schwarz_integral, unit_powers)
 from .errors import (ConfigurationError, DataError, DomainError,
-                     NumericalRangeError, RepresentationError)
+                     NumericalRangeError, RepresentationError, real)
 
 CLAMP_LOG = float(np.log(1e12))  # exp(H) confined to [1e-12, 1e12]
 REFINE = 8  # g: at most REFINE * N / 2 terms; alpha jumps: psi on REFINE * N nodes
 
 
-def _real(value) -> float:
-    """float(value) for a finite number; a bool or a string is a
-    TypeError, and a non-finite number a ValueError."""
-    if isinstance(value, (bool, np.bool_, str)):
-        raise TypeError(f"not a number: {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"not finite: {value!r}")
-    return x
-
-
 @dataclass
 class SolverParams:
     """Construction parameters shared by the solvers (the grid size is the
-    data's).  cut and d0 take a finite number, hom_points and hom_coeffs
-    finite numbers; anything else, a bool, a string or a NaN included, is
-    a ConfigurationError."""
+    data's).  cut and d0, and the items of hom_points and hom_coeffs (any
+    non-string iterable), are read by errors.real: a finite int, float
+    or numpy real, or a ConfigurationError naming params.<name>."""
 
     cut: float = 0.0
     d0: float = 0.0
@@ -82,19 +70,16 @@ class SolverParams:
     hom_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name, kind in (
-                ("cut", _real), ("d0", _real),
-                ("hom_points", lambda v: tuple(_real(a) % TWO_PI for a in v)),
-                ("hom_coeffs", lambda v: tuple(map(_real, v)))):
-            value = getattr(self, name)
+        self.cut, self.d0 = real(self.cut, "params.cut"), real(self.d0, "params.d0")
+        for name in ("hom_points", "hom_coeffs"):
+            value, label = getattr(self, name), f"params.{name}"
             try:
-                setattr(self, name, kind(value))
+                items = iter(None if isinstance(value, str) else value)
             except TypeError:
                 raise ConfigurationError(
-                    f"params.{name} has the wrong type: {value!r}") from None
-            except (ValueError, OverflowError):
-                raise ConfigurationError(
-                    f"params.{name} must be finite, got {value!r}") from None
+                    f"{label} has the wrong type: {value!r}") from None
+            setattr(self, name, tuple([real(a, label) for a in items]))
+        self.hom_points = tuple([a % TWO_PI for a in self.hom_points])
         a = np.sort(self.hom_points)
         close = np.diff(a, append=a[:1] + TWO_PI) < 1e-12  # with the wrap gap
         if np.any(close):
@@ -432,11 +417,11 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     and T (each member solves its own b_j) and one store of g, formed
     where f is first evaluated, and of fans, so f_on_scales evaluates A
     and g once per fan for the whole family.  hom_points and hom_coeffs
-    preset in params are ignored.
+    preset in params are ignored; each point is read by errors.real.
     """
     if isinstance(points, int):
         points = default_hom_points(points)
-    points = tuple(float(a) % TWO_PI for a in points)
+    points = tuple(real(a, "points") % TWO_PI for a in points)
     base = params or SolverParams()
     zero_phi = BoundaryFunction(samples=np.zeros(nu.N), kind="real")
     sol = solve_rh(nu, zero_phi, replace(base, hom_points=points, hom_coeffs=()))

@@ -19,7 +19,6 @@ its directional derivative.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from .boundary_data import BoundaryFunction, TWO_PI, wrap_angle
 from .disk_harmonic import (RAY_CHUNK, StolzPath, converged_sequence,
                             default_j_max)
-from .errors import ConfigurationError, DataError, DomainError
+from .errors import ConfigurationError, DataError, DomainError, count, real
 from .rh_solver import AnalyticSolution
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
@@ -84,39 +83,17 @@ def _exclusions(angles: np.ndarray, delta: float,
     return excluded, reasons, budget
 
 
-def _finite_real(x) -> bool:
-    """True for a finite int, float or numpy real; a bool, a string, a
-    sequence or an int beyond float range is not one."""
-    if isinstance(x, bool) or not isinstance(
-            x, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-def _check_settings(V, apertures=None, **scalars) -> None:
-    """ConfigurationError unless V is an integer of at least 8 (a bool,
-    0 or 1, fails the bound), every named scalar setting is a finite real
-    number and apertures, when given, a sequence (or 1-d array) of them."""
-    if not isinstance(V, (int, np.integer)) or V < 8:
-        raise ConfigurationError(f"V must be an integer of at least 8, got {V!r}")
-    for name, val in scalars.items():
-        if not _finite_real(val):
-            raise ConfigurationError(
-                f"{name} must be finite and a real number (not a bool, a "
-                f"string or a sequence), got {val!r}")
-    if apertures is None:
-        return
-    seq = apertures  # a 1-d array counts as the sequence of its elements
+def _check_settings(V, apertures=(), **scalars) -> None:
+    """ConfigurationError unless errors.count reads V (at least 8) and
+    errors.real each named scalar setting and each item of apertures, a
+    sequence or a 1-d array."""
+    count(V, "V", 8)
     if isinstance(apertures, np.ndarray) and apertures.ndim == 1:
-        seq = list(apertures)
-    if (isinstance(seq, (str, bytes)) or not isinstance(seq, Sequence)
-            or not all(map(_finite_real, seq))):
-        raise ConfigurationError(
-            f"apertures must be finite and a sequence of real numbers, "
-            f"got {apertures!r}")
+        apertures = list(apertures)
+    if isinstance(apertures, (str, bytes)) or not isinstance(apertures, Sequence):
+        raise ConfigurationError(f"apertures has the wrong type: {apertures!r}")
+    for name, val in [*scalars.items(), *(("apertures", a) for a in apertures)]:
+        real(val, name)
 
 
 def _solution_specials(src: AnalyticSolution, target_jumps: Sequence[float]):

@@ -361,6 +361,22 @@ def test_malformed_config_exits_1_without_traceback(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("bound, needle", [
+    (True, "a bound of boundary piece [0, True, 't'] has the wrong type: True"),
+    ("3.14", "a bound of boundary piece [0, '3.14', 't'] has the wrong type"),
+], ids=["bool", "numeric_string"])
+def test_piece_bound_of_the_wrong_type_exits_1(tmp_path, capsys, bound,
+                                               needle):
+    # both were read as numbers: True as 1.0, "3.14" as 3.14
+    cfg = _base_cfg(tmp_path, phi=[[0, bound, "t"],
+                                   [bound, 2 * np.pi, "0"]])
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("fields, literal", [
     ('"phi": "cos(theta)", "params": {"d0": NaN}', "NaN"),
     ('"phi": "cos(theta)", "verify": {"tol": NaN}', "NaN"),
@@ -550,6 +566,21 @@ def test_family_requires_points(tmp_path, capsys):
     rc = main(["family", "--config", _write_cfg(tmp_path, cfg)])
     assert rc == 1
     assert "hom_points" in capsys.readouterr().err
+
+
+def test_failed_family_keeps_a_file_at_its_base_path(tmp_path, capsys):
+    # family writes only <base>_memberNN<ext>, so a failure must not
+    # remove a file that sits at the base path itself
+    (tmp_path / "family.csv").write_text("keep\n")
+    cfg = {"phi": "0", "params": {"N": 64},
+           "outputs": {"field_csv": "family.csv", "report": "fam.json"}}
+    rc = main(["family", "--config", _write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "requires params.hom_points" in capsys.readouterr().err
+    assert (tmp_path / "family.csv").read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "family.csv"]
 
 
 # ----------------------------------------------------------------------

@@ -135,23 +135,23 @@ def test_verify_rejects_tiny_vertex_count(neumann_cos):
     (verify_solution, {"V": True}, "V must be an integer"),
     (radial_u_table, {"tol": float("nan")}, "tol must be finite"),
     (radial_u_table, {"delta": float("inf")}, "delta must be finite"),
-    (verify_solution, {"tol": "x"}, "tol must be finite"),
-    (verify_solution, {"apertures": ["a"]}, "apertures must be finite"),
-    (verify_solution, {"tol": [1e-3]}, "tol must be finite"),
-    (verify_solution, {"tol": "1e-3"}, "tol must be finite"),
-    (radial_u_table, {"tol": "1e-3"}, "tol must be finite"),
-    (verify_solution, {"tol": True}, "tol must be finite"),
-    (radial_u_table, {"tol": np.True_}, "tol must be finite"),
-    (verify_solution, {"delta": "0.01"}, "delta must be finite"),
-    (radial_u_table, {"delta": [0.01]}, "delta must be finite"),
-    (verify_solution, {"delta": np.array(0.01)}, "delta must be finite"),
-    (verify_solution, {"apertures": ["0.5"]}, "apertures must be finite"),
-    (verify_solution, {"apertures": "0.5"}, "apertures must be finite"),
-    (verify_solution, {"apertures": 0.5}, "apertures must be finite"),
-    (verify_solution, {"apertures": [0.0, True]}, "apertures must be finite"),
-    (verify_solution, {"apertures": [[0.0, 0.5]]}, "apertures must be finite"),
+    (verify_solution, {"tol": "x"}, "tol has the wrong type"),
+    (verify_solution, {"apertures": ["a"]}, "apertures has the wrong type"),
+    (verify_solution, {"tol": [1e-3]}, "tol has the wrong type"),
+    (verify_solution, {"tol": "1e-3"}, "tol has the wrong type"),
+    (radial_u_table, {"tol": "1e-3"}, "tol has the wrong type"),
+    (verify_solution, {"tol": True}, "tol has the wrong type"),
+    (radial_u_table, {"tol": np.True_}, "tol has the wrong type"),
+    (verify_solution, {"delta": "0.01"}, "delta has the wrong type"),
+    (radial_u_table, {"delta": [0.01]}, "delta has the wrong type"),
+    (verify_solution, {"delta": np.array(0.01)}, "delta has the wrong type"),
+    (verify_solution, {"apertures": ["0.5"]}, "apertures has the wrong type"),
+    (verify_solution, {"apertures": "0.5"}, "apertures has the wrong type"),
+    (verify_solution, {"apertures": 0.5}, "apertures has the wrong type"),
+    (verify_solution, {"apertures": [0.0, True]}, "apertures has the wrong type"),
+    (verify_solution, {"apertures": [[0.0, 0.5]]}, "apertures has the wrong type"),
     (verify_solution, {"apertures": np.array([[0.0, 0.5]])},
-     "apertures must be finite"),
+     "apertures has the wrong type"),
 ], ids=["table_V_zero", "table_V_float", "verify_V_float", "table_V_bool",
         "verify_V_bool", "table_tol_nan", "table_delta_inf", "verify_tol_str",
         "verify_apertures_str", "verify_tol_list", "verify_tol_numeric_str",
