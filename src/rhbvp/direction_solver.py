@@ -8,13 +8,12 @@ number) is Re(e * f).
 
 HarmonicSolution builds F with antiderivative.  F keeps f's Taylor
 terms n < SAMPLES/2 with |f_n| RHO_SAMPLE^n at least DROP_TOL times
-the largest, whatever N is, integrated termwise.  When exp(-i A) is a
-scalar (A is one term) and there is no map, f_n are read off f's exact
-series (AnalyticSolution.taylor_coefficients).  Otherwise f, times
-omega' on a mapped domain, is sampled at SAMPLES points of the circle
-of radius RHO_SAMPLE and f_n are read off the FFT; non-decaying
-recovered coefficients mean f is no power series at this radius and
-raise RepresentationError.
+the largest, whatever N is, integrated termwise.  On the disk, under
+every weight, f_n are read off f's exact series
+(AnalyticSolution.taylor_coefficients).  Only on a mapped domain is
+f * omega' sampled at SAMPLES points of the circle of radius RHO_SAMPLE
+and f_n read off the FFT; non-decaying recovered coefficients mean f is
+no power series at this radius and raise RepresentationError.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .errors import (ConfigurationError, DataError, DomainError,
 from .rh_solver import AnalyticSolution, SolverParams, solve_rh
 
 RHO_SAMPLE = 0.5  # radius of the circle f is sampled on
+M_MAX = 2 ** 26  # antiderivative's largest M
 DROP_TOL = 1e-14  # coefficients below DROP_TOL * max are dropped
 # F keeps the terms with RHO_SAMPLE^n above DROP_TOL, n < 47 whatever N
 # is; four times as many samples, rounded up to a power of two, recover
@@ -43,19 +43,17 @@ def antiderivative(sol: AnalyticSolution, M: int = SAMPLES,
     ConformalMap cmap, as a power series.
 
     The terms kept are those n < M/2 with |f_n| RHO_SAMPLE^n at least
-    DROP_TOL times the largest.  When exp(-i A) is the scalar
-    exp(-i A_0) (A is one term) and there is no map, f_n are read off
-    f's exact series; otherwise f is sampled at M points of the circle
-    of radius RHO_SAMPLE and f_n recovered by FFT.  M is read by
-    errors.count, at least 8.
+    DROP_TOL times the largest.  Without a map f_n are read off f's
+    exact series; with one f * omega' is sampled at M points of the
+    circle of radius RHO_SAMPLE and f_n recovered by FFT.  M is read by
+    errors.count, from 8 to M_MAX.
     """
-    count(M, "M", 8)
-    if cmap is None and len(sol.A.coefficients) == 1:
+    count(M, "M", 8, M_MAX)
+    if cmap is None:
         return _exact_antiderivative(sol, M // 2)
     vals = sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0]
-    if cmap is not None:
-        vals = vals * cmap.omega_prime.eval_on_circle(RHO_SAMPLE, M)
-    return antiderivative_from_circle(vals)
+    return antiderivative_from_circle(
+        vals * cmap.omega_prime.eval_on_circle(RHO_SAMPLE, M))
 
 
 def _exact_antiderivative(sol: AnalyticSolution, half: int) -> SeriesEvaluator:

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_data import BoundaryFunction
-from .errors import ConfigurationError, DataError, DomainError
+from .errors import (ConfigurationError, DataError, DomainError,
+                     NumericalRangeError, RepresentationError)
 
 RAY_CHUNK = 64  # scales per real matrix product in eval_on_rays
+TAIL_TOL = 16.0 * np.finfo(float).eps  # trim_tail's share of the l2 norm
+CIRCLE_DOUBLINGS = 4  # circle_series doubles M at most this often
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +139,35 @@ def _running_powers(x: np.ndarray, n: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # boundary transforms
 # ----------------------------------------------------------------------
+
+def trim_tail(c: np.ndarray) -> np.ndarray:
+    """c without the trailing terms whose l2 norm is at most
+    TAIL_TOL * ||c||_2; by Parseval this moves the series by no more
+    than that in mean square on the unit circle.  FFT rounding noise is
+    l2-sized, so the kept degree does not grow with the FFT length."""
+    tail = np.cumsum(np.abs(c[::-1]) ** 2)[::-1]  # sum_{n >= k} |c_n|^2
+    drop = tail <= TAIL_TOL ** 2 * tail[0]
+    return c[:len(c) - int(np.sum(drop))]
+
+
+def circle_series(samples, M: int) -> np.ndarray:
+    """Taylor coefficients of a function analytic on the closed disk, by
+    FFT of samples(M), its values at the M-th roots of unity, cut by
+    trim_tail.  The upper half of the bins holds the terms from M/2 on,
+    aliased: M doubles, at most CIRCLE_DOUBLINGS times, until trim_tail
+    drops all of it.  A non-finite sample is a NumericalRangeError."""
+    for _ in range(CIRCLE_DOUBLINGS + 1):
+        s = samples(M)
+        if not np.all(np.isfinite(s)):
+            raise NumericalRangeError(
+                f"non-finite sample of a series on the unit circle (M={M})")
+        c = trim_tail(np.fft.fft(s) / M)
+        if len(c) <= M // 2:
+            return c
+        M *= 2
+    raise RepresentationError(f"series not resolved by {M // 2} samples "
+                              f"on the unit circle")
+
 
 def analytic_coefficients(samples: np.ndarray) -> np.ndarray:
     """Coefficients of the analytic completion of real boundary samples.

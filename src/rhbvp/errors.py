@@ -74,10 +74,14 @@ def real(value, name: str) -> float:
     return x
 
 
-def count(value, name: str, least: int) -> int:
-    """An int or numpy integer, never a bool, of at least least, as an int."""
+def count(value, name: str, least: int, most: int | None = None) -> int:
+    """An int or numpy integer, never a bool, of at least least and, when
+    most is given, at most most, as an int."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < least):
         raise ConfigurationError(
             f"{name} must be an integer of at least {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigurationError(
+            f"{name} must be at most {most}, got {value!r}")
     return int(value)

@@ -30,16 +30,13 @@ import numpy as np
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
                             as_function, grid_nodes)
 from .direction_solver import HarmonicSolution
-from .disk_harmonic import SeriesEvaluator, conjugate_boundary
+from .disk_harmonic import SeriesEvaluator, conjugate_boundary, trim_tail
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, InvariantViolation,
                      PointQueryError)
 from .neumann import compatibility_note
 from .rh_solver import SolverParams, solve_rh
 
-# omega keeps its significant degree: the FFT leaves a tail of terms at
-# the rounding floor, and Newton inversion pays for every term it keeps.
-OMEGA_TAIL_TOL = 16.0 * np.finfo(float).eps
 THEODORSEN_TOL = 1e-13  # sup-norm update of sigma that ends the iteration
 THEODORSEN_MAX_ITER = 200
 INVERT_TOL = 1e-13  # Newton step, relative to 1 + max |w|
@@ -118,16 +115,6 @@ class ConformalMap:
         return z.reshape(np.shape(w)) if np.ndim(w) else complex(z[0])
 
 
-def _trim_tail(c: np.ndarray) -> np.ndarray:
-    """c without the trailing terms whose l2 norm is at most
-    OMEGA_TAIL_TOL * ||c||_2; by Parseval this moves the series by no more
-    than that in mean square on the unit circle.  FFT rounding noise is
-    l2-sized, so the kept degree does not grow with the FFT length."""
-    tail = np.cumsum(np.abs(c[::-1]) ** 2)[::-1]  # sum_{n >= k} |c_n|^2
-    drop = tail <= OMEGA_TAIL_TOL ** 2 * tail[0]
-    return c[:len(c) - int(np.sum(drop))]
-
-
 def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
     """Conformal map onto the star-like domain with radius function rho."""
     fn, src = as_function(rho, var="a", what="a radius function")
@@ -160,7 +147,7 @@ def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
     radii = np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float)
     om = np.fft.fft(radii * np.exp(1j * sigma))[:N // 2 + 1] / N
     om[0] = 0.0
-    om = _trim_tail(om)
+    om = trim_tail(om)  # Newton inversion pays for every term kept
     omega = SeriesEvaluator(om)
     omega_prime = omega.derivative()
 

@@ -21,9 +21,15 @@ exp(H), and Re(i p) = Re(b_j H_j) = 0 away from the poles, so
 Re(nu f) -> exp(H) * psi = phi.  Both kinds of pole enter f as one sum
 of 2 beta zeta^-m / (1 - z/zeta), m = max(w, 0), for every winding.
 
+The weight is one series, exp(-i A) = E0 * E with E0 = exp(-i A_0), so
+f = E0 * (h + pole terms) with h = E * g plus the polynomial that
+synthetic division splits off each pole (Henrici, Applied and
+Computational Complex Analysis I, 1974, sec. 1.6).
+
 solve_rh runs two stages: reduce_field does what depends on nu alone
-(w, alpha0, A, H) into a frozen ReducedField, and ReducedField.solve forms
-psi and T's parts for one phi, so a caller with many data reduces nu once.
+(w, alpha0, A, H; E where first read) into a frozen ReducedField, and
+ReducedField.solve forms psi and T's parts for one phi, so a caller
+with many data reduces nu once.
 psi is formed on the N nodes.  A jump J of piecewise phi at an angle c (a
 junction, or declared inside a piece) is a jump J exp(-H(c)) of psi, the
 boundary real part of (i J exp(-H(c))/pi) log(1 - z e^{-ic}), whose
@@ -31,9 +37,9 @@ series is exact (Eckhoff, Math. Comp. 64, 1995); it is kept as an atom
 beside the first N/2 terms of psi's continuous rest.  F reads T's first
 terms, and g, at most REFINE * N / 2 terms, exact zeros at the top
 dropped, is formed where f is first evaluated.  Only a field whose alpha0
-has jumps, where exp(-H) has power singularities, forms psi on REFINE * N
-nodes from phi's exact values there.  Any construction satisfying the
-boundary verifier is admissible; the verifier is the contract.
+has jumps, where exp(-H) has power singularities, forms psi and samples
+E on REFINE * N nodes.  Any construction satisfying the boundary
+verifier is admissible; the verifier is the contract.
 """
 
 from __future__ import annotations
@@ -48,10 +54,11 @@ import numpy as np
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
                             jump_sawtooths, jump_limits, measurable_arg)
 from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
-                            conjugate_boundary, sawtooth_coefficients,
-                            schwarz_integral, unit_powers)
+                            circle_series, conjugate_boundary,
+                            sawtooth_coefficients, schwarz_integral,
+                            unit_powers)
 from .errors import (ConfigurationError, DataError, DomainError,
-                     NumericalRangeError, RepresentationError, real)
+                     NumericalRangeError, count, real)
 
 CLAMP_LOG = float(np.log(1e12))  # exp(H) confined to [1e-12, 1e12]
 REFINE = 8  # g: at most REFINE * N / 2 terms; alpha jumps: psi on REFINE * N nodes
@@ -103,8 +110,9 @@ class ReducedField:
     """What the construction takes from nu alone, made by reduce_field:
     the winding index, alpha = arg nu0, A = S[alpha], H = H[alpha] clamped
     to CLAMP_LOG on the N nodes (on REFINE * N nodes when alpha has
-    jumps), and the clamp note.  Its arrays
-    are read-only, so solutions and callers may share one reduction."""
+    jumps), and the clamp note; the weight exp(-i A) = E0 * E is read
+    off A.  Its arrays are read-only, so solutions and callers may share
+    one reduction."""
 
     field: DirectionField
     index: int
@@ -113,6 +121,25 @@ class ReducedField:
     H: np.ndarray
     weight_boundary: BoundaryFunction
     notes: tuple[str, ...] = ()
+
+    @property
+    def E0(self) -> complex:
+        return np.exp(-1j * self.A.coefficients[0])
+
+    @cached_property
+    def E(self) -> SeriesEvaluator:
+        """exp(-i (A - A_0)) as a series with E_0 = 1 exactly: [1] when A
+        is one term, else circle_series from M = len(H) samples.  Formed
+        once per reduction, where first read; read-only."""
+        c = self.A.coefficients
+        e = np.ones(1, dtype=complex)
+        if len(c) > 1:
+            e = circle_series(lambda M: np.exp(
+                -1j * (self.A.eval_on_circle(1.0, M) - c[0])), len(self.H))
+            e[0] = 1.0
+        E = SeriesEvaluator(e)
+        E.coefficients.flags.writeable = False
+        return E
 
     def boundary_pairing_residual(self) -> float:
         """max_j |nu_j * w_j - exp(H_j)| over nodes, w = weight_boundary.
@@ -193,8 +220,9 @@ class AnalyticSolution:
     nu, index, alpha and A read through to reduced, its ReducedField, and
     hom_points and hom_coeffs to params.  T is kept as its jumps' angles
     and sizes and its continuous rest's coefficients; g, z^k * T for
-    w = -k <= 0 and T shifted down by k for w = k > 0, is formed from
-    them where f is first evaluated.
+    w = -k <= 0 and T shifted down by k for w = k > 0, and h, E * g plus
+    the poles' remainder, are formed from them where f is first
+    evaluated.
     """
 
     reduced: ReducedField
@@ -205,7 +233,7 @@ class AnalyticSolution:
     rest: np.ndarray
     params: SolverParams
     notes: list[str] = field(default_factory=list)
-    # g and the fans of exp(-i A), g and z by (scales, V), shared by the
+    # g, E * g and the fans of E * g and z by (scales, V), shared by the
     # members of one homogeneous family; None (no store) for every other
     _fans: dict | None = field(default=None, init=False, repr=False,
                                compare=False)
@@ -229,10 +257,15 @@ class AnalyticSolution:
         """T's first n terms, bitwise those of bracket(L): the jumps'
         series cut at L = REFINE * N / 2 plus the rest's, zeros past L.
         O(jumps * n); g pays it at L, once per solution whose f is
-        evaluated."""
+        evaluated.  Without jumps only zeros are formed, signed as the
+        empty jump series leaves them."""
         L = REFINE * self.N // 2
-        T = sawtooth_coefficients(self.jump_angles, self.jump_sizes, L,
-                                  min(n, L))
+        if len(self.jump_angles):
+            T = sawtooth_coefficients(self.jump_angles, self.jump_sizes, L,
+                                      min(n, L))
+        else:
+            T = np.zeros(min(n, L), dtype=complex)
+            T.imag[1:] = -0.0
         T[:min(n, len(self.rest))] += self.rest[:n]
         return T if n <= L else np.pad(T, (0, n - L))
 
@@ -245,6 +278,24 @@ class AnalyticSolution:
             store["g"] = SeriesEvaluator(
                 np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
         return store["g"]
+
+    def _Eg(self) -> SeriesEvaluator:
+        """E * g (g when E is [1]), for a family once in its store; any
+        other solution keeps only h."""
+        store = {} if self._fans is None else self._fans
+        if "Eg" not in store:
+            e = self.reduced.E.coefficients
+            store["Eg"] = self.g if len(e) == 1 else SeriesEvaluator(
+                np.convolve(e, self.g.coefficients))
+        return store["Eg"]
+
+    @cached_property
+    def h(self) -> SeriesEvaluator:
+        """f / E0 less the pointwise pole terms: E * g plus the poles'
+        remainder."""
+        R = self._poles[-1]
+        return SeriesEvaluator(np.polynomial.polynomial.polyadd(
+            self._Eg().coefficients, R)) if len(R) else self._Eg()
 
     @cached_property
     def index_coeffs(self) -> np.ndarray:
@@ -263,124 +314,142 @@ class AnalyticSolution:
         return -(zn * r).sum(axis=1).real / (2 * w - 1)
 
     def f(self, z):
-        """f at the points z, in the shape of z (a scalar for a scalar).
-
-        Both series by Horner; when A is one constant term (the disk
-        normal's), exp(-i A) is the scalar exp(-i A_0) and A is not
-        evaluated."""
+        """f = E0 * (h + pole terms) at the points z, in the shape of z
+        (a scalar for a scalar), h by Horner."""
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("solution evaluation requires |z| < 1")
         zs = np.atleast_1d(z)  # the pole terms work in place
-        return self._assemble(self._weight(lambda: self.A._horner(zs)),
-                              self.g._horner(zs), zs).reshape(z.shape)[()]
+        return self._assemble(self.h._horner(zs), zs).reshape(z.shape)[()]
 
     __call__ = f
 
     def f_on_scales(self, scales: np.ndarray, V: int,
-                    folds: tuple | None = None) -> np.ndarray:
+                    folds: np.ndarray | None = None) -> np.ndarray:
         """f at z = s * exp(2*pi*i*v/V) for each scale s, shape (len(s), V).
 
-        FFT-folded evaluation of both series; the pole terms are applied
-        pointwise.  When A is one constant term (the disk normal's),
-        exp(-i A) is the scalar exp(-i A_0): no fan of A and no exponential
-        per point.  A family member evaluates exp(-i A), g and z once per
-        (scales, V) for the whole family and assembles from a copy of g.
-        folds, self.folds(V) when given, lends the series' padded
-        coefficient blocks to calls on the same V.
+        One FFT-folded fan of h, the pole terms applied pointwise.  A
+        family member fans E * g and z once per (scales, V) for the whole
+        family and adds its own remainder's fan to a copy.  folds,
+        self.folds(V), lends the fanned series' blocks to calls on one V.
         """
         scales = np.asarray(scales, dtype=complex)
-        fold_A, fold_g = folds or (None, None)
         fans = {} if self._fans is None else self._fans
         key = (scales.tobytes(), V)
         if key not in fans:
-            ea = self._weight(lambda: self.A.eval_on_rays(scales, V, fold_A))
-            fans[key] = (ea, self.g.eval_on_rays(scales, V, fold_g),
+            fans[key] = (self._fanned.eval_on_rays(scales, V, folds),
                          scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V))
-        ea, gv, z = fans[key]
-        return self._assemble(ea, gv if self._fans is None else gv.copy(), z)
+        acc, z = fans[key]
+        if self._fans is not None:
+            acc = acc.copy()
+            R = self._poles[-1]
+            if len(R):
+                acc += SeriesEvaluator(R).eval_on_rays(scales, V)
+        return self._assemble(acc, z)
 
-    def folds(self, V: int) -> tuple:
-        """(A.fold(V), g.fold(V)), to lend to f_on_scales."""
-        return self.A.fold(V), self.g.fold(V)
+    @property
+    def _fanned(self) -> SeriesEvaluator:
+        """The series f_on_scales fans: h, or E * g for a family member."""
+        return self.h if self._fans is None else self._Eg()
 
-    def _weight(self, A_values):
-        """exp(-i A) from A's values, A_values(), or the scalar
-        exp(-i A_0), without calling A_values, when A is one term."""
-        c = self.A.coefficients
-        return np.exp(-1j * (c[0] if len(c) == 1 else A_values()))
+    def folds(self, V: int) -> np.ndarray:
+        """self._fanned.fold(V), to lend to f_on_scales."""
+        return self._fanned.fold(V)
 
-    def _assemble(self, ea, acc, z):
-        """exp(-i A) * (g + pole terms) at z from ea = exp(-i A) and acc,
-        a fresh array of g's values that takes the pole terms and the
-        product in place.  Callers form ea before g's values, so at most
-        one array of A's values is alive."""
+    def _assemble(self, acc, z):
+        """E0 * (h + pole terms) at z from acc, a fresh array of h's
+        values that takes the pole terms and the product in place."""
         self._add_pole_terms(z, acc)
-        return np.multiply(ea, acc, out=acc)
+        return np.multiply(self.reduced.E0, acc, out=acc)
 
     def taylor_coefficients(self, K: int) -> tuple[np.ndarray, float, float]:
         """f's first K Taylor coefficients f_n, with (a, b) such that
-        |f_n| <= a + b n for every n, when exp(-i A) is the scalar
-        exp(-i A_0) (A is one term; a RepresentationError otherwise).
+        |f_n| <= a + b n for every n.
 
-        The coefficient form of the pole sum _add_pole_terms adds
-        pointwise: f_n = exp(-i A_0) (g_n + P_n), where each pole adds
-        2 beta zeta^(-m-n) to P_n, m = max(w, 0); for w <= 0, P_0 also
-        takes i c_0 + sum c_j and P is shifted up by -w (the factor
-        z^-w); for w > 0 the cut dipole adds
-        -i c_0 zeta_c^-w (w + n) zeta_c^-n.  |g_n| <= max |rest| + sum |J|/pi
-        and each pole's term has constant modulus, so only the dipole
-        grows, linearly.  Only T's first K + w terms are formed."""
-        c_A = self.A.coefficients
-        if len(c_A) != 1:
-            raise RepresentationError(
-                "f has a closed-form Taylor series only when A is constant")
+        f_n = E0 (h_n + P_n): h_n from T's first K + w terms times E, plus
+        the remainder; each pole adds its amplitude times zeta^(-n) to
+        P_n; for w <= 0, P_0 also takes the constant and P is shifted up
+        by -w; for w > 0 the cut dipole adds d ((a - b) n + a) zeta_c^-n.
+        |g_n| <= max |rest| + sum |J|/pi, so |(E * g)_n| <= ||E||_1 times
+        that; only the dipole's term grows, linearly."""
         w = self.index
         s = max(-w, 0)
-        amp, angles, const, dipole = self._pole_sum()
+        amp, angles, const, dipole, (da, db), R = self._poles
         n = np.arange(max(K - s, 0))
         P = np.exp(-1j * np.multiply.outer(n, angles)) @ amp
         if w <= 0:
             P[:1] += const
         elif dipole:
-            P += dipole * (w + n) * np.exp(-1j * n * self.params.cut)
+            P += (dipole * ((da - db) * n + da)
+                  * np.exp(-1j * n * self.params.cut))
         t = np.zeros(K, dtype=complex)
-        t[s:] = self.bracket(max(K + w, 0))[max(w, 0):] + P
-        e = np.exp(-1j * c_A[0])
-        a = abs(e) * (np.max(np.abs(self.rest), initial=0.0)
-                      + np.sum(np.abs(self.jump_sizes)) / np.pi
-                      + np.sum(np.abs(amp)) + abs(const) + abs(dipole) * w)
-        return e * t, float(a), float(abs(e) * abs(dipole))
+        t[s:] = self.bracket(max(K + w, 0))[max(w, 0):]
+        e = self.reduced.E.coefficients
+        if len(e) > 1:
+            t = np.convolve(e, t)[:K]
+        t[:min(K, len(R))] += R[:K]
+        t[s:] += P
+        E0, g_n = self.reduced.E0, (np.max(np.abs(self.rest), initial=0.0)
+                                    + np.sum(np.abs(self.jump_sizes)) / np.pi)
+        a = abs(E0) * (np.abs(e).sum() * g_n + np.abs(R).max(initial=0.0)
+                       + np.sum(np.abs(amp)) + abs(const)
+                       + abs(dipole) * abs(da))
+        return E0 * t, float(a), float(abs(E0) * abs(dipole) * abs(da - db))
 
-    def _pole_sum(self):
-        """The amplitudes 2 beta zeta^-m and angles of the poles with a
-        nonzero beta, the constant i c_0 + sum c_j (0 for w > 0) and the
-        cut dipole's -i c_0 zeta_c^-w (0 for w <= 0)."""
+    @cached_property
+    def _poles(self):
+        """(amp, angles, const, dipole, (a, b), remainder): the pole sum
+        split against E.  A pole with beta != 0 has amplitude
+        2 beta zeta^-m, m = max(w, 0), times E(zeta); its _divided Q joins
+        the remainder.  For w <= 0 the constant i c_0 + sum c_j stays
+        pointwise, the remainder takes const * (E - 1), and all is
+        shifted up by -w.  For w > 0 the cut dipole d = -i c_0 zeta_c^-w
+        times (w - (w-1) q)/(1 - q)^2 = 1/(1 - q)^2 + (w - 1)/(1 - q) is
+        split twice (Q2 from Q): d (a - b q)/(1 - q)^2 pointwise, with
+        b = Q(zeta) + (w - 1) E(zeta), a = E(zeta) + b, and
+        d (Q2 + (w - 1) Q) in the remainder.  E = [1] leaves no
+        remainder and amp, a = w, b = w - 1 as they were."""
         w = self.index
-        m = max(w, 0)
+        m, k = max(w, 0), max(-w, 0)
         c = self.hom_coeffs or (0.0,) * (len(self.hom_points) + 1)
         angles = np.array(self.hom_points + self.index_poles)
         beta = np.array([-x for x in c[1:]] + self.index_coeffs.tolist())
         keep = beta != 0.0
         angles, beta = angles[keep], beta[keep]
         amp = 2.0 * beta * np.exp(-1j * m * angles)
+        e = self.reduced.E.coefficients
+        R = np.zeros(k + len(e) if len(e) > 1 else 0, dtype=complex)
+        for j in range(len(angles) if len(R) else 0):
+            v, Q = _divided(e, angles[j])
+            R[k:k + len(Q)] += amp[j] * Q
+            amp[j] *= v
+        const = dipole = 0.0
+        da, db = w, w - 1
         if w <= 0:
-            return amp, angles, 1j * c[0] + sum(c[1:]), 0.0
-        dipole = -1j * c[0] * np.exp(-1j * w * self.params.cut) if c[0] else 0.0
-        return amp, angles, 0.0, dipole
+            const = 1j * c[0] + sum(c[1:])
+            R[k + 1:] += const * e[1:]
+        elif c[0]:
+            dipole = -1j * c[0] * np.exp(-1j * w * self.params.cut)
+            v, Q = _divided(e, self.params.cut)
+            qv, Q2 = _divided(Q, self.params.cut)
+            db = qv + (w - 1) * v
+            da = v + db
+            R[:len(Q)] += dipole * (w - 1) * Q
+            R[:len(Q2)] += dipole * Q2
+        return amp, angles, const, dipole, (da, db), R if R.any() else R[:0]
 
     def _add_pole_terms(self, z, acc):
-        """Add the bracket's closed-form part at z to acc.  Each Herglotz
-        pole (beta = -c_j) and index pole (beta = b_j) adds
-        2 beta zeta^-m / (1 - z/zeta), m = max(w, 0): for w = k > 0 that is
-        beta H_j less its Taylor terms below z^k, over z^k, and for w <= 0
+        """Add the pointwise pole terms at z to acc.  Each Herglotz pole
+        (beta = -c_j) and index pole (beta = b_j) adds its amplitude
+        over 1 - z/zeta: for w = k > 0 that is beta H_j less its Taylor
+        terms below z^k, over z^k, and for w <= 0
         i p = i c_0 + sum c_j + sum_j 2 (-c_j) / (1 - z/zeta_j), so the
         sum takes that constant and is multiplied by z^-w.  For w > 0, c_0
         multiplies the cut dipole -z*zeta_c/(zeta_c - z)^2, not the
         constant that no real b_j could cancel; over z^k that is
-        -i c_0 zeta_c^-k (k - (k-1) q)/(1 - q)^2 with q = z/zeta_c."""
+        d (a - b q)/(1 - q)^2 with q = z/zeta_c (see _poles)."""
         w = self.index
-        amp, angles, const, dipole = self._pole_sum()
+        amp, angles, const, dipole, (da, db), _ = self._poles
         part = acc if w > 0 else np.full(z.shape, const)
         for a, coef in zip(angles, amp):
             q = z * np.exp(-1j * a)
@@ -390,7 +459,18 @@ class AnalyticSolution:
             acc += part if w == 0 else z ** -w * part
         elif dipole:
             q = z * np.exp(-1j * self.params.cut)
-            acc += dipole * (w - (w - 1) * q) / (1.0 - q) ** 2
+            acc += dipole * (da - db * q) / (1.0 - q) ** 2
+
+
+def _divided(e: np.ndarray, angle: float):
+    """(E(zeta), Q) with E(z) / (1 - z/zeta) = E(zeta) / (1 - z/zeta) + Q(z)
+    for E = sum e_n z^n and zeta = e^{i angle}: the synthetic division
+    Q_m = -zeta^-m sum_{n > m} e_n zeta^n (Henrici, Applied and
+    Computational Complex Analysis I, 1974, sec. 1.6)."""
+    p = np.exp(1j * angle * np.arange(len(e)))
+    x = e * p
+    tail = np.cumsum(x[::-1])[::-1]
+    return x.sum(), -tail[1:] * p[:-1].conj()
 
 
 def solve_rh(nu: DirectionField, phi: BoundaryFunction,
@@ -414,13 +494,16 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     coefficients, so one solve with phi = 0, one reduction of nu, serves
     every member; the members are copies of it that differ only in
     params (so in hom_coeffs) and notes, and share its reduced field, psi
-    and T (each member solves its own b_j) and one store of g, formed
-    where f is first evaluated, and of fans, so f_on_scales evaluates A
-    and g once per fan for the whole family.  hom_points and hom_coeffs
-    preset in params are ignored; each point is read by errors.real.
+    and T (each member solves its own b_j) and one store of g and E * g,
+    formed where f is first evaluated, and of their fans, so f_on_scales
+    evaluates E * g once per fan for the whole family and each member
+    adds the fan of its own remainder, shorter than E.  An integer
+    points is a count of default_hom_points, read by errors.count;
+    otherwise each point is read by errors.real.  hom_points and
+    hom_coeffs preset in params are ignored.
     """
-    if isinstance(points, int):
-        points = default_hom_points(points)
+    if isinstance(points, (int, np.integer, np.bool_)):
+        points = default_hom_points(count(points, "points", 0))
     points = tuple(real(a, "points") % TWO_PI for a in points)
     base = params or SolverParams()
     zero_phi = BoundaryFunction(samples=np.zeros(nu.N), kind="real")

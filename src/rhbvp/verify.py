@@ -38,6 +38,7 @@ J_FLAG = (3, 12)  # dyadic levels whose u values must converge
 J_QUOT = 16  # dyadic level of the Neumann difference quotient
 LAPLACIAN_H = 1e-3  # radius of the mean-value stencil
 CHORD_PANELS = 6  # 12-point Gauss panels along a recovery chord
+V_MAX = 2 ** 20  # the most probe vertices a verifier setting may ask for
 
 
 # ----------------------------------------------------------------------
@@ -84,10 +85,10 @@ def _exclusions(angles: np.ndarray, delta: float,
 
 
 def _check_settings(V, apertures=(), **scalars) -> None:
-    """ConfigurationError unless errors.count reads V (at least 8) and
-    errors.real each named scalar setting and each item of apertures, a
-    sequence or a 1-d array."""
-    count(V, "V", 8)
+    """ConfigurationError unless errors.count reads V (from 8 to V_MAX)
+    and errors.real each named scalar setting and each item of
+    apertures, a sequence or a 1-d array."""
+    count(V, "V", 8, V_MAX)
     if isinstance(apertures, np.ndarray) and apertures.ndim == 1:
         apertures = list(apertures)
     if isinstance(apertures, (str, bytes)) or not isinstance(apertures, Sequence):

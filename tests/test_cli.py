@@ -361,6 +361,18 @@ def test_malformed_config_exits_1_without_traceback(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("V", [2 ** 20 + 1, 10 ** 30], ids=["one_over", "huge"])
+def test_verify_V_above_its_bound_exits_1(tmp_path, capsys, V):
+    # 10**30 ended in numpy's untyped "Maximum allowed size exceeded"
+    cfg = _base_cfg(tmp_path, verify={"V": V})
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: V must be at most 1048576, got ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("bound, needle", [
     (True, "a bound of boundary piece [0, True, 't'] has the wrong type: True"),
     ("3.14", "a bound of boundary piece [0, '3.14', 't'] has the wrong type"),

@@ -237,13 +237,18 @@ def test_harmonic_solution_builds_F_on_the_disk(N, monkeypatch):
     np.testing.assert_allclose(F, want, rtol=0, atol=1e-15)
 
 
-def test_oblique_solution_builds_F_from_samples():
-    # a non-constant weight takes the sampled construction, bit for bit
+def test_oblique_solution_builds_F_from_its_exact_series(monkeypatch):
+    # a turning weight reads F off f's series too: f is not sampled
     N = 256
     hs = solve_directional(R.DirectionField.from_angle("0.3 + 0.2*cos(t)", N),
                            _step_phi(N))
-    assert len(hs.f_source.A.coefficients) > 1
-    assert np.array_equal(hs.F.coefficients, _written_out_F(hs.f_source))
+    assert len(hs.f_source.reduced.E.coefficients) > 1
+    monkeypatch.setattr(SeriesEvaluator, "eval_on_rays", None)
+    F = R.HarmonicSolution(f_source=hs.f_source).F.coefficients
+    assert np.array_equal(F, hs.F.coefficients)
+    want = _written_out_exact_F(hs.f_source)
+    assert len(F) == len(want)
+    np.testing.assert_allclose(F, want, rtol=0, atol=1e-15)
 
 
 def test_transplant_solve_builds_F_through_the_map(ellipse_map):

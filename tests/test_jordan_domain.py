@@ -11,10 +11,11 @@ import rhbvp as R
 from rhbvp.boundary_data import BoundaryFunction, grid_nodes
 from rhbvp.errors import (ConfigurationError, ConvergenceDomainError,
                           ConvergenceError, DataError, PointQueryError)
-from rhbvp.disk_harmonic import SeriesEvaluator, analytic_coefficients
+from rhbvp.disk_harmonic import (TAIL_TOL, SeriesEvaluator,
+                                 analytic_coefficients)
 from rhbvp import jordan_domain
-from rhbvp.jordan_domain import (OMEGA_TAIL_TOL, image_inner_normal,
-                                 theodorsen_map, transplant_neumann)
+from rhbvp.jordan_domain import (image_inner_normal, theodorsen_map,
+                                 transplant_neumann)
 
 
 ELLIPSE_RHO = "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"
@@ -99,11 +100,11 @@ def test_omega_trim_stays_within_tail_bound(rho, N):
         # the significant degree, not the FFT length, sets what is kept
         assert len(kept) == _degree(rho, 1024) == _degree(rho, 16384)
     assert (np.linalg.norm(full[len(kept):])
-            <= OMEGA_TAIL_TOL * np.linalg.norm(full))
+            <= TAIL_TOL * np.linalg.norm(full))
     z = np.exp(2j * np.pi * np.arange(4096) / 4096)
     moved = SeriesEvaluator(kept)._horner(z) - SeriesEvaluator(full)._horner(z)
     assert np.max(np.abs(moved)) <= 1e-14
-    assert OMEGA_TAIL_TOL == 16 * np.finfo(float).eps
+    assert TAIL_TOL == 16 * np.finfo(float).eps
 
 
 def test_rejects_nonpositive_radius():

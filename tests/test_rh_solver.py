@@ -290,13 +290,14 @@ def test_family_members_share_one_fan(monkeypatch):
         F = R.antiderivative(want[j])
         assert np.max(np.abs(Fs[j].coefficients - F.coefficients)) == 0.0
 
-    # a field whose alpha0 is not constant fans exp(-i A) too, once
+    # a field whose alpha0 is not constant samples exp(-i A) on the unit
+    # circle once for all 33 members, and reads each F off f's series
     t = grid_nodes(N)
     wavy = R.DirectionField.from_samples(np.exp(1j * (t + np.pi + 0.3 * np.sin(t))))
     calls.clear()
     for m in homogeneous_family(wavy, points):
         R.antiderivative(m)
-    assert len(calls) == 2  # exp(-i A) and g, once for all 33 members
+    assert calls == [N]  # E's N samples, once for all 33 members
 
 
 def _full_A(sol):
@@ -677,11 +678,25 @@ def test_taylor_coefficients_sum_to_f(w):
     assert b == (0.0 if w <= 0 else 0.5)
 
 
-def test_taylor_coefficients_need_a_constant_weight():
-    sol = solve_rh(R.DirectionField.from_angle("0.3 + 0.2*cos(t)", 64),
-                   R.build_boundary_function("cos(t)", 64))
-    with pytest.raises(RHBVPError, match="A is constant"):
-        sol.taylor_coefficients(16)
+def test_taylor_coefficients_sum_to_f_under_a_turning_weight():
+    # E has more terms than one: Herglotz poles, c_0 != 0 (the cut
+    # dipole for w > 0) and a cut off 0, as for a constant direction
+    N = 256
+    z = np.concatenate([0.5 * _interior(200) / 0.92,
+                        0.5 * np.exp(2j * np.pi * np.arange(64) / 64)])
+    for w in range(-2, 4):
+        sol = solve_rh(R.DirectionField.from_angle(_tilted_nu(w)[0], N),
+                       R.build_boundary_function(THREE_PIECES, N),
+                       SolverParams(cut=0.4, hom_points=(1.0, 2.5, 4.0),
+                                    hom_coeffs=(0.5, 1.0, -0.7, 0.3)))
+        assert sol.index == w and len(sol.reduced.E.coefficients) > 1
+        K = 120
+        f_n, a, b = sol.taylor_coefficients(K)
+        got = np.polynomial.polynomial.polyval(z, f_n)
+        assert np.max(np.abs(got - sol.f(z))) <= 1e-14 * max(
+            1.0, np.max(np.abs(f_n)))
+        assert np.all(np.abs(f_n) <= a + b * np.arange(K))
+        assert (b > 0.0) == (w > 0)
 
 
 # ----------------------------------------------------------------------
@@ -964,3 +979,154 @@ def test_the_jump_series_is_formed_whole_once_where_f_is_evaluated(
     sawtooth_lengths.clear()
     R.verify_solution(hs, V=64)
     assert sum(n == L for n, L in sawtooth_lengths) == 1
+
+
+# ----------------------------------------------------------------------
+# one series for f under every weight
+# ----------------------------------------------------------------------
+
+def _pointwise_f(sol, A_values, g_values, z):
+    """f = exp(-i A) * (g + pole terms) with exp(-i A) taken per point
+    from A's values, the pole terms written out from the Herglotz and
+    index coefficients: the construction before E was one series."""
+    w = sol.index
+    m, k = max(w, 0), max(-w, 0)
+    c = sol.hom_coeffs or (0.0,) * (len(sol.hom_points) + 1)
+    P = np.full(z.shape, 0j if w > 0 else 1j * c[0] + sum(c[1:]))
+    for a, beta in zip(sol.hom_points + sol.index_poles,
+                       [-x for x in c[1:]] + sol.index_coeffs.tolist()):
+        P = P + 2.0 * beta * np.exp(-1j * m * a) / (1.0 - z * np.exp(-1j * a))
+    if w > 0 and c[0]:
+        q = z * np.exp(-1j * sol.params.cut)
+        P = P - 1j * c[0] * np.exp(-1j * w * sol.params.cut) * (
+            w - (w - 1) * q) / (1.0 - q) ** 2
+    return np.exp(-1j * A_values) * (g_values + z ** k * P)
+
+
+def _series_cases():
+    N = 256
+    dipole = SolverParams(cut=0.4, hom_points=(1.0, 2.5, 4.0),
+                          hom_coeffs=(0.5, 1.0, -0.7, 0.3))
+    phi = R.build_boundary_function(THREE_PIECES, N)
+    for w in (-1, 0, 1, 2):
+        for name, params in (("plain", None), ("poles", dipole)):
+            yield f"w{w}_{name}", lambda w=w, p=params: solve_rh(
+                R.DirectionField.from_angle(_tilted_nu(w, 0.3, 0.4, 1.0)[0], N),
+                phi, p)
+    for n in (256, 1024):  # the field of the refined-construction test
+        theta = grid_nodes(n)
+        beta = theta + np.where(theta < 2.0, 0.3, 1.1)
+        yield f"alpha_jumps_{n}", lambda n=n, b=beta: solve_rh(
+            R.DirectionField.from_samples(np.exp(1j * b), jumps=(0.0, 2.0)),
+            R.build_boundary_function(STEP, n))
+    wavy = R.DirectionField.from_angle("t + pi + 0.3*sin(t)", N)
+    yield "family_member", lambda: homogeneous_family(wavy, 4)[3]
+    yield "family_dipole", lambda: homogeneous_family(wavy, 4)[0]
+
+
+SERIES_CASES = dict(_series_cases())
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_f_is_one_series_under_a_turning_weight(case):
+    sol = SERIES_CASES[case]()
+    assert len(sol.reduced.E.coefficients) > 1
+    z = np.concatenate([_interior(200) * 0.97 / 0.92,
+                        0.97 * np.exp(2j * np.pi * np.arange(97) / 97)])
+    want = _pointwise_f(sol, sol.A._horner(z), sol.g._horner(z), z)
+    got = sol.f(z)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+    # the verifier's fans: Stolz scales and the radial table's depths
+    r = 1.0 - 2.0 ** -np.arange(1, 12, dtype=float)
+    scales = np.concatenate([r, r * np.exp(0.5j * (1.0 - r))])
+    V = 500
+    zs = scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)
+    want = _pointwise_f(sol, sol.A.eval_on_rays(scales, V),
+                        sol.g.eval_on_rays(scales, V), zs)
+    got = sol.f_on_scales(scales, V)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+    assert np.array_equal(sol.f_on_scales(scales, V, sol.folds(V)), got)
+
+
+def test_E_is_the_series_of_the_weight():
+    # E against the Taylor recurrence of exp(-i (A - A_0)), and against
+    # exp(-i A) itself at r = 0.999
+    N = 1024
+    red = rh_solver.reduce_field(R.DirectionField.from_angle(
+        "t + pi + 0.4*sin(t - 1)", N))
+    e = red.E.coefficients
+    assert e[0] == 1.0 and 1 < len(e) < 40 and not e.flags.writeable
+    b = -1j * red.A.coefficients
+    b[0] = 0.0
+    w = np.zeros(len(e) + 20, dtype=complex)
+    w[0] = 1.0
+    for n in range(1, len(w)):
+        j = np.arange(1, min(n, len(b) - 1) + 1)
+        w[n] = np.dot(j * b[j], w[n - j]) / n
+    assert np.max(np.abs(e - w[:len(e)])) <= 1e-15
+    assert np.linalg.norm(w[len(e):]) <= 16 * np.finfo(float).eps * np.linalg.norm(w)
+    z = 0.999 * np.exp(2j * np.pi * np.arange(512) / 512)
+    assert np.max(np.abs(red.E0 * red.E._horner(z)
+                         - np.exp(-1j * red.A._horner(z)))) <= 1e-14
+    assert red.E is red.E  # formed once per reduction
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+@pytest.mark.parametrize("expr", ["t + 0.7", "-t + 0.7", "-2*t + 0.7"])
+def test_a_constant_direction_with_a_noisy_A_has_a_one_term_E(expr, N,
+                                                               monkeypatch):
+    # A keeps alpha0's rounding noise, E does not: f takes no fan of it
+    # and F is read off f's exact series
+    nu = R.DirectionField.from_angle(expr, N)
+    sol = solve_rh(nu, R.build_boundary_function(THREE_PIECES, N))
+    assert len(sol.A.coefficients) > 1
+    assert np.array_equal(sol.reduced.E.coefficients, [1.0])
+    assert sol.h is sol.g
+    monkeypatch.setattr(SeriesEvaluator, "eval_on_rays", None)
+    F = R.antiderivative(sol)  # no sampled f: eval_on_rays is gone
+    z = 0.5 * _interior(100) / 0.92
+    assert np.max(np.abs(F.derivative()(z) - sol.f(z))) <= 1e-13
+
+
+@pytest.mark.parametrize("angle", [0.0, 1.0, 4.5])
+@pytest.mark.parametrize("L", [1, 2, 13])
+def test_divided_splits_a_pole_against_a_polynomial(L, angle):
+    e = RNG.normal(size=L) + 1j * RNG.normal(size=L)
+    e[0] = 1.0
+    value, Q = rh_solver._divided(e, angle)
+    zeta = np.exp(1j * angle)
+    assert len(Q) == L - 1
+    assert abs(value - np.polynomial.polynomial.polyval(zeta, e)) <= 1e-14 * L
+    z = _interior(100)
+    E = np.polynomial.polynomial.polyval(z, e)
+    direct = (E - value) / (1.0 - z / zeta)
+    got = np.polynomial.polynomial.polyval(z, Q) if L > 1 else 0.0
+    assert np.max(np.abs(got - direct)) <= 1e-13 * L
+
+
+@pytest.mark.parametrize("make_nu", [
+    lambda N: R.disk_inner_normal(N).field,
+    lambda N: R.DirectionField.from_angle("t + pi + 0.3*sin(t - 1)", N)],
+    ids=["normal", "oblique"])
+def test_a_jump_free_bracket_forms_no_jump_series(make_nu, sawtooth_lengths):
+    # T is the rest's terms, zero-padded, bit for bit (signed zeros
+    # included) the parent's sum with an empty jump series
+    N = 512
+    L = rh_solver.REFINE * N // 2
+    sol = solve_rh(make_nu(N), R.build_boundary_function(
+        "cos(t) + 0.3*sin(2*t) + 1e-3*cos(200*t)", N))
+    assert len(sol.jump_angles) == 0
+
+    def parent(n):
+        T = sawtooth_coefficients(np.zeros(0), np.zeros(0), L, min(n, L))
+        T[:min(n, len(sol.rest))] += sol.rest[:n]
+        return T if n <= L else np.pad(T, (0, n - L))
+
+    for n in (0, 1, 2, 94, N // 2, L, L + 3):
+        got, want = sol.bracket(n), parent(n)
+        assert got.dtype == want.dtype and np.array_equal(
+            got.view(np.uint64), want.view(np.uint64))
+    T, w = parent(L), sol.index
+    want = SeriesEvaluator(T[w:]).coefficients
+    assert np.array_equal(sol.g.coefficients.view(np.uint64), want.view(np.uint64))
+    assert sawtooth_lengths == []

@@ -126,6 +126,23 @@ def test_complex_cut_is_refused():
         SolverParams(cut=np.complex128(1 + 2j))
 
 
+@pytest.mark.parametrize("points", [True, np.True_, -1],
+                         ids=["True", "np_True", "negative"])
+def test_family_count_is_read_by_count(points):
+    # True built a one-point family
+    with pytest.raises(ConfigurationError,
+                       match="points must be an integer of at least 0"):
+        homogeneous_family(disk_inner_normal(N).field, points)
+
+
+def test_family_count_may_be_a_numpy_integer():
+    # np.int64(3) raised an untyped TypeError
+    nu = disk_inner_normal(N).field
+    got = homogeneous_family(nu, np.int64(3))
+    want = homogeneous_family(nu, 3)
+    assert [m.params for m in got] == [m.params for m in want]
+
+
 def test_string_family_point_is_refused():
     # read as 1.5
     with pytest.raises(ConfigurationError,
@@ -189,3 +206,19 @@ def test_count_reads_the_int_of_a_good_value(hs, site, value):
 def test_count_returns_an_int():
     x = count(np.int64(16), "x", 8)
     assert type(x) is int and x == 16
+
+
+# V and M have an upper bound too: 10**30 ended in numpy's untyped
+# "Maximum allowed size exceeded"
+MOST = {"verify_V": 2 ** 20, "table_V": 2 ** 20, "M": 2 ** 26}
+
+
+@pytest.mark.parametrize("over", [1, 10 ** 30, np.int64(2 ** 40)],
+                         ids=["one_over", "huge_int", "np_int64"])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_refuses_a_value_above_its_bound(hs, site, over):
+    read, name = COUNT_SITES[site]
+    value = MOST[site] + over if over == 1 else over
+    with pytest.raises(ConfigurationError) as exc:
+        read(value, hs)
+    assert str(exc.value) == f"{name} must be at most {MOST[site]}, got {value!r}"
