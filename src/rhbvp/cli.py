@@ -35,7 +35,7 @@ from .errors import ConfigurationError, NumericalError, RHBVPError
 from .jordan_domain import theodorsen_map, transplant_neumann, transplant_solve
 from .neumann import disk_inner_normal, solve_neumann
 from .rh_solver import SolverParams, homogeneous_family
-from .verify import dimension_certificate, verify_solution
+from .verify import _check_settings, dimension_certificate, verify_solution
 
 DEFAULT_N = 1024  # grid size when neither params.N nor --n sets it
 DEFAULT_GRID = {"nx": 101, "ny": 101, "half_width": 0.95}
@@ -232,10 +232,12 @@ def _write_field_csv(path: str, hs: HarmonicSolution, nx, ny, hw, trace):
 
 def _verify_cfg(cfg: dict, flag_tol: float | None, N: int) -> dict:
     """verify_solution keywords for the verify keys the config sets, with
-    --tol over verify.tol and the target built."""
+    --tol over verify.tol and the target built, each setting checked as
+    verify_solution checks it, before any solve."""
     v = dict(cfg.get("verify") or {})
     if flag_tol is not None:
         v["tol"] = flag_tol
+    _check_settings(**{k: x for k, x in v.items() if k != "target"})
     if v.get("target") is not None:
         v["target"] = build_boundary_function(v["target"], N)
     return v

@@ -6,14 +6,12 @@ antiderivative of f (F' = f, F(0) = 0).  Then (u_x, u_y) = (Re f, -Im f)
 and the directional derivative along a unit direction e (as a complex
 number) is Re(e * f).
 
-HarmonicSolution builds F with antiderivative.  F keeps f's Taylor
-terms n < SAMPLES/2 with |f_n| RHO_SAMPLE^n at least DROP_TOL times
-the largest, whatever N is, integrated termwise.  On the disk, under
-every weight, f_n are read off f's exact series
-(AnalyticSolution.taylor_coefficients).  Only on a mapped domain is
-f * omega' sampled at SAMPLES points of the circle of radius RHO_SAMPLE
-and f_n read off the FFT; non-decaying recovered coefficients mean f is
-no power series at this radius and raise RepresentationError.
+HarmonicSolution builds F with antiderivative: the Taylor terms
+n < SAMPLES/2 of f, or of f * omega' on a map, whose modulus times
+RHO_SAMPLE^n is at least DROP_TOL times the largest whatever N is, read
+off the exact series of f and of omega' (f is never sampled) and
+integrated termwise.  antiderivative_from_circle recovers F by FFT from
+samples of any other function on the circle of radius RHO_SAMPLE.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .errors import (ConfigurationError, DataError, DomainError,
                      RepresentationError, count)
 from .rh_solver import AnalyticSolution, SolverParams, solve_rh
 
-RHO_SAMPLE = 0.5  # radius of the circle f is sampled on
+RHO_SAMPLE = 0.5  # radius at which F's terms are weighed
 M_MAX = 2 ** 26  # antiderivative's largest M
 DROP_TOL = 1e-14  # coefficients below DROP_TOL * max are dropped
 # F keeps the terms with RHO_SAMPLE^n above DROP_TOL, n < 47 whatever N
@@ -39,39 +37,28 @@ SAMPLES = 1 << int(np.ceil(np.log2(4 * np.log(DROP_TOL) / np.log(RHO_SAMPLE))))
 
 def antiderivative(sol: AnalyticSolution, M: int = SAMPLES,
                    cmap=None) -> SeriesEvaluator:
-    """Antiderivative F with F(0) = 0 of f, or of f * omega' for the
-    ConformalMap cmap, as a power series.
+    """Antiderivative F with F(0) = 0 of d = f, or of d = f * omega' for
+    the ConformalMap cmap, from f's exact series (taylor_coefficients).
 
-    The terms kept are those n < M/2 with |f_n| RHO_SAMPLE^n at least
-    DROP_TOL times the largest.  Without a map f_n are read off f's
-    exact series; with one f * omega' is sampled at M points of the
-    circle of radius RHO_SAMPLE and f_n recovered by FFT.  M is read by
+    F keeps the terms n < M/2 with |d_n| RHO_SAMPLE^n at least DROP_TOL
+    times the largest.  d_n for n < K needs only f_n for n < K, and
+    |f_n| <= a + b n gives |d_n| <= (a + b n) ||omega'||_1, a bound that
+    times RHO_SAMPLE^n does not increase for n >= RHO_SAMPLE / (1 -
+    RHO_SAMPLE): once it is below DROP_TOL times the largest term of
+    n < K, no n >= K is kept.  K starts where RHO_SAMPLE^n is DROP_TOL^2
+    and doubles, up to M/2, until that holds.  M is read by
     errors.count, from 8 to M_MAX.
     """
     count(M, "M", 8, M_MAX)
-    if cmap is None:
-        return _exact_antiderivative(sol, M // 2)
-    vals = sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0]
-    return antiderivative_from_circle(
-        vals * cmap.omega_prime.eval_on_circle(RHO_SAMPLE, M))
-
-
-def _exact_antiderivative(sol: AnalyticSolution, half: int) -> SeriesEvaluator:
-    """F from f's exact Taylor coefficients, keeping the terms n < half
-    that the sampled construction keeps.
-
-    With |f_n| <= a + b n, the bound (a + b n) RHO_SAMPLE^n does not
-    increase for n >= RHO_SAMPLE / (1 - RHO_SAMPLE), so once it is below
-    DROP_TOL times the largest |f_n| RHO_SAMPLE^n of n < K, no n >= K is
-    kept nor larger: forming f_n for n < K alone keeps the same terms.
-    K starts where RHO_SAMPLE^n is DROP_TOL^2 and doubles, up to half,
-    until that holds.  The coefficients are exact, so the sampled
-    construction's non-decay check has nothing to detect.
-    """
+    half = M // 2
     K = min(half, int(np.ceil(2 * np.log(DROP_TOL) / np.log(RHO_SAMPLE))))
     while True:
-        f_n, a, b = sol.taylor_coefficients(K)
-        d = f_n * RHO_SAMPLE ** np.arange(K, dtype=float)
+        d, a, b = sol.taylor_coefficients(K)
+        if cmap is not None:
+            op = cmap.omega_prime.coefficients
+            d, l1 = np.convolve(d, op)[:K], float(np.abs(op).sum())
+            a, b = a * l1, b * l1
+        d = d * RHO_SAMPLE ** np.arange(K, dtype=float)
         top = float(np.max(np.abs(d)))
         if K == half or (a + b * K) * RHO_SAMPLE ** K < DROP_TOL * top:
             return _kept_integral(d, top)

@@ -15,9 +15,10 @@ rest is rounding noise (Wegmann, "Methods for numerical conformal
 mapping", Handbook of Complex Analysis vol. 2, 2005).
 
 Solutions transplant: boundary data pulled back through the
-correspondence is solved on the disk, the antiderivative integrates
-f * omega', and u(w) = Re F(omega^{-1}(w)) + d0 with gradient read off
-the disk solution directly (the chain rule cancels omega').
+correspondence is solved on the disk, F integrates f * omega', whose
+series is the product of the exact series of f and omega', and
+u(w) = Re F(omega^{-1}(w)) + d0 with gradient read off the disk
+solution directly (the chain rule cancels omega').
 """
 
 from __future__ import annotations

@@ -110,16 +110,16 @@ class ReducedField:
     """What the construction takes from nu alone, made by reduce_field:
     the winding index, alpha = arg nu0, A = S[alpha], H = H[alpha] clamped
     to CLAMP_LOG on the N nodes (on REFINE * N nodes when alpha has
-    jumps), and the clamp note; the weight exp(-i A) = E0 * E is read
-    off A.  Its arrays are read-only, so solutions and callers may share
-    one reduction."""
+    jumps), and the clamp note; the weight exp(-i A) = E0 * E and its
+    boundary values weight_boundary are formed where first read.  Its
+    arrays are read-only, so solutions and callers may share one
+    reduction."""
 
     field: DirectionField
     index: int
     alpha: BoundaryFunction
     A: SeriesEvaluator
     H: np.ndarray
-    weight_boundary: BoundaryFunction
     notes: tuple[str, ...] = ()
 
     @property
@@ -141,11 +141,21 @@ class ReducedField:
         E.coefficients.flags.writeable = False
         return E
 
-    def boundary_pairing_residual(self) -> float:
-        """max_j |nu_j * w_j - exp(H_j)| over nodes, w = weight_boundary.
+    @cached_property
+    def weight_boundary(self) -> BoundaryFunction:
+        """exp(-i (alpha + w t) + H) on the N nodes, where first read;
+        read-only."""
+        th = self.field.theta
+        wb = BoundaryFunction(samples=np.exp(
+            -1j * (self.alpha.samples + self.index * th)
+            + self.H[::len(self.H) // len(th)]), kind="complex",
+            jumps=self.alpha.jumps)
+        wb.samples.flags.writeable = False
+        return wb
 
-        Telescoping check of the construction; exact up to rounding except
-        at clamped nodes.
+    def boundary_pairing_residual(self) -> float:
+        """max_j |Im(nu_j w_j)| / |nu_j w_j| over nodes, w = weight_boundary:
+        nu w telescopes to exp(H) > 0, so this is zero up to rounding.
         """
         prod = self.field.samples * self.weight_boundary.samples
         return float(np.max(np.abs(prod.imag) / np.maximum(np.abs(prod), 1e-30)))
@@ -204,13 +214,9 @@ def reduce_field(nu: DirectionField) -> ReducedField:
     notes = (f"conjugate clamped at {n_clamped} of {L} {nodes} "
              f"(|H| limited to {CLAMP_LOG:.2f})",) if n_clamped else ()
     Hc = np.clip(H, -CLAMP_LOG, CLAMP_LOG)
-    wb = BoundaryFunction(samples=np.exp(-1j * (alpha.samples + w * nu.theta)
-                                         + Hc[::L // nu.N]),
-                          kind="complex", jumps=alpha.jumps)
-    for a in (alpha.samples, A.coefficients, Hc, wb.samples):
+    for a in (alpha.samples, A.coefficients, Hc):
         a.flags.writeable = False
-    return ReducedField(field=nu, index=w, alpha=alpha, A=A, H=Hc,
-                        weight_boundary=wb, notes=notes)
+    return ReducedField(field=nu, index=w, alpha=alpha, A=A, H=Hc, notes=notes)
 
 
 @dataclass

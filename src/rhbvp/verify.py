@@ -84,16 +84,18 @@ def _exclusions(angles: np.ndarray, delta: float,
     return excluded, reasons, budget
 
 
-def _check_settings(V, apertures=(), **scalars) -> None:
-    """ConfigurationError unless errors.count reads V (from 8 to V_MAX)
-    and errors.real each named scalar setting and each item of
-    apertures, a sequence or a 1-d array."""
-    count(V, "V", 8, V_MAX)
+def _check_settings(**settings) -> None:
+    """ConfigurationError unless errors.count reads V (from 8 to V_MAX),
+    errors.real each other scalar setting and each item of apertures, a
+    sequence or a 1-d array.  Only the settings given are checked."""
+    if "V" in settings:
+        count(settings.pop("V"), "V", 8, V_MAX)
+    apertures = settings.pop("apertures", ())
     if isinstance(apertures, np.ndarray) and apertures.ndim == 1:
         apertures = list(apertures)
     if isinstance(apertures, (str, bytes)) or not isinstance(apertures, Sequence):
         raise ConfigurationError(f"apertures has the wrong type: {apertures!r}")
-    for name, val in [*scalars.items(), *(("apertures", a) for a in apertures)]:
+    for name, val in [*settings.items(), *(("apertures", a) for a in apertures)]:
         real(val, name)
 
 
@@ -163,7 +165,7 @@ def verify_solution(hsol, target: BoundaryFunction | None = None,
     target = target if target is not None else hsol.phi
     if target is None:
         raise ConfigurationError("verification requires a boundary target")
-    _check_settings(V, tol=tol, delta=delta, apertures=apertures)
+    _check_settings(V=V, tol=tol, delta=delta, apertures=apertures)
     if len(apertures) == 0:
         raise ConfigurationError(f"apertures must be non-empty, got {apertures!r}")
     src = hsol.f_source
@@ -287,7 +289,7 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     if hsol.conformal_map is not None:
         raise ConfigurationError("radial tables are disk-native; verify "
                                  "transplanted solutions via the pairing")
-    _check_settings(V, tol=tol, delta=delta)
+    _check_settings(V=V, tol=tol, delta=delta)
     angles = TWO_PI * np.arange(V) / V
     edges = np.concatenate([[0.0, 0.5, 0.75],
                             1.0 - 2.0 ** (-np.arange(3, J_DEEP + 1, dtype=float))])

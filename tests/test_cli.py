@@ -373,6 +373,24 @@ def test_verify_V_above_its_bound_exits_1(tmp_path, capsys, V):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("argv, verify, needle", [
+    ([], {"V": 10 ** 30}, "V must be at most 1048576, got "),
+    (["--tol", "nan"], {}, "tol must be finite, got nan"),
+], ids=["V_huge", "tol_nan"])
+def test_verify_settings_are_checked_before_the_solve(tmp_path, capsys,
+                                                      monkeypatch, argv,
+                                                      verify, needle):
+    # a bad verify setting is refused before any solve or field CSV
+    solves = []
+    monkeypatch.setattr("rhbvp.cli._solve", lambda *a: solves.append(a))
+    cfg = _base_cfg(tmp_path, verify=verify)
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg), *argv]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and needle in err
+    assert "field:" not in out and "Traceback" not in err and not solves
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("bound, needle", [
     (True, "a bound of boundary piece [0, True, 't'] has the wrong type: True"),
     ("3.14", "a bound of boundary piece [0, '3.14', 't'] has the wrong type"),

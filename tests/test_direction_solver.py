@@ -190,30 +190,15 @@ def test_harmonic_solution_refuses_a_different_nu():
 # F has one home: HarmonicSolution builds it
 # ----------------------------------------------------------------------
 
-def _written_out_F(sol, cmap=None):
-    """F by the recovery written out: f (times omega' on a map) at 256
-    points of |z| = 0.5, FFT, coefficients below 1e-14 of the largest
-    dropped, rescaled by 0.5^-n and integrated termwise."""
-    M = 256
-    vals = sol.f_on_scales(np.array([0.5]), M)[0]
+def _written_out_exact_F(sol, M=256, cmap=None):
+    """F by the closed form written out: d_n, f's exact coefficients
+    n < M/2, convolved with those of omega' on a map, those with
+    |d_n| 0.5^n below 1e-14 of the largest dropped, integrated termwise."""
+    d = sol.taylor_coefficients(M // 2)[0]
     if cmap is not None:
-        vals = vals * cmap.omega_prime.eval_on_circle(0.5, M)
-    d = np.fft.fft(vals) / M
-    mag = np.abs(d[:M // 2])
-    c = d[:M // 2].copy()
-    c[mag < 1e-14 * np.max(mag)] = 0.0
-    c = c[:np.flatnonzero(np.abs(c))[-1] + 1]
-    c *= 0.5 ** -np.arange(len(c), dtype=float)
-    return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
-
-
-def _written_out_exact_F(sol, M=256):
-    """F by the closed form written out: f's exact coefficients n < M/2,
-    those with |f_n| 0.5^n below 1e-14 of the largest dropped, integrated
-    termwise."""
-    f_n = sol.taylor_coefficients(M // 2)[0]
-    mag = np.abs(f_n) * 0.5 ** np.arange(M // 2)
-    c = np.where(mag < 1e-14 * np.max(mag), 0.0, f_n)
+        d = np.convolve(d, cmap.omega_prime.coefficients)[:M // 2]
+    mag = np.abs(d) * 0.5 ** np.arange(M // 2)
+    c = np.where(mag < 1e-14 * np.max(mag), 0.0, d)
     c = c[:np.flatnonzero(c)[-1] + 1]
     return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
 
@@ -251,12 +236,31 @@ def test_oblique_solution_builds_F_from_its_exact_series(monkeypatch):
     np.testing.assert_allclose(F, want, rtol=0, atol=1e-15)
 
 
-def test_transplant_solve_builds_F_through_the_map(ellipse_map):
+@pytest.fixture(scope="module")
+def ellipse_solution(ellipse_map):
     phi = R.build_boundary_function("cos(t) + 0.3*sin(2*t)", 1024)
-    hs = R.transplant_solve(ellipse_map, phi)
-    want = _written_out_F(hs.f_source, ellipse_map)
-    assert np.array_equal(hs.F.coefficients, want)
-    assert not np.array_equal(_written_out_F(hs.f_source), want)
+    return R.transplant_solve(ellipse_map, phi)
+
+
+def test_transplant_solve_builds_F_through_the_map(ellipse_map,
+                                                   ellipse_solution,
+                                                   monkeypatch):
+    # the exact series of f times that of omega': once E, the image
+    # normal's turning weight, is formed, f is neither sampled nor fanned
+    sol = ellipse_solution.f_source
+    assert len(sol.reduced.E.coefficients) > 1
+    want = _written_out_exact_F(sol, cmap=ellipse_map)
+    assert not np.array_equal(_written_out_exact_F(sol), want)
+    for name in ("f_on_scales", "f"):
+        monkeypatch.setattr(type(sol), name, None)
+    for name in ("eval_on_rays", "eval_on_circle"):
+        monkeypatch.setattr(SeriesEvaluator, name, None)
+    monkeypatch.setattr(np.fft, "fft", None)
+    hs = R.HarmonicSolution(f_source=sol, conformal_map=ellipse_map)
+    F = hs.F.coefficients
+    assert np.array_equal(F, ellipse_solution.F.coefficients)
+    assert len(F) == len(want)
+    np.testing.assert_allclose(F, want, rtol=0, atol=1e-15)
 
 
 def test_family_member_F_is_built_from_its_own_f(hom_family_cos):
@@ -269,10 +273,21 @@ def test_family_member_F_is_built_from_its_own_f(hom_family_cos):
                               F.coefficients)
 
 
-def _sampled_F(sol, M):
-    """The sampled construction, whatever sol's weight."""
-    return antiderivative_from_circle(
-        sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0])
+def _sampled_F(sol, M, cmap=None):
+    """The sampled construction, whatever sol's weight: f, times omega'
+    on a map, at M points of |z| = RHO_SAMPLE."""
+    vals = sol.f_on_scales(np.array([RHO_SAMPLE]), M)[0]
+    if cmap is not None:
+        vals = vals * cmap.omega_prime.eval_on_circle(RHO_SAMPLE, M)
+    return antiderivative_from_circle(vals)
+
+
+def _points_within_06(seed):
+    """400 random points of |z| <= 0.6 and 64 on |z| = 0.6."""
+    rng = np.random.default_rng(seed)
+    z = 0.6 * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 400))
+    return np.concatenate([z, 0.6 * np.exp(2j * np.pi * np.arange(64) / 64)])
 
 
 @pytest.fixture(scope="module")
@@ -296,30 +311,45 @@ def test_exact_F_matches_the_sampled_construction(constant_weight_cases, name, M
     sol = constant_weight_cases[name]
     F, G = R.antiderivative(sol, M=M), _sampled_F(sol, M)
     assert len(F.coefficients) == len(G.coefficients)
-    rng = np.random.default_rng(M)
-    z = 0.6 * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(
-        2j * np.pi * rng.uniform(0, 1, 400))
-    z = np.concatenate([z, 0.6 * np.exp(2j * np.pi * np.arange(64) / 64)])
+    z = _points_within_06(M)
     assert np.max(np.abs(F._horner(z) - G._horner(z))) < 1e-12
 
 
+@pytest.mark.parametrize("M", [SAMPLES, 4096])
+def test_mapped_F_matches_the_sampled_construction(ellipse_map,
+                                                   ellipse_solution, M):
+    sol = ellipse_solution.f_source
+    F = R.antiderivative(sol, M=M, cmap=ellipse_map)
+    G = _sampled_F(sol, M, ellipse_map)
+    assert len(F.coefficients) == len(G.coefficients)
+    z = _points_within_06(M)
+    assert np.max(np.abs(F._horner(z) - G._horner(z))) < 1e-14
+
+
 def test_exact_F_forms_no_coefficient_it_would_drop(constant_weight_cases,
+                                                    ellipse_map,
+                                                    ellipse_solution,
                                                     monkeypatch):
     # f_n formed for every n < M/2 keeps the same terms as the bounded
-    # length the construction forms; faint low terms beside a unit
-    # coefficient at n = 149 make it form more than its first length
+    # length the construction forms, on the disk and, with f * omega'
+    # in place of f, on a map; faint low terms beside a unit coefficient
+    # at n = 149 make it form more than its first length
     faint = R.solve_neumann(R.build_boundary_function(
         "1e-20*cos(t) + cos(150*t)", 1024)).f_source
     lengths = []
     real = type(faint).taylor_coefficients
     monkeypatch.setattr(type(faint), "taylor_coefficients",
                         lambda self, K: lengths.append(K) or real(self, K))
-    for sol in [*constant_weight_cases.values(), faint]:
+    cases = [(sol, None) for sol in constant_weight_cases.values()]
+    cases += [(ellipse_solution.f_source, ellipse_map), (faint, None)]
+    for sol, cmap in cases:
         lengths.clear()
-        F = R.antiderivative(sol, M=16384).coefficients
+        F = R.antiderivative(sol, M=16384, cmap=cmap).coefficients
         formed = list(lengths)
-        f_n = sol.taylor_coefficients(8192)[0]
-        mag = np.abs(f_n) * 0.5 ** np.arange(8192)
+        d = sol.taylor_coefficients(8192)[0]
+        if cmap is not None:
+            d = np.convolve(d, cmap.omega_prime.coefficients)[:8192]
+        mag = np.abs(d) * 0.5 ** np.arange(8192)
         kept = np.flatnonzero(mag >= 1e-14 * np.max(mag))
         assert len(F) == kept[-1] + 2
         np.testing.assert_array_equal(np.flatnonzero(F[1:]), kept)
