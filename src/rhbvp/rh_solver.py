@@ -110,10 +110,9 @@ class ReducedField:
     """What the construction takes from nu alone, made by reduce_field:
     the winding index, alpha = arg nu0, A = S[alpha], H = H[alpha] clamped
     to CLAMP_LOG on the N nodes (on REFINE * N nodes when alpha has
-    jumps), and the clamp note; the weight exp(-i A) = E0 * E and its
-    boundary values weight_boundary are formed where first read.  Its
-    arrays are read-only, so solutions and callers may share one
-    reduction."""
+    jumps), and the clamp note; the weight exp(-i A) = E0 * E is formed
+    where first read.  Its arrays are read-only, so solutions and callers
+    may share one reduction."""
 
     field: DirectionField
     index: int
@@ -141,25 +140,6 @@ class ReducedField:
         E.coefficients.flags.writeable = False
         return E
 
-    @cached_property
-    def weight_boundary(self) -> BoundaryFunction:
-        """exp(-i (alpha + w t) + H) on the N nodes, where first read;
-        read-only."""
-        th = self.field.theta
-        wb = BoundaryFunction(samples=np.exp(
-            -1j * (self.alpha.samples + self.index * th)
-            + self.H[::len(self.H) // len(th)]), kind="complex",
-            jumps=self.alpha.jumps)
-        wb.samples.flags.writeable = False
-        return wb
-
-    def boundary_pairing_residual(self) -> float:
-        """max_j |Im(nu_j w_j)| / |nu_j w_j| over nodes, w = weight_boundary:
-        nu w telescopes to exp(H) > 0, so this is zero up to rounding.
-        """
-        prod = self.field.samples * self.weight_boundary.samples
-        return float(np.max(np.abs(prod.imag) / np.maximum(np.abs(prod), 1e-30)))
-
     def solve(self, phi: BoundaryFunction,
               params: SolverParams | None = None) -> "AnalyticSolution":
         """The phi stage: psi = phi * exp(-H) and T = S[psi]'s parts.
@@ -185,18 +165,14 @@ class ReducedField:
                                       f"{len(psi)} despite clamping")
         c = J = np.zeros(0)
         rest = psi
-        if len(psi) > N:
-            psi = psi[::REFINE].copy()
-        elif phi.pieces is not None and phi.jumps:
+        if len(psi) == N and phi.pieces is not None and phi.jumps:
             c, left, right = jump_limits(phi.pieces, phi.samples, phi.jumps)
             H_c = (unit_powers(c, len(self.A.coefficients))  # Im A(e^{ic})
                    * self.A.coefficients).sum(axis=1).imag
             J = (right - left) * np.exp(-np.clip(H_c, -CLAMP_LOG, CLAMP_LOG))
             c, J = c[np.isfinite(J)], J[np.isfinite(J)]  # inf stays in rest
             rest = psi - jump_sawtooths(N, c, J)
-        psi = BoundaryFunction(samples=psi, kind="real",
-                               jumps=set(phi.jumps) | set(self.alpha.jumps))
-        return AnalyticSolution(reduced=self, phi=phi, psi=psi, jump_angles=c,
+        return AnalyticSolution(reduced=self, phi=phi, jump_angles=c,
                                 jump_sizes=J, rest=analytic_coefficients(rest),
                                 params=params, notes=list(self.notes))
 
@@ -233,7 +209,6 @@ class AnalyticSolution:
 
     reduced: ReducedField
     phi: BoundaryFunction
-    psi: BoundaryFunction
     jump_angles: np.ndarray
     jump_sizes: np.ndarray
     rest: np.ndarray
@@ -499,7 +474,7 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     followed by one member per point.  f is linear in the Herglotz
     coefficients, so one solve with phi = 0, one reduction of nu, serves
     every member; the members are copies of it that differ only in
-    params (so in hom_coeffs) and notes, and share its reduced field, psi
+    params (so in hom_coeffs) and notes, and share its reduced field
     and T (each member solves its own b_j) and one store of g and E * g,
     formed where f is first evaluated, and of their fans, so f_on_scales
     evaluates E * g once per fan for the whole family and each member

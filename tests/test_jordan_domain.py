@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhbvp as R
-from rhbvp.boundary_data import BoundaryFunction, grid_nodes
+from rhbvp.boundary_data import TWO_PI, BoundaryFunction, grid_nodes
 from rhbvp.errors import (ConfigurationError, ConvergenceDomainError,
                           ConvergenceError, DataError, PointQueryError)
 from rhbvp.disk_harmonic import (TAIL_TOL, SeriesEvaluator,
@@ -230,19 +230,69 @@ def star3_grid():
     return cmap, W[cmap.contains(W)]
 
 
+def _horner_calls(monkeypatch):
+    """(series, points) of every SeriesEvaluator._horner call."""
+    calls = []
+    horner = SeriesEvaluator._horner
+    monkeypatch.setattr(SeriesEvaluator, "_horner", lambda self, z: (
+        calls.append((self, np.size(z))) or horner(self, z)))
+    return calls
+
+
+def _work(calls):
+    return sum(len(s.coefficients) * n for s, n in calls)
+
+
 def test_invert_steps_only_the_points_still_moving(star3_grid, monkeypatch):
     cmap, w = star3_grid
-    sizes = []
-    horner = cmap.omega._horner
-    monkeypatch.setattr(cmap.omega, "_horner",
-                        lambda z: sizes.append(np.size(z)) or horner(z))
+    calls = _horner_calls(monkeypatch)
     z = cmap.invert(w)
-    newton, check = sizes[:-1], sizes[-1]  # the last call is the residual check
-    assert check == w.size == newton[0]
-    assert all(b <= a for a, b in zip(newton, newton[1:]))
-    assert newton[-1] < 0.1 * w.size
+    assert calls[-1] == (cmap.omega, w.size)  # the residual check
+    phases = [p[0] for p in cmap._newton_phases] + [cmap.omega]
+    assert len(phases) == 4
+    for omega in phases:  # each phase starts on every point, then drops
+        sizes = [n for s, n in calls[:-1] if s is omega]
+        assert sizes[0] == w.size
+        assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+    # the cut phases do the early steps: 0.54 of the Horner work of the
+    # active-set loop on the full series alone
+    phased = _work(calls)
+    calls.clear()
+    monkeypatch.setitem(cmap.__dict__, "_newton_phases", [])
+    cmap.invert(w)
+    assert phased <= 0.7 * _work(calls)
     monkeypatch.undo()
     assert np.max(np.abs(z - _all_points_newton(cmap, w))) <= 1e-15
+
+
+def test_invert_agrees_with_full_newton_on_the_ellipse_grid(ellipse_map):
+    xs = np.linspace(-0.95, 0.95, 101)
+    W = xs[:, None] + 1j * xs[None, :]
+    w = W[ellipse_map.contains(W)]
+    z = ellipse_map.invert(w)
+    assert np.max(np.abs(z - _all_points_newton(ellipse_map, w))) <= 1e-15
+
+
+def test_invert_near_the_rim():
+    # (1 - 10^-k) rho(a) for k = 2..11: the cut series' phases must hand
+    # the last phase a start it converges from, however close to the rim
+    cmap = theodorsen_map("1 + 0.25*cos(3*a)", N=1024)
+    a = TWO_PI * np.arange(64) / 64 + 0.01
+    scale = 1.0 - 10.0 ** -np.arange(2, 12)
+    w = (scale[:, None] * cmap.rho(a) * np.exp(1j * a)).ravel()
+    z = cmap.invert(w)
+    assert np.max(np.abs(cmap.omega(z) - w)) < 1e-9
+    assert np.max(np.abs(z - _all_points_newton(cmap, w))) <= 1e-15
+
+
+def test_identity_map_inverts_on_the_full_series_alone(monkeypatch):
+    cmap = theodorsen_map(1.0, N=256)
+    calls = _horner_calls(monkeypatch)
+    z = cmap.invert(np.array([0.3 + 0.4j, -0.2j]))
+    assert cmap._newton_phases == []
+    assert all(s is cmap.omega or s is cmap.omega_prime for s, _ in calls)
+    monkeypatch.undo()
+    np.testing.assert_allclose(z, [0.3 + 0.4j, -0.2j], atol=1e-13)
 
 
 def test_invert_keeps_the_shape_of_2d_input(star3_grid):
