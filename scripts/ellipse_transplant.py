@@ -27,7 +27,7 @@ def main():
 
     nf = image_inner_normal(cmap)
     phi = R.BoundaryFunction(samples=nf.samples.real, kind="real")
-    hs = R.transplant_neumann(cmap, phi)
+    hs = R.transplant_solve(cmap, phi)
 
     w = np.array([0.0 + 0j, 0.5 + 0.2j, -0.7 + 0.1j, 0.6j])
     gx, gy = hs.grad(w)

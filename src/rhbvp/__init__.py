@@ -4,7 +4,9 @@ problems on the unit disk and star-like Jordan domains.
 Entry points: build_boundary_function / DirectionField for data,
 solve_directional / solve_neumann / transplant_solve for solutions,
 verify_solution for the boundary certificate, theodorsen_map for
-domains, dimension_certificate for solution-family rank.
+domains, dimension_certificate for solution-family rank.  The Neumann
+problem is the inner-normal case: solve_neumann on the disk, and
+transplant_solve with nu omitted on a mapped domain.
 """
 
 from .boundary_data import (BoundaryFunction, DirectionField,
@@ -17,8 +19,7 @@ from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, DomainError,
                      InvariantViolation, NumericalRangeError, PointQueryError,
                      RepresentationError, RHBVPError)
-from .jordan_domain import (ConformalMap, theodorsen_map, transplant_neumann,
-                            transplant_solve)
+from .jordan_domain import ConformalMap, theodorsen_map, transplant_solve
 from .neumann import disk_inner_normal, solve_neumann
 from .rh_solver import (AnalyticSolution, SolverParams, homogeneous_family,
                         solve_rh)
@@ -39,5 +40,5 @@ __all__ = [
     "homogeneous_family", "laplacian_residual",
     "measurable_arg", "radial_u_table", "chord_recovery", "schwarz_integral",
     "solve_directional", "solve_neumann", "solve_rh", "theodorsen_map",
-    "transplant_neumann", "transplant_solve", "verify_solution",
+    "transplant_solve", "verify_solution",
 ]

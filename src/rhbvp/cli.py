@@ -12,7 +12,9 @@ _SCHEMA in one walk: unknown keys, values of the wrong JSON type and
 values out of range are errors naming their paths.  A key the config
 leaves out takes the default of the library call it feeds (SolverParams,
 verify_solution), except params.N, the grid size, which defaults to
-DEFAULT_N.
+DEFAULT_N.  nu decides the problem: the inner normal (nu left out or
+"normal") is the Neumann problem on every domain.  problem is only
+checked, and "neumann" with another nu is an error.
 Exit codes: 0 success, 1 usage/configuration errors (bad arguments
 included), 2 numerical failures.  Output files are guarded by .lock files
 and partial outputs are removed when a run fails for any reason.
@@ -32,7 +34,7 @@ from .boundary_data import (BoundaryFunction, DirectionField,
                             build_boundary_function, grid_nodes)
 from .direction_solver import HarmonicSolution, solve_directional
 from .errors import ConfigurationError, NumericalError, RHBVPError
-from .jordan_domain import theodorsen_map, transplant_neumann, transplant_solve
+from .jordan_domain import theodorsen_map, transplant_solve
 from .neumann import disk_inner_normal, solve_neumann
 from .rh_solver import SolverParams, homogeneous_family
 from .verify import _check_settings, dimension_certificate, verify_solution
@@ -59,6 +61,8 @@ _SCHEMA = {
 
 # what a leaf of the right type must also satisfy
 _RULES = {
+    "problem": ("'neumann' or 'directional'",
+                lambda p: p in ("neumann", "directional")),
     "params.N": ("a power of two with N >= 16",
                  lambda n: n >= 16 and n & (n - 1) == 0),
     "verify.apertures": ("non-empty", len),
@@ -108,6 +112,9 @@ def _check(cfg: dict) -> None:
     _walk(cfg, _SCHEMA, "", unknown, bad)
     if unknown:
         bad.insert(0, "unknown config keys: " + ", ".join(sorted(unknown)))
+    if cfg.get("problem") == "neumann" and cfg.get("nu", "normal") != "normal":
+        bad.append(f"problem 'neumann' takes the inner normal, so nu must be "
+                   f"left out or 'normal', got {cfg['nu']!r}")
     if bad:
         raise ConfigurationError("; ".join(bad))
 
@@ -183,20 +190,15 @@ def _build_nu(cfg: dict, N: int) -> DirectionField | None:
 
 def _solve(cfg: dict, N: int, trace):
     params = _build_params(cfg)
+    nu = _build_nu(cfg, N)  # a malformed nu is refused before the map
     cmap = _build_domain(cfg, N)
     phi = _build_phi(cfg, N)
-    problem = cfg.get("problem", "neumann")
-    if problem not in ("neumann", "directional"):
-        raise ConfigurationError(
-            f"problem must be 'neumann' or 'directional', got {problem!r}")
-    nu = _build_nu(cfg, N)
-    if problem == "neumann" and nu is None:
-        hs = (solve_neumann(phi, params) if cmap is None
-              else transplant_neumann(cmap, phi, params))
-    elif cmap is None:
-        hs = solve_directional(nu or disk_inner_normal(N).field, phi, params)
-    else:  # nu None is the image inner normal
+    if cmap is not None:  # nu None is the image inner normal
         hs = transplant_solve(cmap, phi, params, nu=nu)
+    elif nu is None:
+        hs = solve_neumann(phi, params)
+    else:
+        hs = solve_directional(nu, phi, params)
     trace(lambda: f"solve: N={N} g_terms={len(hs.f_source.g.coefficients)} "
           f"winding={hs.f_source.index} "
           f"series_terms={len(hs.F.coefficients)} d0={params.d0:g}")
@@ -391,8 +393,7 @@ def _run_family(cfg: dict, N: int, field_path, report_path, trace, guard):
     params = _build_params(cfg)
     if not params.hom_points:
         raise ConfigurationError("family command requires params.hom_points")
-    cmap = _build_domain(cfg, N)
-    if cmap is not None:
+    if cfg.get("domain", "disk") != "disk":  # refused before any map is built
         raise ConfigurationError("family command is disk-native")
     nu = _build_nu(cfg, N) or disk_inner_normal(N).field
     members = homogeneous_family(nu, params.hom_points, params)

@@ -18,7 +18,9 @@ Solutions transplant: boundary data pulled back through the
 correspondence is solved on the disk, F integrates f * omega', whose
 series is the product of the exact series of f and omega', and
 u(w) = Re F(omega^{-1}(w)) + d0 with gradient read off the disk
-solution directly (the chain rule cancels omega').
+solution directly (the chain rule cancels omega').  The Neumann problem
+is the case of the image inner normal, transplant_solve's default
+direction, as solve_neumann's is on the disk.
 """
 
 from __future__ import annotations
@@ -209,30 +211,19 @@ def transplant_solve(cmap: ConformalMap, phi: BoundaryFunction,
                      nu: DirectionField | None = None) -> HarmonicSolution:
     """Directional problem on the image domain, data in the parameter t.
 
-    nu defaults to the image inner normal (Neumann problem).  The disk
-    problem for the pulled-back pair is solved, F integrates f * omega',
-    and the returned solution evaluates through Newton inversion.
+    nu defaults to the image inner normal: the Neumann problem, whose
+    solution carries the compatibility note.  The disk problem for the
+    pulled-back pair is solved, F integrates f * omega', and the returned
+    solution evaluates through Newton inversion.
     """
     params = params or SolverParams()
     if phi.N != cmap.N:
         raise ConfigurationError(
             f"boundary data N={phi.N} does not match the map N={cmap.N}")
-    if nu is None:
-        nu = image_inner_normal(cmap)
-    sol = solve_rh(nu, phi, params)
-    notes = list(sol.notes)
-    notes.append(f"transplanted through a degree-{len(cmap.omega.coefficients)} "
-                 f"map (residual {cmap.residual:.3e}, "
-                 f"{cmap.iterations} iterations)")
+    sol = solve_rh(image_inner_normal(cmap) if nu is None else nu, phi, params)
+    notes = sol.notes + [
+        f"transplanted through a degree-{len(cmap.omega.coefficients)} "
+        f"map (residual {cmap.residual:.3e}, {cmap.iterations} iterations)"]
+    note = compatibility_note(phi, cmap) if nu is None else None
     return HarmonicSolution(f_source=sol, d0=params.d0, conformal_map=cmap,
-                            notes=notes)
-
-
-def transplant_neumann(cmap: ConformalMap, phi: BoundaryFunction,
-                       params: SolverParams | None = None) -> HarmonicSolution:
-    """Neumann problem on the image domain (data in the parameter t)."""
-    hs = transplant_solve(cmap, phi, params)
-    note = compatibility_note(phi, cmap)
-    if note:
-        hs.notes.append(note)
-    return hs
+                            notes=notes + ([note] if note else []))

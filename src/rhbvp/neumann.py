@@ -37,12 +37,13 @@ def compatibility_integral(phi: BoundaryFunction) -> float:
 
 def compatibility_note(phi: BoundaryFunction, cmap=None) -> str | None:
     """The nonclassical-solution note, or None when |integral phi ds| is at
-    most 1e-10 * (1 + max |phi|); on a ConformalMap ds = |omega'| dt."""
-    if cmap is None:
-        flux = compatibility_integral(phi)
-    else:
-        speed = np.abs(cmap.omega_prime.eval_on_circle(1.0, cmap.N))
-        flux = float(np.mean(np.asarray(phi.samples, float) * speed) * TWO_PI)
+    most 1e-10 * (1 + max |phi|); ds = speed dt, with speed |omega'| on a
+    ConformalMap and 1 on the disk, where phi is read in place."""
+    phi_speed = np.asarray(phi.samples, float)
+    if cmap is not None:
+        phi_speed = phi_speed * np.abs(
+            cmap.omega_prime.eval_on_circle(1.0, cmap.N))
+    flux = float(np.mean(phi_speed) * TWO_PI)
     scale = 1.0 + float(np.max(np.abs(phi.samples)))
     if abs(flux) <= 1e-10 * scale:
         return None

@@ -187,7 +187,7 @@ def test_criterion_08_conformal_transplants():
 
     cmap = R.theodorsen_map(2.0, N=1024)
     phi = R.build_boundary_function("cos(t)", 1024)
-    hs = R.transplant_neumann(cmap, phi)
+    hs = R.transplant_solve(cmap, phi)
     rng = np.random.default_rng(3)
     w = 1.8 * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50))
     w = w[np.abs(w) < 1.9][:50]

@@ -9,7 +9,7 @@ import pytest
 
 import rhbvp as R
 import rhbvp.rh_solver as rh_solver
-from rhbvp.cli import MAP_BLOCK_ROWS, _write_field_csv, main
+from rhbvp.cli import MAP_BLOCK_ROWS, _grid_spec, _write_field_csv, main
 from report_parser import parse_report
 
 ELLIPSE_RHO = "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"
@@ -115,7 +115,7 @@ def test_field_csv_matches_per_row_writer(tmp_path, domain):
     if domain == "disk":
         hs = R.solve_neumann(phi)
     else:
-        hs = R.transplant_neumann(R.theodorsen_map(ELLIPSE_RHO, N=256), phi)
+        hs = R.transplant_solve(R.theodorsen_map(ELLIPSE_RHO, N=256), phi)
     nx, ny, hw = 23, 17, 1.05
     lines = []
     _write_field_csv(str(tmp_path / "cols.csv"), hs, nx, ny, hw, lines.append)
@@ -164,26 +164,37 @@ def _note_template(note):
     return re.sub(r"data is \S+, not 0", "data is X, not 0", note)
 
 
-def test_neumann_is_directional_with_the_normal_plus_a_note(tmp_path):
-    csv_n, rep_n = _verify_run(tmp_path, "neumann", problem="neumann")
-    csv_d, rep_d = _verify_run(tmp_path, "directional", problem="directional",
-                               nu="normal")
-    assert csv_n == csv_d
-    (set_n,), (set_d,) = ([line for line in rep if line.startswith("# settings: ")]
-                          for rep in (rep_n, rep_d))
-    s_n, s_d = (json.loads(line[len("# settings: "):]) for line in (set_n, set_d))
-    # the settings differ only in the config echo
-    assert s_n.pop("config_echo") != s_d.pop("config_echo") and s_n == s_d
-    note, = [line for line in rep_n if "compatibility" in line]
-    assert note.startswith("# note: compatibility integral of the data is 6.28319")
-    assert ([line for line in rep_n if line not in (set_n, note)]
-            == [line for line in rep_d if line != set_d])
+def _report_less_echo(rep):
+    """The report lines, with the config echo left out of the settings."""
+    lines = []
+    for line in rep:
+        if line.startswith("# settings: "):
+            settings = json.loads(line[len("# settings: "):])
+            del settings["config_echo"]
+            line = settings
+        lines.append(line)
+    return lines
 
+
+def test_neumann_is_directional_with_the_normal_plus_a_note(tmp_path):
+    # the inner normal is the Neumann problem whatever problem says: the
+    # reports agree line for line but for the config echo, note included
+    notes = []
+    for name, extra in [("disk", {}),
+                        ("ellipse", {"domain": {"starlike": {"rho": ELLIPSE_RHO}}})]:
+        csv_n, rep_n = _verify_run(tmp_path, f"{name}_n", problem="neumann",
+                                   **extra)
+        csv_d, rep_d = _verify_run(tmp_path, f"{name}_d",
+                                   problem="directional", nu="normal", **extra)
+        assert csv_n == csv_d
+        assert rep_n != rep_d  # the echo differs
+        assert _report_less_echo(rep_n) == _report_less_echo(rep_d)
+        note, = [line for line in rep_n if "compatibility" in line]
+        notes.append(note)
+    assert notes[0].startswith("# note: compatibility integral of the data is 6.28319")
     # a mapped domain gives the same note, with its own flux (the perimeter)
-    _, rep_m = _verify_run(tmp_path, "ellipse", problem="neumann",
-                           domain={"starlike": {"rho": ELLIPSE_RHO}})
-    note_m, = [line for line in rep_m if "compatibility" in line]
-    assert note_m != note and _note_template(note_m) == _note_template(note)
+    assert notes[1] != notes[0]
+    assert _note_template(notes[1]) == _note_template(notes[0])
 
 
 def test_verify_tol_flag_overrides_config(tmp_path):
@@ -338,11 +349,13 @@ def test_wrong_section_type_exits_1_and_leaves_nothing(tmp_path, capsys, command
     ("params.N", 100, "params.N must be a power of two"),
     ("params.d0", "0.5", "params.d0 has the wrong type: '0.5'"),
     ("params.cut", True, "params.cut has the wrong type: True"),
+    ("nu", {"angle": "0.3"}, "problem 'neumann' takes the inner normal, so "
+     "nu must be left out or 'normal', got {'angle': '0.3'}"),
 ], ids=["apertures_empty", "phi_short_triple", "phi_bare_object",
         "phi_piece_without_expr", "phi_empty", "phi_null", "target_short_triple",
         "phi_bool", "V_bool", "V_numeric_string", "grid_nx_bool",
         "grid_ny_float", "grid_nx_1", "grid_half_width_0", "N_100",
-        "d0_numeric_string", "cut_bool"])
+        "d0_numeric_string", "cut_bool", "neumann_with_other_nu"])
 def test_malformed_config_exits_1_without_traceback(tmp_path, capsys,
                                                     monkeypatch, path, value,
                                                     needle):
@@ -359,6 +372,48 @@ def test_malformed_config_exits_1_without_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command, extra, needle", [
+    ("verify", {"problem": "bogus"}, "problem must be 'neumann' or"),
+    ("verify", {"nu": {"angle": "0.3"}}, "problem 'neumann' takes the inner"),
+    ("family", {"params": {"N": 256, "hom_points": [1.0, 2.0]}},
+     "family command is disk-native"),
+], ids=["bogus_problem", "neumann_with_other_nu", "family"])
+def test_star_domain_configs_are_refused_before_the_map(tmp_path, capsys,
+                                                        monkeypatch, command,
+                                                        extra, needle):
+    built = []
+    monkeypatch.setattr("rhbvp.cli.theodorsen_map",
+                        lambda *a, **k: built.append(a))
+    cfg = _base_cfg(tmp_path, domain={"starlike": {"rho": ELLIPSE_RHO}},
+                    **extra)
+    assert main([command, "--config", _write_cfg(tmp_path, cfg),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert built == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_direction_without_problem_is_the_directional_problem(tmp_path):
+    # problem is only checked: left out or "directional", nu decides
+    nu = "t + pi + 0.2*sin(t)"
+    rows = []
+    for name, extra in [("bare", {}), ("named", {"problem": "directional"})]:
+        cfg = _base_cfg(tmp_path, nu={"angle": nu})
+        del cfg["problem"]
+        cfg.update(extra)
+        cfg["outputs"] = {"field_csv": str(tmp_path / f"{name}.csv")}
+        assert main(["solve", "--config", _write_cfg(tmp_path, cfg),
+                     "--quiet"]) == 0
+        rows.append((tmp_path / f"{name}.csv").read_bytes())
+    assert rows[0] == rows[1]
+    phi = R.build_boundary_function("cos(theta)", 256)
+    hs = R.solve_directional(R.DirectionField.from_angle(nu, 256), phi)
+    _write_field_csv(str(tmp_path / "lib.csv"), hs, *_grid_spec({}),
+                     lambda msg: None)
+    assert rows[0] == (tmp_path / "lib.csv").read_bytes()
 
 
 @pytest.mark.parametrize("V", [2 ** 20 + 1, 10 ** 30], ids=["one_over", "huge"])

@@ -102,7 +102,7 @@ def _scalar_case(name, request):
     if name == "step":
         return request.getfixturevalue("neumann_step")
     if name == "ellipse":
-        return R.transplant_neumann(request.getfixturevalue("ellipse_map"),
+        return R.transplant_solve(request.getfixturevalue("ellipse_map"),
                                     R.build_boundary_function("cos(t)", 1024))
     N = 256
     angle = {"w0_hom": "0.3 + 0.2*cos(t)", "wm1": "-t + 0.3 + 0.2*cos(t)"}[name]

@@ -15,7 +15,8 @@ from rhbvp.disk_harmonic import (TAIL_TOL, SeriesEvaluator,
                                  analytic_coefficients)
 from rhbvp import jordan_domain
 from rhbvp.jordan_domain import (image_inner_normal, theodorsen_map,
-                                 transplant_neumann)
+                                 transplant_solve)
+from rhbvp.neumann import compatibility_note
 
 
 ELLIPSE_RHO = "0.8/sqrt(1 - (1 - 0.8^2)*cos(a)^2)"
@@ -136,7 +137,7 @@ def test_contains(ellipse_map):
 
 @pytest.mark.parametrize("mapped", [False, True], ids=["disk", "ellipse"])
 def test_u_of_an_empty_array(mapped, ellipse_map, neumann_cos):
-    hs = (R.transplant_neumann(ellipse_map, neumann_cos.phi) if mapped
+    hs = (R.transplant_solve(ellipse_map, neumann_cos.phi) if mapped
           else neumann_cos)
     empty = np.array([], dtype=complex)
     assert hs.u(empty).shape == (0,)
@@ -330,7 +331,7 @@ def test_index_coefficient_is_the_scaled_flux(rho):
         sol, speed, scale = R.solve_neumann(phi).f_source, 1.0, 1.0
     else:
         cmap = theodorsen_map(rho, N=N)
-        sol = transplant_neumann(cmap, phi).f_source
+        sol = transplant_solve(cmap, phi).f_source
         speed = np.abs(cmap.omega_prime.eval_on_circle(1.0, N))
         scale = cmap.omega.coefficients[1].real
     flux = 2 * np.pi * np.mean(phi.samples * speed)
@@ -344,7 +345,7 @@ def test_transplant_scaled_disk_neumann():
     cmap = theodorsen_map(2.0, N=256)
     wb = cmap.boundary_nodes()
     phi = BoundaryFunction(samples=wb.real / np.abs(wb))
-    hs = transplant_neumann(cmap, phi)
+    hs = transplant_solve(cmap, phi)
     w = np.array([0.5 + 0.3j, -1.2 + 0j, 1.1j])
     np.testing.assert_allclose(hs.u(w), -w.real, atol=1e-12)
     gx, gy = hs.grad(w)
@@ -355,14 +356,26 @@ def test_transplant_scaled_disk_neumann():
 
 def test_transplant_notes_incompatible_flux():
     cmap = theodorsen_map(2.0, N=256)
-    hs = transplant_neumann(cmap, R.build_boundary_function(1.0, 256))
+    hs = transplant_solve(cmap, R.build_boundary_function(1.0, 256))
     assert any("compatibility integral" in n and "not 0" in n
                for n in hs.notes)
 
 
+@pytest.mark.parametrize("data", ["1", "cos(t)"])
+def test_transplant_without_nu_is_the_neumann_problem(ellipse_map, data):
+    # nu omitted: the image inner normal, with the compatibility note
+    phi = R.build_boundary_function(data, ellipse_map.N)
+    hs = transplant_solve(ellipse_map, phi)
+    ref = transplant_solve(ellipse_map, phi, nu=image_inner_normal(ellipse_map))
+    note = compatibility_note(phi, ellipse_map)
+    assert (note is None) == (data == "cos(t)")  # the ellipse's flux of cos t is 0
+    np.testing.assert_array_equal(hs.F.coefficients, ref.F.coefficients)
+    assert hs.notes == ref.notes + ([note] if note else [])
+
+
 def test_transplant_rejects_grid_mismatch(ellipse_map):
     with pytest.raises(ConfigurationError, match="does not match"):
-        transplant_neumann(ellipse_map, R.build_boundary_function(1.0, 512))
+        transplant_solve(ellipse_map, R.build_boundary_function(1.0, 512))
 
 
 def test_transplant_ellipse_dirichlet_consistency(ellipse_map):
@@ -372,7 +385,7 @@ def test_transplant_ellipse_dirichlet_consistency(ellipse_map):
     # use the exact harmonic u = Re w, normal derivative n_x
     nf = image_inner_normal(ellipse_map)
     phi = R.BoundaryFunction(samples=nf.samples.real, kind="real")
-    hs = transplant_neumann(ellipse_map, phi)
+    hs = transplant_solve(ellipse_map, phi)
     w = np.array([0.2 + 0.1j, -0.4 + 0.3j, 0.6j])
     u = hs.u(w)
     # u should equal Re w up to the additive gauge fixed at omega(0) = 0

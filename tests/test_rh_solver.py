@@ -745,7 +745,7 @@ def test_shared_reduction_equals_fresh_solves():
 
 
 def test_transplant_equals_a_solve_on_a_fresh_normal(ellipse_map, step_1024):
-    got = R.transplant_neumann(ellipse_map, step_1024)
+    got = R.transplant_solve(ellipse_map, step_1024)
     fresh = solve_rh(image_inner_normal(ellipse_map), step_1024)
     _assert_same_solution(got, R.HarmonicSolution(f_source=fresh,
                                                   conformal_map=ellipse_map))

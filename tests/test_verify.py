@@ -249,7 +249,7 @@ def test_verifier_rejects_data_off_by_ten_tol(case, ellipse_4096):
         "disk w=0": lambda phi: R.solve_directional(
             R.DirectionField.from_angle("0.3 + 0.2*cos(t)", N), phi),
         "disk w=1": R.solve_neumann,
-        "ellipse": lambda phi: R.transplant_neumann(ellipse_4096, phi),
+        "ellipse": lambda phi: R.transplant_solve(ellipse_4096, phi),
     }[case]
     phi = R.build_boundary_function("cos(t)", N)
     off = R.build_boundary_function(f"cos(t) + {10 * tol!r}", N)
@@ -312,7 +312,7 @@ def test_serialize_matches_per_row_reference(neumann_step):
     # a mapped domain has no Laplacian residual: residual_max is nan
     cmap = R.theodorsen_map("1 + 0.2*cos(3*a)", N=256)
     mapped = verify_solution(
-        R.transplant_neumann(cmap, R.build_boundary_function("cos(t)", 256)),
+        R.transplant_solve(cmap, R.build_boundary_function("cos(t)", 256)),
         V=64, tol=1e-2)
     assert np.isnan(mapped.residual_stats[0])
     assert mapped.serialize() == _reference_serialize(mapped)
@@ -454,7 +454,7 @@ def test_verify_with_every_vertex_excluded_has_no_u_range():
 def test_radial_table_rejects_transplants():
     cmap = R.theodorsen_map(2.0, N=256)
     phi = R.build_boundary_function("cos(t)", 256)
-    hs = R.transplant_neumann(cmap, phi)
+    hs = R.transplant_solve(cmap, phi)
     with pytest.raises(ConfigurationError, match="disk-native"):
         radial_u_table(hs, V=50)
 
@@ -577,7 +577,7 @@ def test_chord_recovery_validation(neumann_cos):
 def test_chord_recovery_on_a_mapped_domain():
     # rho = 1 + 0.2 cos 3a is 1.2 at a = 0 and about 0.84 at arg(0.3 + 0.9i)
     cmap = R.theodorsen_map("1 + 0.2*cos(3*a)", N=1024)
-    hs = R.transplant_neumann(cmap, R.build_boundary_function("cos(t)", 1024))
+    hs = R.transplant_solve(cmap, R.build_boundary_function("cos(t)", 1024))
     rec, direct = chord_recovery(hs, 0.1, 1.0)
     assert abs(rec - direct) < 1e-6
     chord_recovery(hs, 0.1, 1.1)
