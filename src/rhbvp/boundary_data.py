@@ -15,7 +15,7 @@ conjugation treats it like any other boundary data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,12 +134,15 @@ def as_function(obj, var: str = "theta",
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """Periodic boundary data: samples plus optional exact piece structure."""
+    """Periodic boundary data: samples plus optional exact piece structure.
+    limits is derived, jump_limits(pieces, samples, jumps) kept read-only
+    for the solve; its angles join jumps.  Sampled data have none."""
 
     samples: np.ndarray
     kind: str = "real"
     jumps: tuple[float, ...] = ()
     pieces: tuple[Piece, ...] | None = None
+    limits: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.samples)
@@ -155,8 +158,15 @@ class BoundaryFunction:
         else:
             s = np.asarray(s, dtype=complex)
         object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "jumps", tuple(sorted(
-            real(a, "jumps") % TWO_PI for a in self.jumps)))
+        jumps = [real(a, "jumps") % TWO_PI for a in self.jumps]
+        limits = (np.zeros(0),) * 3
+        if self.pieces is not None:
+            limits = jump_limits(self.pieces, s, jumps)
+            jumps = [a % TWO_PI for a in set(jumps) | set(limits[0].tolist())]
+        for a in limits:
+            a.flags.writeable = False
+        object.__setattr__(self, "jumps", tuple(sorted(jumps)))
+        object.__setattr__(self, "limits", limits)
 
     @property
     def N(self) -> int:
@@ -257,7 +267,7 @@ def build_boundary_function(spec, N: int, kind: str = "real",
     dicts forming a partition of [0, 2pi), or a sample array of length N;
     anything else is a ConfigurationError naming the malformed piece, as
     is a piece bound or declared jump that errors.real refuses.  Declared
-    jumps and junctions where the pieces disagree are recorded as jumps.
+    jumps and the angles of BoundaryFunction.limits are the data's jumps.
     """
     _check_grid_size(N)
     if isinstance(spec, np.ndarray):
@@ -280,12 +290,8 @@ def build_boundary_function(spec, N: int, kind: str = "real",
         if abs(a.hi - b.lo) > 1e-12:
             raise ConfigurationError(
                 f"boundary pieces do not form a partition near angle {a.hi:.6g}")
-    samples = _grid_values(pieces, N, kind)
-    detected = jump_limits(pieces, samples)[0]
-    all_jumps = sorted(set(real(j, "jumps") % TWO_PI for j in jumps)
-                       | set(detected.tolist()))
-    return BoundaryFunction(samples=samples, kind=kind,
-                            jumps=tuple(all_jumps), pieces=tuple(pieces))
+    return BoundaryFunction(samples=_grid_values(pieces, N, kind), kind=kind,
+                            jumps=tuple(jumps), pieces=tuple(pieces))
 
 
 @dataclass(frozen=True)

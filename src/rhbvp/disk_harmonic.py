@@ -19,6 +19,7 @@ from .errors import (ConfigurationError, DataError, DomainError,
                      NumericalRangeError, RepresentationError)
 
 RAY_CHUNK = 64  # scales per real matrix product in eval_on_rays
+POWER_FLOOR = 1e-290  # eval_on_rays' powers below this are set to 0
 TAIL_TOL = 16.0 * np.finfo(float).eps  # trim_tail's share of the l2 norm
 CIRCLE_DOUBLINGS = 4  # circle_series doubles M at most this often
 
@@ -109,6 +110,9 @@ class SeriesEvaluator:
         plus one chunk.  (ifft's ``out=`` would save that copy but needs
         NumPy 2.)  blocks, fold(V) when given, spares calls on the same V
         their own padded copy of the coefficients.
+        P's parts below POWER_FLOOR are set to 0: below |s| ~ 0.97 the
+        powers turn subnormal, each such operand stalls dgemm (5x on 132
+        blocks), and the terms dropped move no sum above 1e-274 max |c|.
         No complex product: a complex BLAS call here (OpenBLAS zgemm)
         was seen to slow later complex powers and exponentials in the
         same process about tenfold.
@@ -119,6 +123,7 @@ class SeriesEvaluator:
         for i in range(0, len(s), RAY_CHUNK):
             sc, acc = s[i:i + RAY_CHUNK], out[i:i + RAY_CHUNK]
             P = _running_powers(sc ** V, len(blocks))
+            P.view(float)[np.abs(P.view(float)) < POWER_FLOOR] = 0.0
             np.matmul(np.ascontiguousarray(P.real), blocks, out=acc.view(float))
             if np.any(P.imag):
                 acc += 1j * (np.ascontiguousarray(P.imag) @ blocks).view(complex)

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
-                            jump_sawtooths, jump_limits, measurable_arg)
+                            jump_sawtooths, measurable_arg)
 from .disk_harmonic import (SeriesEvaluator, analytic_coefficients,
                             circle_series, conjugate_boundary,
                             sawtooth_coefficients, schwarz_integral,
@@ -144,13 +144,12 @@ class ReducedField:
               params: SolverParams | None = None) -> "AnalyticSolution":
         """The phi stage: psi = phi * exp(-H) and T = S[psi]'s parts.
 
-        On H's grid of N nodes, each jump J of piecewise phi at an angle
-        c, a junction or a jump declared inside a piece, is kept as an
-        atom, c and J exp(-H(c)); the rest of psi, with any jump whose
-        one-sided limit is infinite, gives the first N/2 terms.  No
-        series is formed here.  With H on the refined grid (alpha has
-        jumps) psi is formed on it from phi's values there, and the rest
-        is all of T."""
+        On H's grid of N nodes each jump J of phi.limits at an angle c is
+        kept as an atom, c and J exp(-H(c)); the rest of psi, with any
+        jump whose one-sided limit is infinite, gives the first N/2 terms,
+        and no piece is read nor series formed.  With H on the refined
+        grid (alpha has jumps) psi is formed on it from phi's values
+        there, and the rest is all of T."""
         N = self.field.N
         params = params or SolverParams()
         if phi.kind != "real":
@@ -163,10 +162,9 @@ class ReducedField:
             bad = int(np.flatnonzero(~np.isfinite(psi))[0])
             raise NumericalRangeError(f"psi non-finite at node {bad} of "
                                       f"{len(psi)} despite clamping")
-        c = J = np.zeros(0)
-        rest = psi
-        if len(psi) == N and phi.pieces is not None and phi.jumps:
-            c, left, right = jump_limits(phi.pieces, phi.samples, phi.jumps)
+        c, J, rest = np.zeros(0), np.zeros(0), psi
+        if len(psi) == N and len(phi.limits[0]):
+            c, left, right = phi.limits
             H_c = (unit_powers(c, len(self.A.coefficients))  # Im A(e^{ic})
                    * self.A.coefficients).sum(axis=1).imag
             J = (right - left) * np.exp(-np.clip(H_c, -CLAMP_LOG, CLAMP_LOG))
@@ -238,10 +236,11 @@ class AnalyticSolution:
         """T's first n terms, bitwise those of bracket(L): the jumps'
         series cut at L = REFINE * N / 2 plus the rest's, zeros past L.
         O(jumps * n); g pays it at L, once per solution whose f is
-        evaluated.  Without jumps only zeros are formed, signed as the
-        empty jump series leaves them."""
+        evaluated.  Without jumps, or for n <= 1 (each jump's series
+        starts with 0), only zeros are formed, signed as the empty jump
+        series leaves them."""
         L = REFINE * self.N // 2
-        if len(self.jump_angles):
+        if len(self.jump_angles) and n > 1:
             T = sawtooth_coefficients(self.jump_angles, self.jump_sizes, L,
                                       min(n, L))
         else:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rhbvp as R
+from rhbvp import boundary_data
 from rhbvp.boundary_data import (_EDGE_EPS, BoundaryFunction, DirectionField,
                                  TWO_PI, as_function, build_boundary_function,
                                  grid_nodes, measurable_arg)
@@ -197,8 +198,9 @@ def test_pieces_see_read_only_angles():
     lambda phi: R.solve_rh(DirectionField.from_angle(
         "t + pi + 0.3*sin(t - 1)", phi.N), phi)], ids=["normal", "oblique"])
 def test_phi_stage_reads_pieces_on_the_nodes_and_at_the_junctions(solve):
-    # under a smooth field psi is formed on the N nodes: no piece is
-    # evaluated anywhere else but at the junctions, for the jump sizes
+    # the pieces are read on the nodes and at the junctions by the build
+    # alone: under a smooth field psi is formed on the N nodes from the
+    # samples, and the jump sizes come from the limits the build kept
     N = 64
     seen = []
 
@@ -213,10 +215,74 @@ def test_phi_stage_reads_pieces_on_the_nodes_and_at_the_junctions(solve):
             (4.0, TWO_PI, recorded(lambda t: np.full(np.shape(t), -0.25)))]
     phi = build_boundary_function(spec, N)
     assert phi.jumps == (0.0, 1.3, 4.0)
-    seen.clear()
-    solve(phi)
     read = set(np.concatenate(seen).tolist())
     assert {1.3, 4.0} <= read <= set(grid_nodes(N).tolist()) | {0.0, 1.3, 4.0, TWO_PI}
+    seen.clear()
+    solve(phi)
+    assert seen == []
+
+
+LIMIT_CASES = {
+    "junctions": ([(0.0, 1.0, "cos(t) + 0.5"), (1.0, 3.7, "-0.3*sin(3*t)"),
+                   (3.7, TWO_PI, "1 + 0.5*cos(2*t)")], (), (1.0, 3.7)),
+    "declared_inside": ("0.5*abs(t-2)/(t-2)", (2.0,), (0.0, 2.0)),
+    "infinite_limit": ([(0.0, 2.0, "log(2 - t)"), (2.0, TWO_PI, "0")], (),
+                       (0.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("resampled", [False, True], ids=["built", "resampled"])
+@pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+def test_the_build_keeps_the_jump_limits_it_finds(case, resampled, monkeypatch):
+    # one jump_limits call, with the declared jumps, whose result the
+    # data keep read-only: the limits the solve used to find again
+    spec, declared, angles = LIMIT_CASES[case]
+    calls = []
+    real_limits = boundary_data.jump_limits
+    monkeypatch.setattr(boundary_data, "jump_limits",
+                        lambda *a: calls.append(a) or real_limits(*a))
+    with np.errstate(divide="ignore"):
+        phi = build_boundary_function(spec, 64, jumps=declared)
+    assert len(calls) == 1
+    phi = phi.resample(256) if resampled else phi
+    assert phi.jumps == angles
+    with np.errstate(divide="ignore"):
+        want = real_limits(phi.pieces, phi.samples, phi.jumps)
+    for got, ref in zip(phi.limits, want, strict=True):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert not got.flags.writeable
+    assert tuple(phi.limits[0]) == angles
+
+
+def test_an_infinite_stored_limit_stays_in_the_rest():
+    with np.errstate(divide="ignore"):
+        phi = build_boundary_function(
+            [(0.0, 2.0, "log(2 - t)"), (2.0, TWO_PI, "0")], 64)
+    assert phi.limits[1][1] == -np.inf
+    sol = R.solve_neumann(phi).f_source
+    assert sol.jump_angles.tolist() == [0.0]
+
+
+def test_the_limits_follow_the_pieces_and_samples_they_are_made_from():
+    # limits are derived, not given: data made directly or by replace()
+    # find them again, so they never go out of step with the pieces
+    from dataclasses import replace
+    built = build_boundary_function(LIMIT_CASES["junctions"][0], 64)
+    direct = BoundaryFunction(samples=built.samples, pieces=built.pieces)
+    assert direct.jumps == built.jumps
+    for got, ref in zip(direct.limits, built.limits, strict=True):
+        assert np.array_equal(got, ref)
+    step = build_boundary_function([(0.0, np.pi, "1"), (np.pi, TWO_PI, "0")], 64)
+    moved = replace(built, pieces=step.pieces)
+    assert tuple(moved.limits[0]) == (0.0, np.pi)
+    assert moved.jumps == (0.0, 1.0, np.pi, 3.7)  # the old jumps stay declared
+    with pytest.raises(TypeError):
+        BoundaryFunction(samples=built.samples, limits=built.limits)
+
+
+def test_sampled_data_keep_no_limits():
+    bf = build_boundary_function(np.cos(grid_nodes(64)), 64, jumps=(1.0,))
+    assert [len(a) for a in bf.limits] == [0, 0, 0]
 
 
 def test_direction_field_unit_modulus_enforced():

@@ -326,6 +326,44 @@ def test_series_eval_on_rays_block_horner(L, V, scales):
     assert np.max(np.abs(vals - ref)) <= 2e-12 * np.max(np.abs(ref))
 
 
+def test_ray_powers_hold_no_subnormal_and_the_fans_keep_their_bits(
+        monkeypatch):
+    # the step data at N = 16384: h has 65,535 terms in 132 blocks of
+    # V = 500.  Below |s| ~ 0.97 the powers (s^V)^k pass through the
+    # subnormal range; set to 0 they leave the verifier's fans, radial
+    # (real scales) and Stolz (complex ones), bitwise as they were
+    from rhbvp import disk_harmonic
+    from rhbvp.boundary_data import build_boundary_function
+    from rhbvp.neumann import solve_neumann
+    from rhbvp.verify import DEFAULT_APERTURES
+    N, V = 16384, 500
+    h = solve_neumann(build_boundary_function(
+        [(0.0, 1.2, "0.7"), (1.2, 3.0, "-0.4"), (3.0, 4.9, "0.2"),
+         (4.9, 2 * np.pi, "-0.9")], N)).f_source.h
+    assert len(h.fold(V)) == 132
+    fans = {"radial": _radial_nodes(), "stolz": np.concatenate([
+        StolzPath(0.0, k, 3, default_j_max(N)).scales
+        for k in DEFAULT_APERTURES])}
+    powers = []
+    running = disk_harmonic._running_powers
+    monkeypatch.setattr(disk_harmonic, "_running_powers",
+                        lambda x, n: powers.append(running(x, n)) or powers[-1])
+
+    def subnormal():  # subnormal parts of the (s^V)^k tables
+        p = np.concatenate([a.view(float).ravel() for a in powers
+                            if a.shape[1] == 132])
+        return np.count_nonzero((p != 0.0) & (np.abs(p) < np.finfo(float).tiny))
+
+    got = {k: h.eval_on_rays(sc, V) for k, sc in fans.items()}
+    assert subnormal() == 0
+    powers.clear()
+    monkeypatch.setattr(disk_harmonic, "POWER_FLOOR", 0.0)
+    want = {k: h.eval_on_rays(sc, V) for k, sc in fans.items()}
+    assert subnormal() > 0
+    for k in fans:
+        assert np.array_equal(got[k].view(np.uint64), want[k].view(np.uint64)), k
+
+
 def test_radial_u_table_matches_horner_quadrature(neumann_step):
     # u along each ray by Gauss panels on f evaluated by Horner, not by the
     # folded fans radial_u_table reads

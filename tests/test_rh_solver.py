@@ -903,13 +903,14 @@ def test_smooth_field_keeps_H_on_the_nodes(make_nu):
 
 def _eager_T(red, phi):
     """T = S[psi] formed whole at the solve: the jumps' series out to
-    REFINE * N / 2 terms plus the rest's first N / 2, or psi's
-    coefficients on the refined grid."""
+    REFINE * N / 2 terms, with the one-sided limits found again from the
+    pieces, plus the rest's first N / 2, or psi's coefficients on the
+    refined grid."""
     N = red.field.N
     psi = phi.resample(len(red.H)).samples * np.exp(-red.H)
     if len(psi) > N:
         return analytic_coefficients(psi)
-    rest, T = psi, np.zeros(rh_solver.REFINE * N // 2, dtype=complex)
+    rest, c, J = psi, np.zeros(0), np.zeros(0)
     if phi.pieces is not None and phi.jumps:
         c, left, right = jump_limits(phi.pieces, phi.samples, phi.jumps)
         H_c = (unit_powers(c, len(red.A.coefficients))
@@ -918,7 +919,7 @@ def _eager_T(red, phi):
         J = (right - left) * np.exp(-np.clip(H_c, -clamp, clamp))
         c, J = c[np.isfinite(J)], J[np.isfinite(J)]
         rest = psi - jump_sawtooths(N, c, J)
-        T = sawtooth_coefficients(c, J, len(T))
+    T = sawtooth_coefficients(c, J, rh_solver.REFINE * N // 2)
     T[:N // 2] += analytic_coefficients(rest)
     return T
 
@@ -953,6 +954,39 @@ def _pinned_solutions():
     yield "alpha_jumps", lambda: solve_rh(R.DirectionField.from_samples(
         np.exp(1j * beta), jumps=(0.0, 2.0)), R.build_boundary_function(STEP, N))
     yield "family_member", lambda: homogeneous_family(_normal_nu(N), 3)[2]
+    # Neumann data as the family_solve benchmark draws them (three pieces
+    # a0 + a cos kt + b sin kt, and a sum of two such), a jump declared
+    # inside a piece and a one-sided limit that is infinite
+    rng = np.random.default_rng(1)
+    drawn = [_family_style_pieces(rng) for _ in range(2)]
+    specs = {"drawn_1": (drawn[0], ()), "drawn_2": (drawn[1], ()),
+             "drawn_sum": (_sum_of_pieces(*drawn), ()),
+             "declared_jump": ("0.5*abs(t-2)/(t-2)", (2.0,)),
+             "infinite_limit": ([(0.0, 2.0, "log(2 - t)"), (2.0, TWO_PI, "0")], ())}
+    for name, (spec, jumps) in specs.items():
+        yield f"neumann_{name}", lambda spec=spec, jumps=jumps: R.solve_neumann(
+            R.build_boundary_function(spec, 4 * N, jumps=jumps)).f_source
+
+
+def _family_style_pieces(rng):
+    while True:
+        cuts = np.sort(rng.uniform(0.3, TWO_PI - 0.3, 2))
+        if cuts[1] - cuts[0] > 0.4:
+            break
+    edges = [0.0, *cuts.tolist(), TWO_PI]
+    return [(lo, hi, f"{rng.uniform(-1, 1)!r} + {rng.uniform(-0.5, 0.5)!r}"
+             f"*cos({k}*t) + {rng.uniform(-0.5, 0.5)!r}*sin({k}*t)")
+            for lo, hi, k in zip(edges, edges[1:], rng.integers(1, 4, 3))]
+
+
+def _sum_of_pieces(p, q):
+    edges = sorted({e for lo, hi, _ in p + q for e in (lo, hi)})
+
+    def expr(pieces, t):
+        return next(e for lo, hi, e in pieces if lo <= t < hi)
+
+    return [(lo, hi, f"({expr(p, lo)}) + ({expr(q, lo)})")
+            for lo, hi in zip(edges, edges[1:])]
 
 
 PINNED = dict(_pinned_solutions())
@@ -969,14 +1003,41 @@ def test_lazy_g_equals_the_eager_construction_bit_for_bit(case):
                                   ref.taylor_coefficients(K)[0])
         assert "g" not in sol.__dict__  # F's terms formed no g
     for n in (0, 1, 2, 94, L, L + 3):
-        assert np.array_equal(sol.bracket(n), ref.bracket(n))
-    assert np.array_equal(sol.index_coeffs, ref.index_coeffs)
+        assert _same_bits(sol.bracket(n), ref.bracket(n))
+    assert _same_bits(sol.index_coeffs, ref.index_coeffs)
     z = 0.97 * np.exp(2j * np.pi * np.arange(64) / 64 + 0.1j)
     assert np.array_equal(sol.f(z), ref.f(z))
-    assert np.array_equal(sol.g.coefficients, ref.g.coefficients)
+    assert _same_bits(sol.g.coefficients, ref.g.coefficients)
     scales = np.array([0.5, 0.9 * np.exp(0.1j), 0.97])
-    assert np.array_equal(sol.f_on_scales(scales, 64),
-                          ref.f_on_scales(scales, 64))
+    assert _same_bits(sol.f_on_scales(scales, 64), ref.f_on_scales(scales, 64))
+    assert _same_bits(R.antiderivative(sol).coefficients,
+                      R.antiderivative(ref).coefficients)
+
+
+def _same_bits(a, b):  # signed zeros too
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.uint8), b.view(np.uint8)))
+
+
+def test_T0_is_read_without_a_jump_series(sawtooth_lengths):
+    # T_0 of every jump's series is 0 (Eckhoff): the b_j of a Neumann
+    # solve and F's terms form no series to read it; bracket(2) does
+    N = 512
+    L = rh_solver.REFINE * N // 2
+    phi = R.build_boundary_function(THREE_PIECES, N)
+    sol = R.solve_neumann(phi).f_source
+    assert sol.index == 1 and len(sol.jump_angles) == 2
+    sol.index_coeffs
+    R.antiderivative(sol)
+    assert sawtooth_lengths and all(n > 1 for n, _ in sawtooth_lengths)
+    assert _same_bits(sol.bracket(1), sol.bracket(L)[:1])
+    assert _same_bits(sol.bracket(0), sol.bracket(L)[:0])
+    two = solve_rh(R.DirectionField.from_angle(_tilted_nu(2)[0], N), phi)
+    assert two.index == 2
+    sawtooth_lengths.clear()
+    two.index_coeffs
+    assert sawtooth_lengths == [(2, L)]
 
 
 def test_the_jump_series_is_formed_whole_once_where_f_is_evaluated(
