@@ -1,14 +1,12 @@
-"""Star-like Jordan domains via Theodorsen's conformal map iteration.
+"""Star-like Jordan domains via Theodorsen's boundary correspondence.
 
 A domain with boundary {rho(a) * exp(i a)} (rho positive, smooth, with
 |rho'/rho| < 1) is the image of the disk under omega(z) = z * exp(S(z))
 where S is the Schwarz integral of log rho composed with the boundary
-correspondence sigma.  sigma solves the fixed point
-
-    sigma(t) = t + H[log rho(sigma(.))](t)
-
-with H the boundary conjugation; iteration from sigma = identity is
-contractive under the slope condition.  At the converged sigma the map's
+correspondence sigma.  sigma solves Theodorsen's equation
+sigma = t + K[log rho(sigma)], K the boundary conjugation, by Newton steps
+from sigma = t (Wegmann, "Ein Iterationsverfahren zur konformen
+Abbildung", Numer. Math. 30, 1978).  At the converged sigma the map's
 boundary values are omega(e^{it_j}) = rho(sigma_j) e^{i sigma_j}, so the
 Taylor coefficients of omega are one FFT of those points, cut where the
 rest is rounding noise (Wegmann, "Methods for numerical conformal
@@ -34,7 +32,7 @@ import numpy as np
 from .boundary_data import (BoundaryFunction, DirectionField, TWO_PI,
                             as_function, grid_nodes)
 from .direction_solver import HarmonicSolution
-from .disk_harmonic import SeriesEvaluator, conjugate_boundary, trim_tail
+from .disk_harmonic import SeriesEvaluator, trim_tail
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, InvariantViolation,
                      PointQueryError)
@@ -140,14 +138,22 @@ class ConformalMap:
 
 
 def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
-    """Conformal map onto the star-like domain with radius function rho."""
+    """Conformal map onto the star-like domain with radius function rho.
+
+    Each Newton step delta solves delta - K[theta delta] = r, with the
+    update r = t + K[log rho(sigma)] - sigma and theta = (log rho)'(sigma):
+    U = theta delta + i K[theta delta] has Re((1 + i theta) U) = theta r
+    and Im U(0) = 0 (winding 0), so U = e^{K[beta] - i beta} (q + i (K[q]
+    + c)), beta = arctan theta, q = theta r cos(beta) e^{-K[beta]}, c =
+    tan(mean beta) mean q.  sigma + delta is t + K[log rho(sigma) + Re U].
+    theta = d/dt log rho(sigma) / sigma' from trim_tail-cut series; the
+    step whose update is below THEODORSEN_TOL is the last."""
     fn, src = as_function(rho, var="a", what="a radius function")
     t = grid_nodes(N)
     rvals = np.asarray(fn(t), dtype=float)
     if not np.all(np.isfinite(rvals)) or np.any(rvals <= 0):
         raise DataError("radius function must be positive and finite")
-    # contraction requires |d(log rho)/da| < 1
-    lr = np.log(rvals)
+    lr = np.log(rvals)  # the class: max |d(log rho)/da| < 1
     dlr = np.fft.irfft(1j * np.arange(N // 2 + 1) * np.fft.rfft(lr), N)
     slope = float(np.max(np.abs(dlr)))
     if slope >= 1.0:
@@ -155,12 +161,24 @@ def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
             f"max |rho'/rho| = {slope:.4f} >= 1: outside the Theodorsen "
             f"contraction region")
 
+    def K(x):  # conjugate_boundary's conjugation, without its data checks
+        return np.fft.irfft(np.r_[0.0, -1j * np.fft.rfft(x)[1:-1]], N)
+
+    def d_dt(x):  # spectral derivative, rounding noise cut first
+        c = trim_tail(np.fft.rfft(x))
+        return np.fft.irfft(1j * np.arange(len(c)) * c, N)
+
     sigma = t.copy()
     for iterations in range(1, THEODORSEN_MAX_ITER + 1):
         ls = np.log(np.asarray(fn(np.mod(sigma, TWO_PI)), dtype=float))
-        new = t + conjugate_boundary(BoundaryFunction(samples=ls)).samples
-        delta = float(np.max(np.abs(new - sigma)))
-        sigma = new
+        r = t + K(ls) - sigma
+        delta = float(np.max(np.abs(r)))
+        theta = d_dt(ls) / (1.0 + d_dt(sigma - t))  # (log rho)'(sigma)
+        beta = np.arctan(theta)
+        cb, eb = np.cos(beta), np.exp(K(beta))
+        q = theta * r * cb / eb
+        c = np.tan(np.mean(beta)) * np.mean(q)
+        sigma = t + K(ls + eb * cb * (q + theta * (K(q) + c)))
         if delta < THEODORSEN_TOL:
             break
     else:

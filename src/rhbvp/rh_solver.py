@@ -44,6 +44,7 @@ verifier is admissible; the verifier is the contract.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -487,13 +488,14 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     points = tuple(real(a, "points") % TWO_PI for a in points)
     base = params or SolverParams()
     zero_phi = BoundaryFunction(samples=np.zeros(nu.N), kind="real")
-    sol = solve_rh(nu, zero_phi, replace(base, hom_points=points, hom_coeffs=()))
+    checked = replace(base, hom_points=points, hom_coeffs=())
+    sol = solve_rh(nu, zero_phi, checked)
     members = []
     fans: dict = {}
     k = len(points)
     for j in range(k + 1):
-        coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
-        p = replace(base, hom_points=points, hom_coeffs=coeffs)
+        p = copy(checked)  # valid points and unit coefficients: no re-check
+        p.hom_coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
         members.append(replace(sol, params=p, notes=list(sol.notes)))
         members[-1]._fans = fans
     return members

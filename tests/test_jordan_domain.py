@@ -12,7 +12,7 @@ from rhbvp.boundary_data import TWO_PI, BoundaryFunction, grid_nodes
 from rhbvp.errors import (ConfigurationError, ConvergenceDomainError,
                           ConvergenceError, DataError, PointQueryError)
 from rhbvp.disk_harmonic import (TAIL_TOL, SeriesEvaluator,
-                                 analytic_coefficients)
+                                 analytic_coefficients, trim_tail)
 from rhbvp import jordan_domain
 from rhbvp.jordan_domain import (image_inner_normal, theodorsen_map,
                                  transplant_solve)
@@ -48,7 +48,7 @@ def test_ellipse_map(ellipse_map):
     # rho(a) = 0.8/sqrt(1 - 0.36 cos^2 a): semi-axes 1 and 0.8
     assert ellipse_map.residual < 1e-12
     assert 0.2 < ellipse_map.slope < 0.25
-    assert 10 < ellipse_map.iterations < 40
+    assert ellipse_map.iterations <= 8
     wb = ellipse_map.boundary_nodes()
     assert abs(np.max(np.abs(wb.real)) - 1.0) < 1e-6
     assert abs(np.max(np.abs(wb.imag)) - 0.8) < 1e-6
@@ -106,6 +106,71 @@ def test_omega_trim_stays_within_tail_bound(rho, N):
     moved = SeriesEvaluator(kept)._horner(z) - SeriesEvaluator(full)._horner(z)
     assert np.max(np.abs(moved)) <= 1e-14
     assert TAIL_TOL == 16 * np.finfo(float).eps
+
+
+def _plain_correspondence(fn, N, budget):
+    """sigma by the plain fixed-point iteration sigma <- t + K[log rho(sigma)],
+    its update below THEODORSEN_TOL, and its degree; None where budget
+    steps do not get there or omega'(0) is not real positive."""
+    t = grid_nodes(N)
+    sigma = t.copy()
+    for _ in range(budget):
+        ls = np.log(fn(np.mod(sigma, TWO_PI)))
+        new = t + R.conjugate_boundary(BoundaryFunction(samples=ls)).samples
+        moved, sigma = np.max(np.abs(new - sigma)), new
+        if moved < jordan_domain.THEODORSEN_TOL:
+            om = np.fft.fft(fn(np.mod(sigma, TWO_PI))
+                            * np.exp(1j * sigma))[:N // 2 + 1] / N
+            if abs(om[1].imag) > 1e-12 * max(1.0, om[1].real):
+                return None
+            om[0] = 0.0
+            return sigma, len(trim_tail(om))
+    return None
+
+
+@pytest.mark.parametrize("rho, slope", [("1 + 0.3*cos(3*a)", 0.94),
+                                        ("exp(0.45*cos(2*a))", 0.90)])
+def test_near_critical_star_maps_in_few_newton_steps(rho, slope):
+    # the plain iteration ran out of its 200 steps on both (they need 437
+    # and 247); each Newton step solves one winding-0 RH problem
+    cmap = theodorsen_map(rho, N=1024)
+    assert abs(cmap.slope - slope) < 0.005
+    assert cmap.iterations <= 8
+    assert cmap.residual <= 1e-12
+    sigma, degree = _plain_correspondence(cmap.rho, 1024, 2000)
+    assert np.max(np.abs(cmap.correspondence - sigma)) <= 1e-12
+    assert len(cmap.omega.coefficients) == degree == _degree(rho, 16384)
+
+
+def test_newton_steps_keep_the_degree_at_large_n():
+    # theta's noise cut and the step's conjugate form keep sigma free of
+    # rounding noise that trim_tail would have to keep
+    assert _degree(STAR3_RHO, 65536) == _degree(STAR3_RHO, 1024) == 155
+
+
+def test_newton_steps_agree_with_the_plain_iteration_on_random_stars():
+    rng = np.random.default_rng(7)
+    a = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+    for _ in range(12):
+        k = rng.choice(np.arange(1, 7), size=3, replace=False)
+        amp, phase = rng.uniform(-1, 1, 3) / k, rng.uniform(0, TWO_PI, 3)
+        amp *= rng.uniform(0.1, 0.9) / np.max(np.abs(
+            np.sum(-amp * k * np.sin(np.outer(a, k) + phase), axis=1)))
+        scale = rng.uniform(0.5, 2.0)
+
+        def fn(x, amp=amp, k=k, phase=phase, scale=scale):
+            x = np.asarray(x, dtype=float)[..., None]
+            return scale * np.exp(np.sum(amp * np.cos(k * x + phase), axis=-1))
+
+        for N in (256, 1024):
+            ref = _plain_correspondence(
+                fn, N, jordan_domain.THEODORSEN_MAX_ITER)
+            if ref is None:
+                continue
+            cmap = theodorsen_map(fn, N=N)
+            assert cmap.slope < 0.9
+            assert np.max(np.abs(cmap.correspondence - ref[0])) <= 1e-12
+            assert abs(len(cmap.omega.coefficients) - ref[1]) <= 2
 
 
 def test_rejects_nonpositive_radius():

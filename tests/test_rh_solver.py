@@ -187,6 +187,23 @@ def test_homogeneous_family_count_and_coeffs(hom_family_cos):
         assert len(m.hom_points) == 10
 
 
+def test_homogeneous_family_checks_its_points_once(monkeypatch):
+    # each member's params were built by replace(), which re-read all 32
+    # points: 35 SolverParams checks for one family
+    calls = []
+    check = SolverParams.__post_init__
+    monkeypatch.setattr(SolverParams, "__post_init__",
+                        lambda self: calls.append(1) or check(self))
+    members = homogeneous_family(_normal_nu(256), 32)
+    assert len(calls) <= 2
+    monkeypatch.setattr(SolverParams, "__post_init__", check)
+    points = default_hom_points(32)
+    for j, m in enumerate(members):
+        coeffs = tuple(1.0 if i == j else 0.0 for i in range(33))
+        assert m.params == SolverParams(hom_points=points, hom_coeffs=coeffs)
+    assert len({id(m.params) for m in members}) == 33
+
+
 def test_default_hom_points_distinct():
     pts = default_hom_points(7)
     assert len(set(pts)) == 7
