@@ -344,8 +344,8 @@ def main(argv=None) -> int:
                 report.settings["config_echo"] = json.dumps(cfg, sort_keys=True)
                 with open(report_path, "w") as fh:
                     fh.write(report.serialize())
-                trace(f"verify: pass_fraction={report.pass_fraction:.4f} "
-                      f"certified_fraction={report.certified_fraction:.4f} "
+                trace(f"verify: certified_fraction={report.certified_fraction:.4f} "
+                      f"pass_fraction={report.pass_fraction:.4f} "
                       f"excluded={report.settings['excluded_count']} "
                       f"-> {report_path}")
         failed = False

@@ -35,7 +35,7 @@ from .direction_solver import HarmonicSolution
 from .disk_harmonic import SeriesEvaluator, trim_tail
 from .errors import (ConfigurationError, ConvergenceDomainError,
                      ConvergenceError, DataError, InvariantViolation,
-                     PointQueryError)
+                     PointQueryError, RepresentationError)
 from .neumann import compatibility_note
 from .rh_solver import SolverParams, solve_rh
 
@@ -147,7 +147,8 @@ def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
     + c)), beta = arctan theta, q = theta r cos(beta) e^{-K[beta]}, c =
     tan(mean beta) mean q.  sigma + delta is t + K[log rho(sigma) + Re U].
     theta = d/dt log rho(sigma) / sigma' from trim_tail-cut series; the
-    step whose update is below THEODORSEN_TOL is the last."""
+    step whose update is below THEODORSEN_TOL is the last.  A failed omega'
+    check is a RepresentationError when omega keeps >= N/2 terms."""
     fn, src = as_function(rho, var="a", what="a radius function")
     t = grid_nodes(N)
     rvals = np.asarray(fn(t), dtype=float)
@@ -197,14 +198,20 @@ def theodorsen_map(rho, N: int = 1024) -> ConformalMap:
     residual = float(np.max(np.abs(np.abs(wb)
                                    - np.asarray(fn(np.angle(wb)), dtype=float))))
 
+    def broken(msg):  # an omega of at least N/2 terms: N is too small
+        if len(om) < N // 2:
+            return InvariantViolation(msg)
+        return RepresentationError(
+            f"N = {N} does not resolve the domain: omega keeps {len(om)} "
+            f"of {N // 2 + 1} terms, and {msg}")
+
     if not (om[1].real > 0 and abs(om[1].imag) <= 1e-12 * max(1.0, om[1].real)):
-        raise InvariantViolation(
-            f"omega'(0) must be real positive, got {om[1]:.6g}")
+        raise broken(f"omega'(0) must be real positive, got {om[1]:.6g}")
     probe = np.concatenate([r * np.exp(2j * np.pi * np.arange(256) / 256)
                             for r in (0.3, 0.6, 0.95)])
     opv = np.abs(omega_prime._horner(probe))
     if float(np.min(opv)) < 1e-10 * float(np.max(opv)):
-        raise InvariantViolation("omega' vanishes inside |z| <= 0.95")
+        raise broken("omega' vanishes inside |z| <= 0.95")
 
     return ConformalMap(rho=fn, rho_source=src, correspondence=sigma,
                         omega=omega, omega_prime=omega_prime,
@@ -232,16 +239,19 @@ def transplant_solve(cmap: ConformalMap, phi: BoundaryFunction,
     nu defaults to the image inner normal: the Neumann problem, whose
     solution carries the compatibility note.  The disk problem for the
     pulled-back pair is solved, F integrates f * omega', and the returned
-    solution evaluates through Newton inversion.
-    """
+    solution evaluates through Newton inversion; the map note says when
+    omega keeps >= N/2 terms (N may not resolve the domain)."""
     params = params or SolverParams()
     if phi.N != cmap.N:
         raise ConfigurationError(
             f"boundary data N={phi.N} does not match the map N={cmap.N}")
     sol = solve_rh(image_inner_normal(cmap) if nu is None else nu, phi, params)
+    d = len(cmap.omega.coefficients)
     notes = sol.notes + [
-        f"transplanted through a degree-{len(cmap.omega.coefficients)} "
-        f"map (residual {cmap.residual:.3e}, {cmap.iterations} iterations)"]
+        f"transplanted through a degree-{d} map (residual "
+        f"{cmap.residual:.3e}, {cmap.iterations} iterations)"
+        + ("" if d < cmap.N // 2 else f"; omega keeps {d} of "
+           f"{cmap.N // 2 + 1} terms: N = {cmap.N} may not resolve the domain")]
     note = compatibility_note(phi, cmap) if nu is None else None
     return HarmonicSolution(f_source=sol, d0=params.d0, conformal_map=cmap,
                             notes=notes + ([note] if note else []))

@@ -203,7 +203,8 @@ class AnalyticSolution:
     and sizes and its continuous rest's coefficients; g, z^k * T for
     w = -k <= 0 and T shifted down by k for w = k > 0, and h, E * g plus
     the poles' remainder, are formed from them where f is first
-    evaluated.
+    evaluated.  f is h by Horner and f_on_scales h by one fan, each with
+    the pointwise pole terms added by _assemble.
     """
 
     reduced: ReducedField
@@ -213,10 +214,6 @@ class AnalyticSolution:
     rest: np.ndarray
     params: SolverParams
     notes: list[str] = field(default_factory=list)
-    # g, E * g and the fans of E * g and z by (scales, V), shared by the
-    # members of one homogeneous family; None (no store) for every other
-    _fans: dict | None = field(default=None, init=False, repr=False,
-                               compare=False)
 
     nu = property(attrgetter("reduced.field"))
     index = property(attrgetter("reduced.index"))
@@ -252,31 +249,20 @@ class AnalyticSolution:
 
     @cached_property
     def g(self) -> SeriesEvaluator:
-        """g from bracket(L), formed once, for a family once in its store."""
-        store = {} if self._fans is None else self._fans
-        if "g" not in store:
-            T, w = self.bracket(REFINE * self.N // 2), self.index
-            store["g"] = SeriesEvaluator(
-                np.concatenate([np.zeros(-w), T]) if w < 0 else T[w:])
-        return store["g"]
-
-    def _Eg(self) -> SeriesEvaluator:
-        """E * g (g when E is [1]), for a family once in its store; any
-        other solution keeps only h."""
-        store = {} if self._fans is None else self._fans
-        if "Eg" not in store:
-            e = self.reduced.E.coefficients
-            store["Eg"] = self.g if len(e) == 1 else SeriesEvaluator(
-                np.convolve(e, self.g.coefficients))
-        return store["Eg"]
+        """g from bracket(L), formed once."""
+        T, w = self.bracket(REFINE * self.N // 2), self.index
+        return SeriesEvaluator(np.concatenate([np.zeros(-w), T]) if w < 0
+                               else T[w:])
 
     @cached_property
     def h(self) -> SeriesEvaluator:
-        """f / E0 less the pointwise pole terms: E * g plus the poles'
-        remainder."""
-        R = self._poles[-1]
+        """f / E0 less the pointwise pole terms: E * g (g when E is [1])
+        plus the poles' remainder."""
+        e, R = self.reduced.E.coefficients, self._poles[-1]
+        Eg = self.g if len(e) == 1 else SeriesEvaluator(
+            np.convolve(e, self.g.coefficients))
         return SeriesEvaluator(np.polynomial.polynomial.polyadd(
-            self._Eg().coefficients, R)) if len(R) else self._Eg()
+            Eg.coefficients, R)) if len(R) else Eg
 
     @cached_property
     def index_coeffs(self) -> np.ndarray:
@@ -307,35 +293,12 @@ class AnalyticSolution:
 
     def f_on_scales(self, scales: np.ndarray, V: int,
                     folds: np.ndarray | None = None) -> np.ndarray:
-        """f at z = s * exp(2*pi*i*v/V) for each scale s, shape (len(s), V).
-
-        One FFT-folded fan of h, the pole terms applied pointwise.  A
-        family member fans E * g and z once per (scales, V) for the whole
-        family and adds its own remainder's fan to a copy.  folds,
-        self.folds(V), lends the fanned series' blocks to calls on one V.
-        """
+        """f at z = s * exp(2*pi*i*v/V) for each scale s, shape (len(s), V):
+        one FFT-folded fan of h, the pole terms applied pointwise.  folds,
+        h.fold(V), lends h's blocks to calls on one V."""
         scales = np.asarray(scales, dtype=complex)
-        fans = {} if self._fans is None else self._fans
-        key = (scales.tobytes(), V)
-        if key not in fans:
-            fans[key] = (self._fanned.eval_on_rays(scales, V, folds),
-                         scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V))
-        acc, z = fans[key]
-        if self._fans is not None:
-            acc = acc.copy()
-            R = self._poles[-1]
-            if len(R):
-                acc += SeriesEvaluator(R).eval_on_rays(scales, V)
-        return self._assemble(acc, z)
-
-    @property
-    def _fanned(self) -> SeriesEvaluator:
-        """The series f_on_scales fans: h, or E * g for a family member."""
-        return self.h if self._fans is None else self._Eg()
-
-    def folds(self, V: int) -> np.ndarray:
-        """self._fanned.fold(V), to lend to f_on_scales."""
-        return self._fanned.fold(V)
+        z = scales[:, None] * np.exp(2j * np.pi * np.arange(V) / V)
+        return self._assemble(self.h.eval_on_rays(scales, V, folds), z)
 
     def _assemble(self, acc, z):
         """E0 * (h + pole terms) at z from acc, a fresh array of h's
@@ -475,13 +438,11 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     coefficients, so one solve with phi = 0, one reduction of nu, serves
     every member; the members are copies of it that differ only in
     params (so in hom_coeffs) and notes, and share its reduced field
-    and T (each member solves its own b_j) and one store of g and E * g,
-    formed where f is first evaluated, and of their fans, so f_on_scales
-    evaluates E * g once per fan for the whole family and each member
-    adds the fan of its own remainder, shorter than E.  An integer
-    points is a count of default_hom_points, read by errors.count;
-    otherwise each point is read by errors.real.  hom_points and
-    hom_coeffs preset in params are ignored.
+    and T; each member solves its own b_j and forms its own g and h
+    where its f is first evaluated.  An integer points is a count of
+    default_hom_points, read by errors.count; otherwise each point is
+    read by errors.real.  hom_points and hom_coeffs preset in params are
+    ignored.
     """
     if isinstance(points, (int, np.integer, np.bool_)):
         points = default_hom_points(count(points, "points", 0))
@@ -491,11 +452,9 @@ def homogeneous_family(nu: DirectionField, points: Sequence[float] | int,
     checked = replace(base, hom_points=points, hom_coeffs=())
     sol = solve_rh(nu, zero_phi, checked)
     members = []
-    fans: dict = {}
     k = len(points)
     for j in range(k + 1):
         p = copy(checked)  # valid points and unit coefficients: no re-check
         p.hom_coeffs = tuple(1.0 if i == j else 0.0 for i in range(k + 1))
         members.append(replace(sol, params=p, notes=list(sol.notes)))
-        members[-1]._fans = fans
     return members

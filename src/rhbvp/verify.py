@@ -298,7 +298,7 @@ def radial_u_table(hsol, V: int = 500, tol: float = 1e-3,
     nodes = mids[:, None] + halfs[:, None] * _GAUSS_X[None, :]  # (P, 12)
 
     src = hsol.f_source
-    folds = src.folds(V)
+    folds = src.h.fold(V)
     phase = np.exp(1j * angles)[None, :]
     P = len(mids)
     panel_int = np.empty((P, V))

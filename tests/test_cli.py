@@ -143,7 +143,10 @@ def test_verify_report_end_to_end(tmp_path, capsys):
     assert rep["residual_max"] < 1e-6
     assert "grid_laplacian_max" not in rep["settings"]
     assert len(rep["rows"]) == 120
-    assert "pass_fraction=" in capsys.readouterr().out
+    # certified_fraction is the headline, so it comes first
+    out = capsys.readouterr().out
+    assert re.search(r"^verify: certified_fraction=[0-9.]+ pass_fraction=",
+                     out, re.M)
 
 
 def _verify_run(tmp_path, name, **extra):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import rhbvp as R
 from rhbvp.boundary_data import TWO_PI, BoundaryFunction, grid_nodes
 from rhbvp.errors import (ConfigurationError, ConvergenceDomainError,
-                          ConvergenceError, DataError, PointQueryError)
+                          ConvergenceError, DataError, PointQueryError,
+                          RepresentationError)
 from rhbvp.disk_harmonic import (TAIL_TOL, SeriesEvaluator,
                                  analytic_coefficients, trim_tail)
 from rhbvp import jordan_domain
@@ -146,6 +147,31 @@ def test_newton_steps_keep_the_degree_at_large_n():
     # theta's noise cut and the step's conjugate form keep sigma free of
     # rounding noise that trim_tail would have to keep
     assert _degree(STAR3_RHO, 65536) == _degree(STAR3_RHO, 1024) == 155
+
+
+# slope 0.95; omega keeps 677 terms at N = 4096 and 16384
+UNDER_RESOLVED_RHO = ("exp(0.069*cos(1*a + 0.178) + 0.093*cos(2*a + 0.100) "
+                      "+ 0.089*cos(3*a + 3.222) + 0.129*cos(4*a + 0.415) "
+                      "+ 0.092*cos(5*a + 0.419))")
+
+
+def test_an_under_resolved_map_is_named():
+    # at N = 256 omega'(0) comes out off the real axis: that is N, not a
+    # broken invariant
+    with pytest.raises(RepresentationError,
+                       match="N = 256 does not resolve the domain: omega "
+                             "keeps 129 of 129 terms, and omega'"):
+        theodorsen_map(UNDER_RESOLVED_RHO, N=256)
+    # at N = 1024 the checks pass with every term kept: the note says so
+    cmap = theodorsen_map(UNDER_RESOLVED_RHO, N=1024)
+    assert len(cmap.omega.coefficients) == 513
+    phi = R.build_boundary_function("cos(t)", 1024)
+    assert transplant_solve(cmap, phi).notes[0].endswith(
+        "; omega keeps 513 of 513 terms: N = 1024 may not resolve the domain")
+    # a resolved map keeps its note as it was
+    assert _degree(UNDER_RESOLVED_RHO, 4096) == 677
+    cmap = theodorsen_map(STAR3_RHO, N=1024)
+    assert "resolve" not in transplant_solve(cmap, phi).notes[0]
 
 
 def test_newton_steps_agree_with_the_plain_iteration_on_random_stars():

@@ -240,6 +240,8 @@ FAMILY_CASES = {  # nu, points, params, REFINE
         SolverParams(cut=1.0, hom_points=(1.5, 2.0, 3.0),
                      hom_coeffs=(3.0, -2.0, 1.0, 0.5)), 4),
     "k0": (lambda: _normal_nu(128), 0, None, 8),
+    "turning_weight": (lambda: R.DirectionField.from_angle(
+        "t + pi + 0.3*sin(t)", 256), 4, None, 8),
 }
 
 
@@ -274,8 +276,11 @@ def test_homogeneous_family_equals_one_solve_per_member(case, monkeypatch):
         assert np.max(np.abs(m.f(z) - r.f(z))) == 0.0
         assert np.max(np.abs(m.f_on_scales(scales, 32)
                              - r.f_on_scales(scales, 32))) == 0.0
-    # members share the reduction and the phi = 0 data, not their notes
-    assert all(m.g is got[0].g and m.reduced is got[0].reduced for m in got)
+    # members share the reduction and the phi = 0 data, not their notes;
+    # each forms its own g, equal to the first member's
+    assert all(m.reduced is got[0].reduced for m in got)
+    assert all(np.array_equal(m.g.coefficients, got[0].g.coefficients)
+               for m in got)
     assert len({id(m.notes) for m in got}) == len(got)
 
 
@@ -287,7 +292,7 @@ def _member_by_own_solve(nu, points, j):
                                                hom_coeffs=coeffs))
 
 
-def test_family_members_share_one_fan(monkeypatch):
+def test_family_members_fan_as_their_own_solves(monkeypatch):
     N = 1024
     nu = _normal_nu(N)
     points = default_hom_points(32)
@@ -326,6 +331,34 @@ def test_family_members_share_one_fan(monkeypatch):
     for m in homogeneous_family(wavy, points):
         R.antiderivative(m)
     assert calls == [N]  # E's N samples, once for all 33 members
+
+
+@pytest.mark.parametrize("turning", [False, True])
+def test_every_f_on_scales_call_fans_h_once(monkeypatch, turning):
+    # one fan path for every solution, family members included, on the
+    # inner normal and on a turning weight
+    N = 256
+    nu = (R.DirectionField.from_angle("t + pi + 0.3*sin(t)", N) if turning
+          else _normal_nu(N))
+    phi = R.build_boundary_function("cos(t)", N)
+    plain = solve_rh(nu, phi, SolverParams(hom_points=(1.0, 4.0),
+                                           hom_coeffs=(0.5, 1.0, -1.0)))
+    members = homogeneous_family(nu, 4)
+    for sol in [plain] + members:
+        sol.reduced.E  # E takes its own samples through eval_on_circle
+    calls = []
+    real_eval = SeriesEvaluator.eval_on_rays
+
+    def counting_eval(self, scales, V, *blocks):
+        calls.append(self)
+        return real_eval(self, scales, V, *blocks)
+
+    monkeypatch.setattr(SeriesEvaluator, "eval_on_rays", counting_eval)
+    scales = np.array([0.5, 0.9 * np.exp(0.1j), 0.99])
+    for sol in [plain] + members + [plain] + members:
+        calls.clear()
+        sol.f_on_scales(scales, 32)
+        assert len(calls) == 1 and calls[0] is sol.h
 
 
 def _full_A(sol):
@@ -377,18 +410,6 @@ def test_normal_f_on_scales_is_the_A_fan_path(normal_solution):
     got = sol.f_on_scales(scales, V)
     ulp = np.finfo(float).eps
     assert np.all(np.abs(got - want) <= 4 * ulp * np.maximum(1.0, np.abs(want)))
-
-
-def test_only_family_members_hold_a_fan_store(neumann_step):
-    sol = neumann_step.f_source
-    sol.f_on_scales(np.array([0.5, 0.9]), 64)
-    assert sol._fans is None
-    members = homogeneous_family(_normal_nu(64), 2)
-    assert all(m._fans is members[0]._fans for m in members)
-    assert members[0]._fans == {}
-    # a copy with other fields may change A or g: it starts without a store
-    other = replace(members[0].params, hom_coeffs=(0.0, 1.0, 1.0))
-    assert replace(members[0], params=other)._fans is None
 
 
 # ----------------------------------------------------------------------
@@ -1133,7 +1154,7 @@ def test_f_is_one_series_under_a_turning_weight(case):
                         sol.g.eval_on_rays(scales, V), zs)
     got = sol.f_on_scales(scales, V)
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
-    assert np.array_equal(sol.f_on_scales(scales, V, sol.folds(V)), got)
+    assert np.array_equal(sol.f_on_scales(scales, V, sol.h.fold(V)), got)
 
 
 def test_E_is_the_series_of_the_weight():
